@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides the configuration)")
         cmd.add_argument("--seed", type=int, help="base seed (overrides the configuration)")
         cmd.add_argument("--workers", type=int, default=None,
-                         help="worker processes for simulation runs and matrix rows "
-                              "(default: serial)")
+                         help="worker processes for simulation runs only (default: serial)")
         cmd.add_argument("--format", choices=experiments.OUTPUT_FORMATS,
                          help="output format (overrides the configuration)")
         cmd.add_argument("--no-renormalize", action="store_true",
@@ -88,7 +87,7 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "strategies":
         docs = [experiments.strategies_document(cfg)]
     elif args.command == "matrix":
-        docs = experiments.matrix_documents(cfg, workers=workers)
+        docs = experiments.matrix_documents(cfg)
     elif args.command == "simulate":
         docs = experiments.empirical_documents(cfg, workers=workers, include_traces=args.traces)
     elif args.command == "figure2":

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Sequence
 
+from .arrivals import request_kinds
 from .errors import DegenerateModelError, GuardExceededError, InvalidStrategyError
 
 State = tuple[int, ...]
@@ -217,6 +219,29 @@ class Strategy:
         except KeyError:
             raise InvalidStrategyError(f"strategy not defined for state {state}") from None
         return self.creation_accept[row][request - 1]
+
+    @cached_property
+    def next_index(self) -> tuple[tuple[int, ...], ...]:
+        """The decided successor of every (state, request kind), as indices.
+
+        ``next_index[i][p]`` is the region index reached from state ``i``
+        when a request of kind ``request_kinds(N)[p]`` (``+1..+N`` then
+        ``-1..-N``) is decided. It is ``-1`` where the request has no
+        successor in the region: a release with no active slice of its type,
+        or, in an invalid strategy, an accepted creation that leaves the
+        region. Computed once per strategy object.
+        """
+        index_of = self.region.index_of
+        table = []
+        for state in self.region.states:
+            row = []
+            for kind in request_kinds(self.num_types):
+                if kind < 0 and state[-kind - 1] == 0:
+                    row.append(-1)
+                else:
+                    row.append(index_of.get(apply_request(state, kind, self.decide(kind, state)), -1))
+            table.append(tuple(row))
+        return tuple(table)
 
     @property
     def bits(self) -> int:

@@ -451,7 +451,7 @@ def strategies_document(cfg: ExperimentConfig) -> dict:
     }
 
 
-def matrix_documents(cfg: ExperimentConfig, workers: int | None = None) -> list[dict]:
+def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
     """One analytical matrix per (scenario, truncation depth) with the
     configured strategy."""
     region = cfg.region()
@@ -461,8 +461,7 @@ def matrix_documents(cfg: ExperimentConfig, workers: int | None = None) -> list[
     for name, scenario in cfg.scenarios.items():
         for q in cfg.truncation:
             matrix = build_transition_matrix(
-                cfg.model, region, scenario, strategy, q,
-                renormalize=cfg.renormalize, workers=workers,
+                cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize
             )
             docs.append({
                 "kind": "matrix",
@@ -550,7 +549,7 @@ def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         raise ConfigError(f"figure2 initial state {list(proto.initial_state)} lies outside the region")
     start = region.index_of[proto.initial_state]
     matrix = build_transition_matrix(
-        cfg.model, region, scenario, strategy, proto.q_plus_max, renormalize=True, workers=workers
+        cfg.model, region, scenario, strategy, proto.q_plus_max, renormalize=True
     )
     sim = SimConfig(proto.episodes, proto.periods, cfg.sim.seed, proto.initial_state)
     trajectories = simulate_episodes(cfg.model, region, scenario, strategy, sim, workers=workers)

@@ -13,20 +13,17 @@ recorded per row.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .arrivals import DemandScenario, creation_pmf, multiset_prob, request_kinds, sequence_prob
+from .arrivals import DemandScenario, creation_pmf, release_pmf, request_kinds, sequence_prob
 from .domain import (
     AdmissibilityRegion,
     ResourceModel,
     State,
     Strategy,
-    apply_request,
     apply_sequence,
     state_label,
     validate_strategy,
@@ -94,69 +91,52 @@ def _iter_request_bags(state: State, q_plus_max: int, num_types: int):
         yield counts
 
 
-def _bag_to_mapping(counts: tuple[int, ...], kinds: tuple[int, ...]) -> dict[int, int]:
-    return {kind: k for kind, k in zip(kinds, counts) if k}
+# One ordering memo per strategy, shared by every row, scenario and depth of
+# every build with that strategy; it goes when the strategy does.
+_ORDERING_MEMOS: weakref.WeakKeyDictionary[Strategy, dict] = weakref.WeakKeyDictionary()
 
 
 def _ordering_distribution(
     counts: tuple[int, ...],
-    state: State,
-    kinds: tuple[int, ...],
-    strategy: Strategy,
+    state_index: int,
+    next_index: tuple[tuple[int, ...], ...],
     memo: dict,
-) -> dict[State, float]:
-    """Distribution of final states over the equally likely bag orderings.
+) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """Distribution of final state indices over the equally likely bag orderings.
 
-    Removes one request at a time, each remaining request equally likely to
-    be next (probability proportional to its kind's remaining multiplicity),
-    applies the strategy's decision, and recurses on the reduced bag. The
-    memo key is (remaining bag, current state), so shared sub-bags collapse
-    the factorial ordering count to polynomial work.
+    ``counts`` is aligned with ``request_kinds`` and ``next_index`` is the
+    strategy's compiled table. Removes one request at a time, each remaining
+    request equally likely to be next (probability proportional to its
+    kind's remaining multiplicity), moves to the decided successor, and
+    recurses on the reduced bag. The result is a pair of equal-length tuples
+    (final indices, weights). The memo key is (remaining bag, current state
+    index); it does not depend on the row the bag came from or on the
+    demand, so one memo serves every build with the same strategy.
     """
-    key = (counts, state)
+    key = (counts, state_index)
     cached = memo.get(key)
     if cached is not None:
         return cached
     total = sum(counts)
     if total == 0:
-        result = {state: 1.0}
+        result = ((state_index,), (1.0,))
         memo[key] = result
         return result
-    result = {}
+    # A bag never releases more slices of a type than are active, so no
+    # successor read here is the table's -1.
+    successors = next_index[state_index]
+    weights: dict[int, float] = {}
     for i, k in enumerate(counts):
         if not k:
             continue
-        kind = kinds[i]
         pick = k / total
-        next_state = apply_request(state, kind, strategy.decide(kind, state))
         reduced = counts[:i] + (k - 1,) + counts[i + 1:]
-        for final, weight in _ordering_distribution(reduced, next_state, kinds, strategy, memo).items():
-            result[final] = result.get(final, 0.0) + pick * weight
+        finals, final_weights = _ordering_distribution(reduced, successors[i], next_index, memo)
+        for final, weight in zip(finals, final_weights):
+            weights[final] = weights.get(final, 0.0) + pick * weight
+    result = (tuple(weights), tuple(weights.values()))
     memo[key] = result
     return result
-
-
-def _transition_row(
-    region: AdmissibilityRegion,
-    scenario: DemandScenario,
-    strategy: Strategy,
-    row_index: int,
-    q_plus_max: int,
-) -> np.ndarray:
-    state = region.states[row_index]
-    kinds = request_kinds(scenario.num_types)
-    row = np.zeros(len(region))
-    memo: dict = {}
-    for counts in _iter_request_bags(state, q_plus_max, scenario.num_types):
-        bag_prob = multiset_prob(scenario, _bag_to_mapping(counts, kinds), state)
-        for final, weight in _ordering_distribution(counts, state, kinds, strategy, memo).items():
-            row[region.index_of[final]] += bag_prob * weight
-    return row
-
-
-def _row_task(args) -> np.ndarray:
-    region, scenario, strategy, row_index, q_plus_max = args
-    return _transition_row(region, scenario, strategy, row_index, q_plus_max)
 
 
 def build_transition_matrix(
@@ -166,7 +146,6 @@ def build_transition_matrix(
     strategy: Strategy,
     q_plus_max: int,
     renormalize: bool = True,
-    workers: int | None = None,
 ) -> TransitionMatrix:
     """Build the one-period transition matrix under truncated bag traversal.
 
@@ -177,8 +156,11 @@ def build_transition_matrix(
         the row state's active counts.
     renormalize : scale each row to sum to one. The raw shortfall is kept in
         ``row_deficits`` either way.
-    workers : build rows in a process pool of this size when > 1. Rows are
-        independent, so the result is identical to the serial build.
+
+    Each bag's joint mass is the product of its per-kind masses, taken left
+    to right in ``request_kinds`` order from 1.0 as ``multiset_prob`` does.
+    The ordering distributions come from the strategy's shared memo, so a
+    later build with the same strategy reuses every sub-bag already solved.
     """
     if len(region) == 0:
         raise ValueError("region is empty")
@@ -186,14 +168,30 @@ def build_transition_matrix(
         raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
     if not validate_strategy(model, region, strategy):
         raise InvalidStrategyError("strategy leads outside the region")
+    memo = _ORDERING_MEMOS.get(strategy)
+    if memo is None:
+        memo = _ORDERING_MEMOS[strategy] = {}
+    next_index = strategy.next_index
     size = len(region)
-    if workers is not None and workers > 1:
-        tasks = [(region, scenario, strategy, i, q_plus_max) for i in range(size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_row_task, tasks))
-    else:
-        rows = [_transition_row(region, scenario, strategy, i, q_plus_max) for i in range(size)]
-    probs = np.vstack(rows)
+    creation_pmfs = [
+        [creation_pmf(rate, k) for k in range(q_plus_max + 1)] for rate in scenario.creation_rates
+    ]
+    probs = np.zeros((size, size))
+    for row_index, state in enumerate(region.states):
+        release_pmfs = [
+            [release_pmf(lifetime, active, k) for k in range(active + 1)]
+            for lifetime, active in zip(scenario.mean_lifetimes, state)
+        ]
+        row = [0.0] * size
+        bags = _iter_request_bags(state, q_plus_max, scenario.num_types)
+        for counts, masses in zip(bags, itertools.product(*creation_pmfs, *release_pmfs)):
+            bag_prob = 1.0
+            for mass in masses:
+                bag_prob *= mass
+            finals, weights = _ordering_distribution(counts, row_index, next_index, memo)
+            for final, weight in zip(finals, weights):
+                row[final] += bag_prob * weight
+        probs[row_index] = row
     sums = probs.sum(axis=1)
     deficits = 1.0 - sums
     if renormalize:
@@ -279,6 +277,9 @@ def distribution_after(matrix: TransitionMatrix, start_index: int, periods: int)
 
 def _closed_classes(matrix: TransitionMatrix) -> list[list[int]]:
     """Strongly connected components with no outgoing edges, as index lists."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     adjacency = csr_matrix(matrix.probs > 0)
     count, labels = connected_components(adjacency, directed=True, connection="strong")
     members: list[list[int]] = [[] for _ in range(count)]

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
-from scipy.stats import chi2, chi2_contingency
 
 from .arrivals import DemandScenario
 from .domain import (
@@ -250,6 +249,8 @@ def markov_order_test(trajectories: np.ndarray, num_states: int) -> tuple[float,
     least a 2x2 table of occupied rows and columns carry no information and
     are skipped.
     """
+    from scipy.stats import chi2, chi2_contingency
+
     trajectories = np.asarray(trajectories)
     if trajectories.ndim == 1:
         trajectories = trajectories[None, :]

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import slice_markov
 from slice_markov import parse_config
 from slice_markov.cli import main
 from slice_markov.experiments import matrix_documents
@@ -297,3 +301,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--config", "x"])
         assert excinfo.value.code == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is only needed by the stationary analysis and the Markov-order
+    # check, so importing the package must not pay for it.
+    src = os.path.dirname(os.path.dirname(slice_markov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, slice_markov; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -323,6 +323,23 @@ class TestStrategy:
         with pytest.raises(GuardExceededError):
             enumerate_valid_strategies(model, region, max_candidates=4)
 
+    def test_next_index_tables(self, region, accept_all, decline_all):
+        # Columns follow request_kinds(1) = (+1, -1); -1 marks a release
+        # with no active slice.
+        assert accept_all.next_index == ((1, -1), (2, 0), (3, 1), (3, 2))
+        assert decline_all.next_index == ((0, -1), (1, 0), (2, 1), (3, 2))
+        greedy = strategy_from_table(region, ((True,),) * 4)
+        assert greedy.next_index[3] == (-1, 2)
+
+    def test_next_index_agrees_with_apply_request(self, strategies, region):
+        for strat in strategies:
+            for i, state in enumerate(region.states):
+                for p, kind in enumerate((+1, -1)):
+                    if kind < 0 and state[0] == 0:
+                        continue
+                    reached = apply_request(state, kind, strat.decide(kind, state))
+                    assert strat.next_index[i][p] == region.index(reached)
+
     def test_every_enumerated_strategy_is_closed(self, model, region, strategies):
         # Folding any accepted creation from any state stays inside the region.
         for strat in strategies:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from slice_markov import (
     ReducibleChainError,
     ResourceModel,
     TransitionMatrix,
+    always_accept_strategy,
     brute_force_transition_matrix,
     build_transition_matrix,
     decline_all_strategy,
@@ -30,6 +32,17 @@ from slice_markov import (
 RELEASE_P_MU4 = 0.22119921692859512  # 1 - exp(-1/4)
 BINOM_2_1_MU4 = 0.3445402467175429  # C(2,1) p (1-p)
 TAIL_05_Q4 = 0.00017211562995584078  # Poisson(0.5) mass above 4
+
+
+@pytest.fixture(scope="module")
+def two_type_model() -> ResourceModel:
+    """One resource of capacity 1.0 shared by slices costing 0.3 and 0.5."""
+    return ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),))
+
+
+@pytest.fixture(scope="module")
+def two_type_region(two_type_model):
+    return enumerate_region(two_type_model)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +134,22 @@ class TestBuildTransitionMatrix:
             for j in range(i + 1, len(matrices)):
                 assert np.max(np.abs(matrices[i] - matrices[j])) > 1e-6
 
-    def test_parallel_build_matches_serial(self, model, region, scenario_c, accept_all):
-        serial = build_transition_matrix(
-            model, region, scenario_c, accept_all, q_plus_max=3
-        )
-        parallel = build_transition_matrix(
-            model, region, scenario_c, accept_all, q_plus_max=3, workers=2
-        )
-        np.testing.assert_array_equal(serial.probs, parallel.probs)
-        np.testing.assert_array_equal(serial.row_deficits, parallel.row_deficits)
+    def test_shared_memo_changes_no_bits(self, two_type_model, two_type_region):
+        # The ordering memo is shared by every build with an equal strategy.
+        # A memo warmed by another scenario at several depths must give the
+        # same bits as a fresh one.
+        scenario_a = DemandScenario(creation_rates=(1.0, 0.8), mean_lifetimes=(4.0, 4.0))
+        scenario_c = DemandScenario(creation_rates=(0.6, 0.4), mean_lifetimes=(4.0, 2.0))
+        fresh = always_accept_strategy(two_type_model, two_type_region)
+        cold = build_transition_matrix(two_type_model, two_type_region, scenario_c, fresh, 3)
+        del fresh
+        gc.collect()
+        warm = always_accept_strategy(two_type_model, two_type_region)
+        for q in (1, 2, 3, 4):
+            build_transition_matrix(two_type_model, two_type_region, scenario_a, warm, q)
+        shared = build_transition_matrix(two_type_model, two_type_region, scenario_c, warm, 3)
+        np.testing.assert_array_equal(cold.probs, shared.probs)
+        np.testing.assert_array_equal(cold.row_deficits, shared.row_deficits)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +246,26 @@ class TestBruteForceAgreement:
             model, region, scenario_a, accept_all, q_plus_max=2
         )
         assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-12
+
+    def test_two_type_model_with_unequal_lifetimes(self, two_type_model, two_type_region):
+        scenario = DemandScenario(creation_rates=(0.6, 0.4), mean_lifetimes=(4.0, 2.0))
+        valid = enumerate_valid_strategies(two_type_model, two_type_region)
+        assert len(two_type_region) == 7
+        assert len(valid) == 128
+        picked = [
+            always_accept_strategy(two_type_model, two_type_region),
+            decline_all_strategy(two_type_model, two_type_region),
+            *(valid[i] for i in (1, 42, 101)),
+        ]
+        for q in (1, 2):
+            for strat in picked:
+                fast = build_transition_matrix(
+                    two_type_model, two_type_region, scenario, strat, q, renormalize=False
+                )
+                slow = brute_force_transition_matrix(
+                    two_type_model, two_type_region, scenario, strat, q, renormalize=False
+                )
+                assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-12
 
     def test_queue_length_guard(self, model, region, scenario_c, accept_all):
         with pytest.raises(GuardExceededError):
