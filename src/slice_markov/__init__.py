@@ -70,7 +70,6 @@ from .simulate import (
     EmpiricalMatrix,
     SimConfig,
     estimate_empirical_matrix,
-    generate_period_queue,
     markov_order_test,
     rmse,
     run_episode,
@@ -115,7 +114,6 @@ __all__ = [
     "estimate_empirical_matrix",
     "figure2_document",
     "figure3_document",
-    "generate_period_queue",
     "load_config",
     "markov_order_test",
     "multiset_prob",

@@ -322,28 +322,31 @@ def enumerate_valid_strategies(
 ) -> list[Strategy]:
     """All valid strategies, ordered by ascending decision-table bits.
 
-    Scans every creation-only table; each scanned table stands for the
+    Validity is per bit: a creation-only table is valid iff every set bit
+    has an in-region target. So the valid tables are exactly the submasks of
+    the ``allowed`` bits, and only those are walked; the cap applies to
+    their number, ``2**popcount(allowed)``. Each table stands for the
     ``2**(release bits)`` raw tables that agree on creations, all but one of
     which are ruled out by mandatory release acceptance.
     """
     num_types = model.num_types
-    num_bits = len(region) * num_types
-    if (1 << num_bits) > max_candidates:
-        raise GuardExceededError(
-            f"2**{num_bits} candidate tables exceed the cap of {max_candidates}"
-        )
-    # Validity is per-bit: a table is valid iff every set bit has an in-region target.
     allowed = 0
     for row_index, state in enumerate(region.states):
         for type_index in range(num_types):
             if apply_request(state, type_index + 1, True) in region:
                 allowed |= 1 << (row_index * num_types + type_index)
+    free = allowed.bit_count()
+    if (1 << free) > max_candidates:
+        raise GuardExceededError(
+            f"2**{free} valid tables exceed the cap of {max_candidates}"
+        )
     valid = []
-    for bits in range(1 << num_bits):
-        if bits & ~allowed:
-            continue
+    bits = 0
+    while True:
         valid.append(strategy_from_bits(region, num_types, bits))
-    return valid
+        if bits == allowed:
+            return valid
+        bits = (bits - allowed) & allowed
 
 
 def apply_sequence(state: State, requests: Sequence[Request], strategy: Strategy) -> State:

@@ -2,9 +2,14 @@
 
 The simulator is the ground truth the analytical chain is checked against:
 it draws real timestamped request traffic (Poisson creations, exponential
-slice lifetimes), folds each period's queue through the strategy, and
-records the state at every period boundary. Creation counts are never
-truncated here.
+slice lifetimes), folds each period's queue through the strategy's compiled
+successor table (``Strategy.next_index``), and records the state at every
+period boundary. Creation counts are never truncated here.
+
+Each run makes all of its random draws in a few bulk calls before the first
+period (the order is given in :func:`run_episode`) and then runs a plain
+loop over the pre-drawn numbers, so the per-period cost is a handful of list
+and table lookups rather than several generator calls.
 
 Within-period mechanics: a slice admitted during period t becomes active at
 the t+1 boundary and its lifetime starts counting there, matching the
@@ -12,27 +17,19 @@ synchronous model where decisions take effect at period ends. A slice active
 at a boundary with remaining lifetime below one period emits a release event
 inside the period at an offset equal to that remaining lifetime; survivors
 carry their lifetime forward reduced by one period. Equal timestamps (a
-measure-zero event) resolve by generation order via the stable sort.
+measure-zero event) put creations before releases, lower types first, then
+draw order.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .arrivals import DemandScenario
-from .domain import (
-    AdmissibilityRegion,
-    Request,
-    ResourceModel,
-    State,
-    Strategy,
-    apply_request,
-    validate_strategy,
-)
+from .domain import AdmissibilityRegion, ResourceModel, State, Strategy, validate_strategy
 from .errors import InvalidStrategyError
 
 
@@ -83,40 +80,6 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run_index,))))
 
 
-def generate_period_queue(
-    state: State,
-    scenario: DemandScenario,
-    active_lifetimes: list[list[float]],
-    rng: np.random.Generator,
-) -> list[tuple[float, Request]]:
-    """One period's request queue, sorted by within-period timestamp.
-
-    Creation counts are Poisson per type with uniform timestamps; every
-    active slice with remaining lifetime under one period emits a release at
-    that offset. ``active_lifetimes`` must hold exactly ``state[n]`` entries
-    for each type n.
-    """
-    events: list[tuple[float, Request]] = []
-    for n, rate in enumerate(scenario.creation_rates):
-        if len(active_lifetimes[n]) != state[n]:
-            raise RuntimeError(
-                f"lifetime bookkeeping holds {len(active_lifetimes[n])} slices of type {n + 1}, "
-                f"state says {state[n]}"
-            )
-        count = rng.poisson(rate)
-        if count:
-            kind = n + 1
-            for stamp in rng.random(count):
-                events.append((stamp, kind))
-    for n, lifetimes in enumerate(active_lifetimes):
-        kind = -(n + 1)
-        for remaining in lifetimes:
-            if remaining < 1.0:
-                events.append((remaining, kind))
-    events.sort(key=itemgetter(0))
-    return events
-
-
 def run_episode(
     region: AdmissibilityRegion,
     scenario: DemandScenario,
@@ -127,41 +90,94 @@ def run_episode(
 ) -> np.ndarray:
     """Simulate one run; returns region indices at each of periods+1 boundaries.
 
-    Initial slices get fresh exponential lifetimes: the residual lifetime of
-    an exponential in steady state is again exponential, so no aging needs
-    to be modeled. A state outside the region indicates a bookkeeping bug
+    All of the run's randomness is drawn up front from ``rng``, in this order:
+
+    1. the start index, ``integers(len(region))``, when the start is uniform;
+    2. ``standard_exponential(sum(state))``: the initial lifetimes, type by
+       type, each scaled by its type's mean lifetime;
+    3. ``poisson(creation_rates, (periods, N))``: the creation counts of every
+       (period, type);
+    4. ``random(total)``: the creation timestamps, in (period, type) order;
+    5. ``standard_exponential(total)``: a fresh unit lifetime for every
+       creation, scaled by its type's mean and used only if it is accepted.
+
+    After these draws the run makes no further generator calls. Initial
+    slices get fresh exponential lifetimes: the residual lifetime of an
+    exponential in steady state is again exponential, so no aging needs to
+    be modeled. The horizon sets the size of draw 3, so draws 4 and 5 start
+    elsewhere in the stream: a run with a shorter horizon is not a prefix of
+    a longer run from the same substream ``(seed, r)``. A run still depends
+    only on that substream and its arguments.
+
+    Each period then folds its creations and the releases of every lifetime
+    below 1.0, sorted by timestamp, through ``strategy.next_index``: column
+    ``n`` is a creation of type n+1 and column ``N+n`` its release, the
+    :func:`~slice_markov.arrivals.request_kinds` order. A creation is
+    accepted when the index changes. A ``-1`` in the table (a release with
+    no slice to release, or a creation that leaves the region) or a
+    lifetime count that disagrees with the final state is a bookkeeping bug
     and aborts.
     """
     if initial_state is None:
-        state = region.states[int(rng.integers(len(region)))]
+        index = int(rng.integers(len(region)))
     else:
-        state = tuple(initial_state)
-        if state not in region.index_of:
-            raise ValueError(f"initial state {state} not in region")
-    means = scenario.mean_lifetimes
-    lifetimes = [
-        [float(rng.exponential(means[n])) for _ in range(state[n])]
-        for n in range(scenario.num_types)
-    ]
-    trajectory = np.empty(periods + 1, dtype=np.int64)
-    trajectory[0] = region.index_of[state]
-    for t in range(periods):
-        queue = generate_period_queue(state, scenario, lifetimes, rng)
-        survivors = [
-            [remaining - 1.0 for remaining in per_type if remaining >= 1.0]
-            for per_type in lifetimes
-        ]
-        for _, kind in queue:
-            if strategy.decide(kind, state):
-                state = apply_request(state, kind, True)
-                if kind > 0:
-                    survivors[kind - 1].append(float(rng.exponential(means[kind - 1])))
-        index = region.index_of.get(state)
+        index = region.index_of.get(tuple(initial_state))
         if index is None:
-            raise RuntimeError(f"simulated state {state} left the region")
-        lifetimes = survivors
-        trajectory[t + 1] = index
-    return trajectory
+            raise ValueError(f"initial state {tuple(initial_state)} not in region")
+    num_types = scenario.num_types
+    means = scenario.mean_lifetimes
+    rates = scenario.creation_rates
+    start_types = [n for n, count in enumerate(region.states[index]) for _ in range(count)]
+    initial = rng.standard_exponential(len(start_types)).tolist()
+    # A scalar rate draws the same variates as a tuple of equal rates, faster.
+    counts = rng.poisson(rates[0] if len(set(rates)) == 1 else rates, (periods, num_types))
+    total = int(counts.sum())
+    stamps = rng.random(total).tolist()
+    fresh = rng.standard_exponential(total).tolist()
+    counts = counts.ravel().tolist()
+
+    table = strategy.next_index
+    # Live slices as (remaining lifetime, release column).
+    active = [(means[n] * life, num_types + n) for n, life in zip(start_types, initial)]
+    trajectory = [index]
+    cell = creation = 0
+    for _ in range(periods):
+        events = []
+        for n in range(num_types):
+            for _ in range(counts[cell]):
+                events.append((stamps[creation], n, creation))
+                creation += 1
+            cell += 1
+        if active:
+            survivors = []
+            for remaining, column in active:
+                if remaining < 1.0:
+                    events.append((remaining, column, -1))
+                else:
+                    survivors.append((remaining - 1.0, column))
+            active = survivors
+        if events:
+            events.sort()
+            for _, column, creation_id in events:
+                successor = table[index][column]
+                if successor < 0:
+                    raise RuntimeError(
+                        f"request kind column {column} has no successor from state "
+                        f"{region.states[index]}"
+                    )
+                if column < num_types and successor != index:
+                    # The admitted slice's lifetime starts at the next boundary.
+                    active.append((means[column] * fresh[creation_id], num_types + column))
+                index = successor
+        trajectory.append(index)
+    held = [0] * num_types
+    for _, column in active:
+        held[column - num_types] += 1
+    if tuple(held) != region.states[index]:
+        raise RuntimeError(
+            f"lifetime bookkeeping holds {tuple(held)} slices, final state is {region.states[index]}"
+        )
+    return np.array(trajectory, dtype=np.int64)
 
 
 def _episode_batch(args) -> np.ndarray:

@@ -323,6 +323,23 @@ class TestStrategy:
         with pytest.raises(GuardExceededError):
             enumerate_valid_strategies(model, region, max_candidates=4)
 
+    def test_enumeration_cap_counts_valid_tables(self, model, region, strategies):
+        # 2**4 creation tables but only 2**3 valid ones: a cap of 8 admits them.
+        capped = enumerate_valid_strategies(model, region, max_candidates=8)
+        assert [s.bits for s in capped] == [s.bits for s in strategies] == list(range(8))
+
+    def test_submask_walk_matches_full_scan(self):
+        two_type = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),))
+        two_region = enumerate_region(two_type)
+        scanned = [
+            bits
+            for bits in range(1 << (2 * len(two_region)))
+            if validate_strategy(two_type, two_region, strategy_from_bits(two_region, 2, bits))
+        ]
+        walked = [s.bits for s in enumerate_valid_strategies(two_type, two_region)]
+        assert walked == scanned
+        assert len(walked) == 128
+
     def test_next_index_tables(self, region, accept_all, decline_all):
         # Columns follow request_kinds(1) = (+1, -1); -1 marks a release
         # with no active slice.

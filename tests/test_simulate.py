@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 import numpy as np
 import pytest
 
 from slice_markov import (
+    DemandScenario,
     EmpiricalMatrix,
     InvalidStrategyError,
     ResourceModel,
     SimConfig,
+    always_accept_strategy,
+    apply_request,
     build_transition_matrix,
     enumerate_region,
+    enumerate_valid_strategies,
     estimate_empirical_matrix,
-    generate_period_queue,
     markov_order_test,
     rmse,
     run_episode,
@@ -21,8 +26,6 @@ from slice_markov import (
     simulate_episodes,
     strategy_from_table,
 )
-
-RELEASE_P_MU4 = 0.22119921692859512  # 1 - exp(-1/4)
 
 
 # ---------------------------------------------------------------------------
@@ -60,69 +63,6 @@ class TestRunRng:
         a = run_rng(42, 0).random(5)
         b = run_rng(42, 1).random(5)
         assert not np.array_equal(a, b)
-
-
-# ---------------------------------------------------------------------------
-# Queue generation
-# ---------------------------------------------------------------------------
-
-
-class TestGeneratePeriodQueue:
-    def test_empty_state_emits_only_creations(self, scenario_c):
-        rng = run_rng(1, 0)
-        for _ in range(200):
-            for stamp, kind in generate_period_queue((0,), scenario_c, [[]], rng):
-                assert kind == +1
-                assert 0.0 <= stamp < 1.0
-
-    def test_release_offsets_equal_remaining_lifetime(self, scenario_c):
-        rng = run_rng(2, 0)
-        lifetimes = [[0.25, 1.7, 0.9]]
-        queue = generate_period_queue((3,), scenario_c, lifetimes, rng)
-        releases = sorted(stamp for stamp, kind in queue if kind == -1)
-        assert releases == [0.25, 0.9]  # the 1.7 slice survives the period
-
-    def test_queue_sorted_by_timestamp(self, scenario_c):
-        rng = run_rng(3, 0)
-        for _ in range(100):
-            lifetimes = [[float(x) for x in rng.exponential(4.0, size=3)]]
-            queue = generate_period_queue((3,), scenario_c, lifetimes, rng)
-            stamps = [stamp for stamp, _ in queue]
-            assert stamps == sorted(stamps)
-
-    def test_releases_bounded_by_active_count(self, scenario_c):
-        rng = run_rng(4, 0)
-        for _ in range(200):
-            lifetimes = [[float(x) for x in rng.exponential(4.0, size=2)]]
-            queue = generate_period_queue((2,), scenario_c, lifetimes, rng)
-            assert sum(1 for _, kind in queue if kind == -1) <= 2
-
-    def test_lifetime_bookkeeping_mismatch_aborts(self, scenario_c):
-        with pytest.raises(RuntimeError):
-            generate_period_queue((2,), scenario_c, [[0.5]], run_rng(5, 0))
-
-    def test_creation_count_mean(self, scenario_c):
-        # Poisson(0.5) creation counts: the empirical mean over one million
-        # periods sits within 0.002 of the rate.
-        rng = run_rng(2024, 0)
-        total = 0
-        periods = 1_000_000
-        for _ in range(periods):
-            total += len(generate_period_queue((0,), scenario_c, [[]], rng))
-        assert abs(total / periods - 0.5) <= 0.002
-
-    def test_release_fraction_matches_exponential_cdf(self, scenario_c):
-        # Fresh exponential(4) lifetimes: the fraction ending within one
-        # period estimates 1 - exp(-1/4) over one million slice-periods.
-        rng = run_rng(2025, 0)
-        released = 0
-        batches, per_batch = 1000, 1000
-        for _ in range(batches):
-            lifetimes = [[float(x) for x in rng.exponential(4.0, size=per_batch)]]
-            queue = generate_period_queue((per_batch,), scenario_c, lifetimes, rng)
-            released += sum(1 for _, kind in queue if kind == -1)
-        fraction = released / (batches * per_batch)
-        assert abs(fraction - RELEASE_P_MU4) <= 0.002
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +105,33 @@ class TestRunEpisode:
             region, scenario_a, accept_all, 2000, run_rng(12, 0), initial_state=(0,)
         )
         assert set(np.unique(trajectory)) == {0, 1, 2, 3}
+
+    def test_uniform_start_is_the_first_draw(self, region, scenario_c, accept_all):
+        for run in range(20):
+            trajectory = run_episode(region, scenario_c, accept_all, 5, run_rng(25, run))
+            assert trajectory[0] == run_rng(25, run).integers(len(region))
+
+    def test_creation_counts_come_from_one_bulk_poisson_draw(self):
+        # From an empty start there are no initial lifetimes, so the first
+        # draw is the (periods, types) Poisson block. Lifetimes of 1e12
+        # periods never end, so always-accept fills up to 12 slices.
+        roomy = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.08,),))
+        roomy_region = enumerate_region(roomy)
+        scenario = DemandScenario(creation_rates=(0.9,), mean_lifetimes=(1e12,))
+        strategy = always_accept_strategy(roomy, roomy_region)
+        trajectory = run_episode(
+            roomy_region, scenario, strategy, 40, run_rng(26, 0), initial_state=(0,)
+        )
+        counts = run_rng(26, 0).poisson(0.9, (40, 1))[:, 0]
+        expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), 12)
+        np.testing.assert_array_equal(trajectory, expected)
+
+    def test_table_hole_aborts(self, region, scenario_a):
+        # Accepting a creation in s=[3] has no successor in the region;
+        # run_episode trusts its caller and stops at the -1 it meets.
+        greedy = strategy_from_table(region, ((True,),) * 4)
+        with pytest.raises(RuntimeError):
+            run_episode(region, scenario_a, greedy, 200, run_rng(27, 0), initial_state=(3,))
 
 
 class TestSimulateEpisodes:
@@ -212,6 +179,130 @@ class TestSimulateEpisodes:
         sim = SimConfig(num_runs=1, periods_per_run=1, seed=18)
         with pytest.raises(InvalidStrategyError):
             simulate_episodes(model, region, scenario_c, greedy, sim)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with exact and reference transition rows
+# ---------------------------------------------------------------------------
+
+
+def _max_z_against_exact(exact_probs: np.ndarray, est: EmpiricalMatrix, rows) -> float:
+    """Largest binomial |z| of the empirical entries of ``rows`` against exact
+    probabilities; an observed entry the exact row calls impossible is inf."""
+    worst = 0.0
+    for i in rows:
+        visits = est.visits[i]
+        assert visits > 0
+        for p, e in zip(exact_probs[i], est.probs[i]):
+            if abs(e - p) <= 1e-12:
+                continue
+            se = np.sqrt(p * (1.0 - p) / visits)
+            worst = max(worst, abs(e - p) / se if se > 0 else np.inf)
+    return worst
+
+
+class TestAgainstExactBuilderRows:
+    """Rows on which the paper's builder is exact whatever the event order:
+    under decline-all the releases are Binomial(s, 1 - exp(-1/mu)), and from
+    s=[0] there are only creations. At q=8 the truncated tail is below 1e-9."""
+
+    def test_decline_all_rows(self, model, region, scenario_c, decline_all):
+        exact = build_transition_matrix(model, region, scenario_c, decline_all, q_plus_max=8)
+        sim = SimConfig(num_runs=20_000, periods_per_run=3, seed=28, initial_state=(3,))
+        est = estimate_empirical_matrix(
+            region, simulate_episodes(model, region, scenario_c, decline_all, sim)
+        )
+        assert est.zero_visit_rows == ()
+        assert _max_z_against_exact(exact.probs, est, range(len(region))) <= 4.0
+
+    def test_empty_row_under_accept_all(self, model, region, scenario_c, accept_all):
+        # Poisson(0.5) creation counts, capped at 3 by the region.
+        exact = build_transition_matrix(model, region, scenario_c, accept_all, q_plus_max=8)
+        sim = SimConfig(num_runs=20_000, periods_per_run=1, seed=29, initial_state=(0,))
+        est = estimate_empirical_matrix(
+            region, simulate_episodes(model, region, scenario_c, accept_all, sim)
+        )
+        assert est.visits[0] == 20_000
+        assert _max_z_against_exact(exact.probs, est, [0]) <= 4.0
+
+
+def _reference_episode(region, scenario, strategy, periods, rng) -> np.ndarray:
+    """Per-event simulator: scalar draws every period, each request decided
+    with ``Strategy.decide`` and applied with ``apply_request``."""
+    state = region.states[int(rng.integers(len(region)))]
+    means = scenario.mean_lifetimes
+    lifetimes = [
+        [float(rng.exponential(means[n])) for _ in range(state[n])]
+        for n in range(scenario.num_types)
+    ]
+    trajectory = [region.index(state)]
+    for _ in range(periods):
+        events = []
+        for n, rate in enumerate(scenario.creation_rates):
+            events.extend((stamp, n + 1) for stamp in rng.random(rng.poisson(rate)))
+        for n, per_type in enumerate(lifetimes):
+            events.extend((remaining, -(n + 1)) for remaining in per_type if remaining < 1.0)
+        events.sort(key=itemgetter(0))
+        survivors = [[r - 1.0 for r in per_type if r >= 1.0] for per_type in lifetimes]
+        for _, kind in events:
+            if strategy.decide(kind, state):
+                state = apply_request(state, kind, True)
+                if kind > 0:
+                    survivors[kind - 1].append(float(rng.exponential(means[kind - 1])))
+        lifetimes = survivors
+        trajectory.append(region.index(state))
+    return np.array(trajectory)
+
+
+def _max_two_sample_z(a: EmpiricalMatrix, b: EmpiricalMatrix, min_visits: int = 100):
+    """Largest pooled two-proportion |z| over entries of rows visited at
+    least ``min_visits`` times on both sides, and how many entries had a
+    pooled probability strictly between 0 and 1."""
+    worst, compared = 0.0, 0
+    for i in np.flatnonzero((a.visits >= min_visits) & (b.visits >= min_visits)):
+        va, vb = a.visits[i], b.visits[i]
+        for ca, cb in zip(a.counts[i], b.counts[i]):
+            pooled = (ca + cb) / (va + vb)
+            if 0.0 < pooled < 1.0:
+                se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / va + 1.0 / vb))
+                worst = max(worst, abs(ca / va - cb / vb) / se)
+                compared += 1
+    return worst, compared
+
+
+class TestAgainstReferenceSimulator:
+    """Two slice types with unequal lifetimes, so a release credited to the
+    wrong type shifts whole rows; every other simulator test has one type."""
+
+    MODEL = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),))
+    SCENARIO = DemandScenario(creation_rates=(0.8, 0.5), mean_lifetimes=(2.0, 0.7))
+
+    def _compare(self, strategy):
+        region = enumerate_region(self.MODEL)
+        runs, periods = 2000, 100
+        sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=30)
+        bulk = estimate_empirical_matrix(
+            region, simulate_episodes(self.MODEL, region, self.SCENARIO, strategy, sim)
+        )
+        reference = estimate_empirical_matrix(
+            region,
+            np.array([
+                _reference_episode(region, self.SCENARIO, strategy, periods, run_rng(31, r))
+                for r in range(runs)
+            ]),
+        )
+        worst, compared = _max_two_sample_z(bulk, reference)
+        assert compared >= 20
+        assert worst <= 4.0
+
+    def test_always_accept(self):
+        region = enumerate_region(self.MODEL)
+        self._compare(always_accept_strategy(self.MODEL, region))
+
+    def test_enumerated_strategy(self):
+        # D101 declines type-2 creations everywhere but s=[1,0].
+        region = enumerate_region(self.MODEL)
+        self._compare(enumerate_valid_strategies(self.MODEL, region)[101])
 
 
 # ---------------------------------------------------------------------------
