@@ -32,6 +32,16 @@ EXIT_DEGENERATE = 3
 EXIT_GUARD = 4
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slice-markov",
@@ -52,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="experiment configuration (JSON)")
         cmd.add_argument("--out", help="output directory (overrides the configuration)")
         cmd.add_argument("--seed", type=int, help="base seed (overrides the configuration)")
-        cmd.add_argument("--workers", type=int, default=None,
+        cmd.add_argument("--workers", type=_positive_int, default=None,
                          help="worker processes for simulation runs only (default: serial)")
         cmd.add_argument("--format", choices=experiments.OUTPUT_FORMATS,
                          help="output format (overrides the configuration)")

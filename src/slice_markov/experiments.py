@@ -526,8 +526,8 @@ def empirical_documents(
                 "labels": labels,
                 "columns": ["run", "period", "state_index", "state_label"],
                 "rows": [
-                    [run, period, int(idx), labels[int(idx)]]
-                    for run, trajectory in enumerate(trajectories)
+                    [run, period, idx, labels[idx]]
+                    for run, trajectory in enumerate(map(np.ndarray.tolist, trajectories))
                     for period, idx in enumerate(trajectory)
                 ],
             })

@@ -78,6 +78,12 @@ def render_csv(doc: dict) -> dict[str, str]:
         summary = io.StringIO()
         _write_table(summary, doc, doc["summary_columns"], doc["summary_rows"])
         return {"": out.getvalue(), "_summary": summary.getvalue()}
+    if kind == "traces":
+        # Trace cells are ints and labels, which the csv module writes as
+        # format_value would, so the rows go out without per-cell work.
+        _write_table(out, doc, doc["columns"], [])
+        csv.writer(out, lineterminator="\n").writerows(doc["rows"])
+        return {"": out.getvalue()}
     _write_table(out, doc, doc["columns"], doc["rows"])
     return {"": out.getvalue()}
 

@@ -80,6 +80,82 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run_index,))))
 
 
+# numpy's SeedSequence hash (frozen by NEP 19) and PCG64's 128-bit multiplier.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_STATE_BLOCK = 1024
+
+
+def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)`` for
+    every r in ``runs``, as an array of shape (len(runs), 4); ``seed`` is
+    below 2**128 (``SimConfig`` holds it below 2**64).
+
+    The entropy is the seed's little-endian uint32 words padded with zeros to
+    the pool size of 4, then the words of r: one below 2**32, two above. The
+    pool's first hashing and cross-mixing depend on the seed alone, so they
+    run once on one-element arrays that broadcast; only r's words are mixed
+    per run.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    seed = int(seed)
+    pool = [hashmix(np.array([seed >> shift & _MASK32], dtype=np.uint32)) for shift in (0, 32, 64, 96)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    runs = np.asarray(runs, dtype=np.uint64)
+    low = (runs & np.uint64(_MASK32)).astype(np.uint32)
+    for dst in range(4):
+        pool[dst] = mix(pool[dst], hashmix(low))
+    high = (runs >> np.uint64(32)).astype(np.uint32)
+    for dst in range(4):
+        pool[dst] = np.where(high > 0, mix(pool[dst], hashmix(high)), pool[dst])
+
+    hash_const = _INIT_B
+    out = np.empty((len(runs), 8), dtype="<u4")
+    for i in range(8):
+        value = np.broadcast_to(pool[i % 4], len(runs)) ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out[:, i] = value ^ (value >> np.uint32(16))
+    return out.view("<u8").astype(np.uint64)
+
+
+def _pcg64_states(seed: int, start: int, stop: int, block: int = _STATE_BLOCK):
+    """Yield, for each run r in [start, stop), the ``PCG64.state`` dict of
+    ``run_rng(seed, r)``, deriving the seed words ``block`` runs at a time.
+
+    A PCG64 seeded with words (s0, s1, i0, i1) starts with
+    ``inc = 2 * (i0 << 64 | i1) + 1`` and, after two steps of
+    ``pcg_setseq_128_srandom_r``, ``state = ((s0 << 64 | s1) + inc) * M + inc``
+    modulo 2**128.
+    """
+    for first in range(start, stop, block):
+        runs = np.arange(first, min(first + block, stop), dtype=np.uint64)
+        for s0, s1, i0, i1 in _seed_words(seed, runs).tolist():
+            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+            state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
+            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                   "has_uint32": 0, "uinteger": 0}
+
+
 def run_episode(
     region: AdmissibilityRegion,
     scenario: DemandScenario,
@@ -183,9 +259,14 @@ def run_episode(
 def _episode_batch(args) -> np.ndarray:
     region, scenario, strategy, sim, start, stop = args
     out = np.empty((stop - start, sim.periods_per_run + 1), dtype=np.int64)
-    for offset, run in enumerate(range(start, stop)):
+    # One generator serves every run: setting its bit generator's state to
+    # that of run_rng(seed, run) costs far less than building a new one.
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for offset, state in enumerate(_pcg64_states(sim.seed, start, stop)):
+        bits.state = state
         out[offset] = run_episode(
-            region, scenario, strategy, sim.periods_per_run, run_rng(sim.seed, run), sim.initial_state
+            region, scenario, strategy, sim.periods_per_run, rng, sim.initial_state
         )
     return out
 
@@ -225,9 +306,10 @@ def estimate_empirical_matrix(region: AdmissibilityRegion, trajectories: np.ndar
     if trajectories.size == 0 or trajectories.shape[1] < 2:
         raise ValueError("need at least one observed transition")
     size = len(region)
-    src = trajectories[:, :-1].ravel()
-    dst = trajectories[:, 1:].ravel()
-    counts = np.bincount(src * size + dst, minlength=size * size).reshape(size, size)
+    # One array of pair codes; a ravel of each side and their sum would hold four.
+    codes = trajectories[:, :-1] * size
+    codes += trajectories[:, 1:]
+    counts = np.bincount(codes.ravel(), minlength=size * size).reshape(size, size)
     visits = counts.sum(axis=1)
     probs = np.zeros((size, size))
     visited = visits > 0

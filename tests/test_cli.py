@@ -297,6 +297,13 @@ class TestExitCodes:
             main(["region"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_a_usage_error(self, workspace, workers):
+        config_path, _ = workspace
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--config", str(config_path), "--workers", workers, "--quiet"])
+        assert excinfo.value.code == 2
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate", "--config", "x"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import io
 import json
 
 import numpy as np
@@ -25,6 +26,7 @@ from slice_markov.experiments import (
     region_document,
     strategies_document,
 )
+from slice_markov.serialize import _write_table, render_csv
 
 
 def baseline_raw() -> dict:
@@ -369,6 +371,16 @@ class TestEmpiricalDocuments:
         trace = docs[1]
         assert len(trace["rows"]) == cfg.sim.num_runs * (cfg.sim.periods_per_run + 1)
         assert trace["columns"] == ["run", "period", "state_index", "state_label"]
+
+    def test_traces_csv_matches_generic_table_writer(self):
+        # render_csv writes trace rows without format_value; the text must
+        # equal the per-cell path that every other table takes.
+        trace = empirical_documents(small_config(), include_traces=True)[1]
+        quoted = dict(trace, rows=[[0, 0, 1, "s=[1,0]"], [0, 1, 2, 'say "2"'], [7, 2, 0, ""]])
+        for doc in (trace, quoted):
+            generic = io.StringIO()
+            _write_table(generic, doc, doc["columns"], doc["rows"])
+            assert render_csv(doc) == {"": generic.getvalue()}
 
 
 class TestFigure2Document:

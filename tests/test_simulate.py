@@ -26,6 +26,7 @@ from slice_markov import (
     simulate_episodes,
     strategy_from_table,
 )
+from slice_markov.simulate import _pcg64_states
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,34 @@ class TestRunRng:
         a = run_rng(42, 0).random(5)
         b = run_rng(42, 1).random(5)
         assert not np.array_equal(a, b)
+
+
+class TestBulkStreams:
+    """The batch simulator derives every run's PCG64 state in bulk; each
+    must be the state of run_rng(seed, r)."""
+
+    SEEDS = (0, 1, 42, 2**63 + 5, 2**64 - 1)
+    # A batch from 0, one starting mid-range as a --workers batch does, one
+    # whose spawn keys take two uint32 words, and one crossing 2**32.
+    RANGES = ((0, 5), (1021, 1030), (2**32 + 7, 2**32 + 9), (2**32 - 2, 2**32 + 2))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start, stop", RANGES)
+    def test_states_reproduce_run_rng(self, seed, start, stop):
+        bits = np.random.PCG64(0)
+        rng = np.random.Generator(bits)
+        states = list(_pcg64_states(seed, start, stop))
+        assert len(states) == stop - start
+        for run, state in zip(range(start, stop), states):
+            reference = run_rng(seed, run)
+            assert state == reference.bit_generator.state
+            bits.state = state
+            np.testing.assert_array_equal(rng.random(8), reference.random(8))
+
+    @pytest.mark.parametrize("block", [1, 3, 4, 1000])
+    def test_block_size_changes_nothing(self, block):
+        start, stop = 2**32 - 5, 2**32 + 6
+        assert list(_pcg64_states(42, start, stop, block)) == list(_pcg64_states(42, start, stop))
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +189,29 @@ class TestSimulateEpisodes:
             model, region, scenario_b, accept_all, sim, workers=3
         )
         np.testing.assert_array_equal(serial, parallel)
+
+    @pytest.mark.parametrize("two_types", [False, True])
+    @pytest.mark.parametrize("fixed_start", [False, True])
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_equals_run_episode_on_run_rng(
+        self, model, region, scenario_b, accept_all, two_types, fixed_start, workers
+    ):
+        # Pins the batch path to run_rng without a golden file, which a
+        # numpy upgrade could break.
+        if two_types:
+            model, scenario = TestAgainstReferenceSimulator.MODEL, TestAgainstReferenceSimulator.SCENARIO
+            region = enumerate_region(model)
+            strategy = enumerate_valid_strategies(model, region)[101]
+        else:
+            scenario, strategy = scenario_b, accept_all
+        start = region.states[1] if fixed_start else None
+        sim = SimConfig(num_runs=9, periods_per_run=12, seed=2**63 + 5, initial_state=start)
+        expected = np.array([
+            run_episode(region, scenario, strategy, sim.periods_per_run, run_rng(sim.seed, r), start)
+            for r in range(sim.num_runs)
+        ])
+        runs = simulate_episodes(model, region, scenario, strategy, sim, workers=workers)
+        np.testing.assert_array_equal(runs, expected)
 
     def test_uniform_initialization_covers_region(self, model, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=400, periods_per_run=1, seed=16)
