@@ -39,7 +39,6 @@ from .domain import (
 )
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DegenerateModelError,
     GuardExceededError,
     InvalidStrategyError,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityRegion",
     "ConfigError",
-    "ConvergenceError",
     "DegenerateModelError",
     "DemandScenario",
     "EmpiricalMatrix",

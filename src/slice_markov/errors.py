@@ -27,7 +27,3 @@ class ReducibleChainError(SliceMarkovError):
     def __init__(self, message: str, classes=None):
         super().__init__(message)
         self.classes = classes or []
-
-
-class ConvergenceError(SliceMarkovError):
-    """Iterative solver failed to reach the requested tolerance."""

@@ -42,11 +42,6 @@ log = logging.getLogger("slice_markov")
 
 OUTPUT_FORMATS = ("csv", "json")
 
-_TOP_LEVEL_KEYS = {
-    "model", "scenarios", "strategy", "truncation", "renormalize", "sim",
-    "figure2", "figure3", "output",
-}
-
 
 @dataclass(frozen=True)
 class Figure2Protocol:
@@ -54,10 +49,10 @@ class Figure2Protocol:
     short episodes, analytical and empirical per-period state PMFs."""
 
     scenario: str
-    episodes: int = 10_000
-    periods: int = 10
-    q_plus_max: int = 4
-    initial_state: tuple[int, ...] = (0,)
+    episodes: int
+    periods: int
+    q_plus_max: int
+    initial_state: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,12 +63,17 @@ class Figure3Protocol:
 
     scenarios: tuple[str, ...]
     q_plus_max: tuple[int, ...]
-    num_runs: int = 1000
-    periods_per_run: int = 100
+    num_runs: int
+    periods_per_run: int
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated experiment. ``effective`` is the configuration document
+    as validated: every default filled in, every flag override applied and
+    every value normalised (numbers of the model and scenarios as floats,
+    lists as tuples). The typed fields are built from it."""
+
     model: ResourceModel
     scenarios: dict[str, DemandScenario]
     strategy_spec: object
@@ -84,61 +84,35 @@ class ExperimentConfig:
     figure3: Figure3Protocol
     out_dir: str
     out_format: str
+    effective: dict
 
     def region(self) -> AdmissibilityRegion:
         return enumerate_region(self.model)
 
-    def to_dict(self) -> dict:
-        """JSON-ready effective configuration, overrides already applied."""
-        return {
-            "model": {
-                "resource_pool": [float(r) for r in self.model.resource_pool],
-                "cost_matrix": [[float(c) for c in row] for row in self.model.cost_matrix],
-            },
-            "scenarios": {
-                name: {
-                    "creation_rates": list(s.creation_rates),
-                    "mean_lifetimes": list(s.mean_lifetimes),
-                }
-                for name, s in self.scenarios.items()
-            },
-            "strategy": self.strategy_spec,
-            "truncation": list(self.truncation),
-            "renormalize": self.renormalize,
-            "sim": {
-                "num_runs": self.sim.num_runs,
-                "periods_per_run": self.sim.periods_per_run,
-                "seed": self.sim.seed,
-                "initial_state": None if self.sim.initial_state is None else list(self.sim.initial_state),
-            },
-            "figure2": {
-                "scenario": self.figure2.scenario,
-                "episodes": self.figure2.episodes,
-                "periods": self.figure2.periods,
-                "q_plus_max": self.figure2.q_plus_max,
-                "initial_state": list(self.figure2.initial_state),
-            },
-            "figure3": {
-                "scenarios": list(self.figure3.scenarios),
-                "q_plus_max": list(self.figure3.q_plus_max),
-                "num_runs": self.figure3.num_runs,
-                "periods_per_run": self.figure3.periods_per_run,
-            },
-            "output": {"dir": self.out_dir, "format": self.out_format},
-        }
-
     def config_hash(self) -> str:
         """Digest of the experiment inputs. The output section is left out:
         where results land must not change what they contain."""
-        hashed = {k: v for k, v in self.to_dict().items() if k != "output"}
+        hashed = {k: v for k, v in self.effective.items() if k != "output"}
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _expect_mapping(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {type(value).__name__}")
-    return value
+def _section(raw, where: str, required=(), overrides=None, **defaults) -> dict:
+    """Check one configuration object (``null`` counts as ``{}``) for
+    unknown and missing keys, and return a new dict of its values merged
+    over ``defaults``, with the ``overrides`` that are not None (the
+    command-line flags) merged over both."""
+    raw = {} if raw is None else raw
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(required) - set(defaults)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigError(f"{where} requires {' and '.join(missing)}")
+    given = {key: value for key, value in (overrides or {}).items() if value is not None}
+    return {**defaults, **raw, **given}
 
 
 def _expect_list(value, where: str) -> list:
@@ -153,58 +127,20 @@ def _positive_int(value, where: str) -> int:
     return value
 
 
-def _positive_reals(value, where: str) -> tuple[float, ...]:
-    out = []
-    for x in _expect_list(value, where):
-        if isinstance(x, bool) or not isinstance(x, (int, float)) or not x > 0:
-            raise ConfigError(f"{where} entries must be positive numbers, got {x!r}")
-        out.append(float(x))
-    if not out:
-        raise ConfigError(f"{where} must not be empty")
-    return tuple(out)
-
-
-def _parse_model(raw) -> ResourceModel:
-    raw = _expect_mapping(raw, "model")
-    unknown = set(raw) - {"resource_pool", "cost_matrix"}
-    if unknown:
-        raise ConfigError(f"unknown model keys: {sorted(unknown)}")
-    if "resource_pool" not in raw or "cost_matrix" not in raw:
-        raise ConfigError("model requires resource_pool and cost_matrix")
-    pool = _expect_list(raw["resource_pool"], "model.resource_pool")
-    costs = [_expect_list(row, "model.cost_matrix rows") for row in _expect_list(raw["cost_matrix"], "model.cost_matrix")]
+def _floats(value, where: str) -> tuple[float, ...]:
+    """Array of numbers as floats; the model and scenario constructors
+    check their ranges."""
+    values = _expect_list(value, where)
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"{where} entries must be numbers, got {x!r}")
     try:
-        return ResourceModel(tuple(pool), tuple(tuple(row) for row in costs))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model: {exc}") from exc
+        return tuple(float(x) for x in values)
+    except OverflowError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_scenarios(raw, model: ResourceModel) -> dict[str, DemandScenario]:
-    raw = _expect_mapping(raw, "scenarios")
-    if not raw:
-        raise ConfigError("scenarios must not be empty")
-    out: dict[str, DemandScenario] = {}
-    for name, body in raw.items():
-        body = _expect_mapping(body, f"scenario {name!r}")
-        unknown = set(body) - {"creation_rates", "mean_lifetimes"}
-        if unknown:
-            raise ConfigError(f"scenario {name!r}: unknown keys {sorted(unknown)}")
-        try:
-            scenario = DemandScenario(
-                _positive_reals(body.get("creation_rates"), f"scenario {name!r} creation_rates"),
-                _positive_reals(body.get("mean_lifetimes"), f"scenario {name!r} mean_lifetimes"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"scenario {name!r}: {exc}") from exc
-        if scenario.num_types != model.num_types:
-            raise ConfigError(
-                f"scenario {name!r} describes {scenario.num_types} slice types, model has {model.num_types}"
-            )
-        out[name] = scenario
-    return out
-
-
-def _parse_strategy_spec(raw):
+def _strategy_spec(raw):
     if isinstance(raw, str):
         if raw not in ("always-accept", "decline-all"):
             raise ConfigError(f"unknown strategy name {raw!r}; use 'always-accept', 'decline-all', an id, or a table")
@@ -227,96 +163,27 @@ def _parse_strategy_spec(raw):
     raise ConfigError(f"strategy must be a name, id, or table, got {type(raw).__name__}")
 
 
-def _parse_truncation(raw) -> tuple[int, ...]:
+def _truncation(raw, where: str) -> tuple[int, ...]:
     values = raw if isinstance(raw, list) else [raw]
     if not values:
-        raise ConfigError("truncation must not be empty")
-    return tuple(_positive_int(v, "truncation") for v in values)
+        raise ConfigError(f"{where} must not be empty")
+    return tuple(_positive_int(v, where) for v in values)
 
 
-def _parse_state(raw, model: ResourceModel, where: str) -> tuple[int, ...]:
+def _state(raw, num_types: int, where: str) -> tuple[int, ...]:
     state = _expect_list(raw, where)
-    if len(state) != model.num_types:
-        raise ConfigError(f"{where} must have {model.num_types} entries")
+    if len(state) != num_types:
+        raise ConfigError(f"{where} must have {num_types} entries")
     for x in state:
         if not isinstance(x, int) or isinstance(x, bool) or x < 0:
             raise ConfigError(f"{where} entries must be nonnegative integers, got {x!r}")
     return tuple(state)
 
 
-def _parse_sim(raw, model: ResourceModel) -> SimConfig:
-    raw = _expect_mapping(raw, "sim")
-    unknown = set(raw) - {"num_runs", "periods_per_run", "seed", "initial_state"}
-    if unknown:
-        raise ConfigError(f"unknown sim keys: {sorted(unknown)}")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-        raise ConfigError(f"sim.seed must be an unsigned 64-bit integer, got {seed!r}")
-    initial = raw.get("initial_state")
-    if initial is not None:
-        initial = _parse_state(initial, model, "sim.initial_state")
-    try:
-        return SimConfig(
-            num_runs=_positive_int(raw.get("num_runs"), "sim.num_runs"),
-            periods_per_run=_positive_int(raw.get("periods_per_run"), "sim.periods_per_run"),
-            seed=seed,
-            initial_state=initial,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad sim section: {exc}") from exc
-
-
-def _parse_figure2(raw, model, scenarios, truncation) -> Figure2Protocol:
-    defaults = {
-        "scenario": "C" if "C" in scenarios else next(iter(scenarios)),
-        "episodes": 10_000,
-        "periods": 10,
-        "q_plus_max": max(truncation),
-        "initial_state": [0] * model.num_types,
-    }
-    if raw is not None:
-        raw = _expect_mapping(raw, "figure2")
-        unknown = set(raw) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown figure2 keys: {sorted(unknown)}")
-        defaults.update(raw)
-    name = defaults["scenario"]
-    if name not in scenarios:
-        raise ConfigError(f"figure2.scenario {name!r} is not a configured scenario")
-    return Figure2Protocol(
-        scenario=name,
-        episodes=_positive_int(defaults["episodes"], "figure2.episodes"),
-        periods=_positive_int(defaults["periods"], "figure2.periods"),
-        q_plus_max=_positive_int(defaults["q_plus_max"], "figure2.q_plus_max"),
-        initial_state=_parse_state(defaults["initial_state"], model, "figure2.initial_state"),
-    )
-
-
-def _parse_figure3(raw, scenarios, truncation, sim: SimConfig) -> Figure3Protocol:
-    defaults = {
-        "scenarios": list(scenarios),
-        "q_plus_max": list(truncation),
-        "num_runs": sim.num_runs,
-        "periods_per_run": sim.periods_per_run,
-    }
-    if raw is not None:
-        raw = _expect_mapping(raw, "figure3")
-        unknown = set(raw) - set(defaults)
-        if unknown:
-            raise ConfigError(f"unknown figure3 keys: {sorted(unknown)}")
-        defaults.update(raw)
-    names = _expect_list(defaults["scenarios"], "figure3.scenarios")
-    for name in names:
-        if name not in scenarios:
-            raise ConfigError(f"figure3 scenario {name!r} is not a configured scenario")
-    if not names:
-        raise ConfigError("figure3.scenarios must not be empty")
-    return Figure3Protocol(
-        scenarios=tuple(names),
-        q_plus_max=_parse_truncation(defaults["q_plus_max"]),
-        num_runs=_positive_int(defaults["num_runs"], "figure3.num_runs"),
-        periods_per_run=_positive_int(defaults["periods_per_run"], "figure3.periods_per_run"),
-    )
+def _scenario_name(name, scenarios: dict, where: str) -> str:
+    if not isinstance(name, str) or name not in scenarios:
+        raise ConfigError(f"{where} {name!r} is not a configured scenario")
+    return name
 
 
 def parse_config(
@@ -328,53 +195,101 @@ def parse_config(
 ) -> ExperimentConfig:
     """Validate a loaded JSON document into an ExperimentConfig.
 
-    Overrides mirror the command-line flags and are applied before the
-    effective configuration (and so its hash) is fixed.
+    Overrides mirror the command-line flags. Each is merged into its
+    section before that section is checked, so it passes the same checks
+    as a value from the file and is part of the effective configuration
+    (and so of its hash).
     """
-    raw = _expect_mapping(raw, "configuration")
-    unknown = set(raw) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
-    for required in ("model", "scenarios", "sim"):
-        if required not in raw:
-            raise ConfigError(f"configuration requires a {required!r} section")
-    model = _parse_model(raw["model"])
-    scenarios = _parse_scenarios(raw["scenarios"], model)
-    strategy_spec = _parse_strategy_spec(raw.get("strategy", "always-accept"))
-    truncation = _parse_truncation(raw.get("truncation", [4]))
-    sim = _parse_sim(raw["sim"], model)
-    if seed_override is not None:
-        if not 0 <= seed_override < 2**64:
-            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {seed_override}")
-        sim = SimConfig(sim.num_runs, sim.periods_per_run, seed_override, sim.initial_state)
-    renormalize = raw.get("renormalize", True)
-    if not isinstance(renormalize, bool):
-        raise ConfigError(f"renormalize must be a boolean, got {renormalize!r}")
-    if renormalize_override is not None:
-        renormalize = renormalize_override
-    output = _expect_mapping(raw.get("output", {}), "output")
-    unknown = set(output) - {"dir", "format"}
-    if unknown:
-        raise ConfigError(f"unknown output keys: {sorted(unknown)}")
-    out_dir = out_override if out_override is not None else output.get("dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"output.dir must be a nonempty string, got {out_dir!r}")
-    out_format = format_override if format_override is not None else output.get("format", "csv")
-    if out_format not in OUTPUT_FORMATS:
-        raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}, got {out_format!r}")
-    figure2 = _parse_figure2(raw.get("figure2"), model, scenarios, truncation)
-    figure3 = _parse_figure3(raw.get("figure3"), scenarios, truncation, sim)
+    doc = _section(
+        raw, "configuration", ("model", "scenarios", "sim"), {"renormalize": renormalize_override},
+        strategy="always-accept", truncation=[4], renormalize=True, figure2=None, figure3=None, output=None,
+    )
+    model = doc["model"] = _section(doc["model"], "model", ("resource_pool", "cost_matrix"))
+    model["resource_pool"] = _floats(model["resource_pool"], "model.resource_pool")
+    model["cost_matrix"] = tuple(
+        _floats(row, "model.cost_matrix rows") for row in _expect_list(model["cost_matrix"], "model.cost_matrix")
+    )
+    try:
+        resource_model = ResourceModel(**model)
+    except ValueError as exc:
+        raise ConfigError(f"bad model: {exc}") from exc
+
+    if not isinstance(doc["scenarios"], dict) or not doc["scenarios"]:
+        raise ConfigError("scenarios must be a nonempty object")
+    bodies, scenarios = {}, {}
+    for name, body in doc["scenarios"].items():
+        where = f"scenario {name!r}"
+        if {"/", "\\", "\0"} & set(name):
+            raise ConfigError(f"{where}: names become part of output file names and must not contain '/', '\\' or NUL")
+        body = bodies[name] = _section(body, where, ("creation_rates", "mean_lifetimes"))
+        for key in body:
+            body[key] = _floats(body[key], f"{where} {key}")
+        try:
+            scenarios[name] = DemandScenario(**body)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        if scenarios[name].num_types != resource_model.num_types:
+            raise ConfigError(
+                f"{where} describes {scenarios[name].num_types} slice types, model has {resource_model.num_types}"
+            )
+    doc["scenarios"] = bodies
+
+    doc["strategy"] = _strategy_spec(doc["strategy"])
+    truncation = doc["truncation"] = _truncation(doc["truncation"], "truncation")
+    if not isinstance(doc["renormalize"], bool):
+        raise ConfigError(f"renormalize must be a boolean, got {doc['renormalize']!r}")
+
+    sim = doc["sim"] = _section(
+        doc["sim"], "sim", ("num_runs", "periods_per_run"), {"seed": seed_override}, seed=0, initial_state=None
+    )
+    sim["num_runs"] = _positive_int(sim["num_runs"], "sim.num_runs")
+    sim["periods_per_run"] = _positive_int(sim["periods_per_run"], "sim.periods_per_run")
+    if not isinstance(sim["seed"], int) or isinstance(sim["seed"], bool) or not 0 <= sim["seed"] < 2**64:
+        raise ConfigError(f"sim.seed must be an unsigned 64-bit integer, got {sim['seed']!r}")
+    if sim["initial_state"] is not None:
+        sim["initial_state"] = _state(sim["initial_state"], resource_model.num_types, "sim.initial_state")
+
+    figure2 = doc["figure2"] = _section(
+        doc["figure2"], "figure2", scenario="C" if "C" in scenarios else next(iter(scenarios)),
+        episodes=10_000, periods=10, q_plus_max=max(truncation), initial_state=[0] * resource_model.num_types,
+    )
+    figure2["scenario"] = _scenario_name(figure2["scenario"], scenarios, "figure2.scenario")
+    for key in ("episodes", "periods", "q_plus_max"):
+        figure2[key] = _positive_int(figure2[key], f"figure2.{key}")
+    figure2["initial_state"] = _state(figure2["initial_state"], resource_model.num_types, "figure2.initial_state")
+
+    figure3 = doc["figure3"] = _section(
+        doc["figure3"], "figure3", scenarios=list(scenarios), q_plus_max=list(truncation),
+        num_runs=sim["num_runs"], periods_per_run=sim["periods_per_run"],
+    )
+    names = _expect_list(figure3["scenarios"], "figure3.scenarios")
+    figure3["scenarios"] = tuple(_scenario_name(name, scenarios, "figure3 scenario") for name in names)
+    if not names:
+        raise ConfigError("figure3.scenarios must not be empty")
+    figure3["q_plus_max"] = _truncation(figure3["q_plus_max"], "figure3.q_plus_max")
+    for key in ("num_runs", "periods_per_run"):
+        figure3[key] = _positive_int(figure3[key], f"figure3.{key}")
+
+    output = doc["output"] = _section(
+        doc["output"], "output", (), {"dir": out_override, "format": format_override}, dir="out", format="csv"
+    )
+    if not isinstance(output["dir"], str) or not output["dir"]:
+        raise ConfigError(f"output.dir must be a nonempty string, got {output['dir']!r}")
+    if output["format"] not in OUTPUT_FORMATS:
+        raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}, got {output['format']!r}")
+
     return ExperimentConfig(
-        model=model,
+        model=resource_model,
         scenarios=scenarios,
-        strategy_spec=strategy_spec,
+        strategy_spec=doc["strategy"],
         truncation=truncation,
-        sim=sim,
-        renormalize=renormalize,
-        figure2=figure2,
-        figure3=figure3,
-        out_dir=out_dir,
-        out_format=out_format,
+        sim=SimConfig(**sim),
+        renormalize=doc["renormalize"],
+        figure2=Figure2Protocol(**figure2),
+        figure3=Figure3Protocol(**figure3),
+        out_dir=output["dir"],
+        out_format=output["format"],
+        effective=doc,
     )
 
 
@@ -488,6 +403,8 @@ def empirical_documents(
     """Simulate the configured protocol once per scenario; empirical
     matrices, plus raw trajectories when asked for."""
     region = cfg.region()
+    if cfg.sim.initial_state is not None and cfg.sim.initial_state not in region.index_of:
+        raise ConfigError(f"sim initial state {list(cfg.sim.initial_state)} lies outside the region")
     strategy, label = resolve_strategy(cfg, region)
     labels = [state_label(s) for s in region.states]
     docs = []

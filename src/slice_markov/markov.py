@@ -28,12 +28,7 @@ from .domain import (
     state_label,
     validate_strategy,
 )
-from .errors import (
-    ConvergenceError,
-    GuardExceededError,
-    InvalidStrategyError,
-    ReducibleChainError,
-)
+from .errors import GuardExceededError, InvalidStrategyError, ReducibleChainError
 
 ROW_SUM_TOL = 1e-12
 
@@ -275,53 +270,53 @@ def distribution_after(matrix: TransitionMatrix, start_index: int, periods: int)
     return dist
 
 
-def _closed_classes(matrix: TransitionMatrix) -> list[list[int]]:
-    """Strongly connected components with no outgoing edges, as index lists."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+def _closed_classes(probs: np.ndarray) -> list[np.ndarray]:
+    """Closed communicating classes as index arrays, in ascending order of
+    their first state.
 
-    adjacency = csr_matrix(matrix.probs > 0)
-    count, labels = connected_components(adjacency, directed=True, connection="strong")
-    members: list[list[int]] = [[] for _ in range(count)]
-    for index, label in enumerate(labels):
-        members[label].append(index)
-    closed = []
-    for label, indices in enumerate(members):
-        rows = matrix.probs[indices]
-        outside = [j for j in range(matrix.size) if labels[j] != label]
-        if not outside or not np.any(rows[:, outside] > 0):
-            closed.append(indices)
-    return closed
+    Reachability is the transitive closure of ``(P > 0) | I``, found by
+    squaring it until it stops changing: about log2(n) matrix products, in
+    floating point, where sums of zeros and ones are exact. A state lies in
+    a closed class when every state it reaches reaches it back; its class is
+    then the set it reaches, and it is the class's first state when it
+    reaches no state before it.
+    """
+    reach = (probs > 0) | np.eye(len(probs), dtype=bool)
+    while True:
+        closure = (reach.astype(float) @ reach.astype(float)) > 0
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    closed = ~np.any(reach & ~reach.T, axis=1)
+    return [np.flatnonzero(reach[i]) for i in np.flatnonzero(closed) if reach[i].argmax() == i]
 
 
-def stationary_distribution(
-    matrix: TransitionMatrix,
-    tol: float = 1e-12,
-    max_iterations: int = 10**6,
-) -> np.ndarray:
-    """Fixed point of the chain, by power iteration from the uniform vector.
+def stationary_distribution(matrix: TransitionMatrix) -> np.ndarray:
+    """Fixed point of the chain, by a direct solve on its closed class.
 
     A unique fixed point needs exactly one closed communicating class; with
     several, the limit depends on the start and the call raises, reporting
-    the closed classes by state label.
+    the closed classes by state label. States outside the closed class are
+    transient and get zero mass. On the class, ``pi (P - I) = 0`` has a
+    one-dimensional solution space, so replacing one of its equations by
+    ``sum(pi) = 1`` leaves a nonsingular system.
     """
     if not matrix.renormalized:
         raise ValueError("stationary_distribution requires a renormalized matrix")
-    closed = _closed_classes(matrix)
+    closed = _closed_classes(matrix.probs)
     if len(closed) > 1:
         labels = [[state_label(matrix.region.states[i]) for i in cls] for cls in closed]
         raise ReducibleChainError(
             f"chain has {len(closed)} closed communicating classes: {labels}", classes=labels
         )
-    dist = np.full(matrix.size, 1.0 / matrix.size)
-    for _ in range(max_iterations):
-        advanced = dist @ matrix.probs
-        if np.abs(advanced - dist).sum() < tol:
-            return advanced
-        dist = advanced
-    raise ConvergenceError(
-        f"power iteration did not reach L1 tolerance {tol} in {max_iterations} iterations"
-    )
+    (members,) = closed
+    system = matrix.probs[np.ix_(members, members)].T - np.eye(len(members))
+    system[-1] = 1.0
+    rhs = np.zeros(len(members))
+    rhs[-1] = 1.0
+    dist = np.zeros(matrix.size)
+    dist[members] = np.linalg.solve(system, rhs)
+    return dist
 
 
 def occupancy_mean(region: AdmissibilityRegion, distribution: np.ndarray) -> np.ndarray:

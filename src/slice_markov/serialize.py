@@ -40,13 +40,42 @@ def _comment_lines(doc: dict) -> list[str]:
     return lines
 
 
-def _write_table(out: io.StringIO, doc: dict, columns, rows) -> None:
+def _write_table(out, doc: dict, columns, rows, plain: bool = False) -> None:
+    """Write the comment lines, the header and the rows of one table to a
+    text stream; ``plain`` rows hold only ints and strings, which the csv
+    module writes as format_value would, so they go out without per-cell
+    work."""
     for line in _comment_lines(doc):
         out.write(line + "\n")
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([format_value(cell) for cell in row])
+    writer.writerows(rows if plain else ([format_value(cell) for cell in row] for row in rows))
+
+
+def _csv_tables(doc: dict) -> dict[str, tuple]:
+    """The CSV tables of a document, keyed by filename suffix ("" for the
+    main file), each as the ``(columns, rows, plain)`` of ``_write_table``."""
+    kind = doc["kind"]
+    if kind == "matrix":
+        columns = ["from", *doc["labels"], "deficit"]
+        rows = [
+            [label, *entries, deficit]
+            for label, entries, deficit in zip(doc["labels"], doc["entries"], doc["row_deficits"])
+        ]
+        return {"": (columns, rows, False)}
+    if kind == "empirical":
+        columns = ["from", *doc["labels"], "visits"]
+        rows = [
+            [label, *entries, visits]
+            for label, entries, visits in zip(doc["labels"], doc["entries"], doc["visits"])
+        ]
+        return {"": (columns, rows, False)}
+    if kind == "figure3":
+        return {
+            "": (doc["columns"], doc["rows"], False),
+            "_summary": (doc["summary_columns"], doc["summary_rows"], False),
+        }
+    return {"": (doc["columns"], doc["rows"], kind == "traces")}
 
 
 def render_csv(doc: dict) -> dict[str, str]:
@@ -55,37 +84,12 @@ def render_csv(doc: dict) -> dict[str, str]:
     Keys are filename suffixes ("" for the main file); the writer joins
     them onto the document's base name.
     """
-    kind = doc["kind"]
-    out = io.StringIO()
-    if kind == "matrix":
-        columns = ["from", *doc["labels"], "deficit"]
-        rows = [
-            [label, *entries, deficit]
-            for label, entries, deficit in zip(doc["labels"], doc["entries"], doc["row_deficits"])
-        ]
-        _write_table(out, doc, columns, rows)
-        return {"": out.getvalue()}
-    if kind == "empirical":
-        columns = ["from", *doc["labels"], "visits"]
-        rows = [
-            [label, *entries, visits]
-            for label, entries, visits in zip(doc["labels"], doc["entries"], doc["visits"])
-        ]
-        _write_table(out, doc, columns, rows)
-        return {"": out.getvalue()}
-    if kind == "figure3":
-        _write_table(out, doc, doc["columns"], doc["rows"])
-        summary = io.StringIO()
-        _write_table(summary, doc, doc["summary_columns"], doc["summary_rows"])
-        return {"": out.getvalue(), "_summary": summary.getvalue()}
-    if kind == "traces":
-        # Trace cells are ints and labels, which the csv module writes as
-        # format_value would, so the rows go out without per-cell work.
-        _write_table(out, doc, doc["columns"], [])
-        csv.writer(out, lineterminator="\n").writerows(doc["rows"])
-        return {"": out.getvalue()}
-    _write_table(out, doc, doc["columns"], doc["rows"])
-    return {"": out.getvalue()}
+    texts = {}
+    for suffix, table in _csv_tables(doc).items():
+        out = io.StringIO()
+        _write_table(out, doc, *table)
+        texts[suffix] = out.getvalue()
+    return texts
 
 
 def render_json(doc: dict) -> str:
@@ -113,9 +117,9 @@ def write_document(doc: dict, out_dir: str, out_format: str) -> list[str]:
             handle.write(render_json(doc))
         paths.append(path)
         return paths
-    for suffix, text in render_csv(doc).items():
+    for suffix, table in _csv_tables(doc).items():
         path = os.path.join(out_dir, base + suffix + ".csv")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            _write_table(handle, doc, *table)
         paths.append(path)
     return paths

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 import os
@@ -13,9 +14,9 @@ import jsonschema
 import pytest
 
 import slice_markov
-from slice_markov import parse_config
+from slice_markov import ConfigError, parse_config
 from slice_markov.cli import main
-from slice_markov.experiments import matrix_documents
+from slice_markov.experiments import empirical_documents, matrix_documents
 
 
 def config_dict(out_dir: str) -> dict:
@@ -292,6 +293,25 @@ class TestExitCodes:
         path = write_config(tmp_path, body)
         assert main(["strategies", "--config", path, "--quiet"]) == 4
 
+    @pytest.mark.parametrize("command, edit", [
+        ("figure2", lambda body: body["figure2"].update(scenario=["C"])),
+        ("figure3", lambda body: body["figure3"].update(scenarios=[{"C": 1}])),
+        ("matrix", lambda body: body["scenarios"].update({"x/y": body["scenarios"]["C"]})),
+        ("simulate", lambda body: body["sim"].update(initial_state=[5])),
+    ], ids=["figure2-scenario-array", "figure3-scenario-object", "slash-in-name", "start-outside-region"])
+    def test_outside_input_is_a_configuration_error(self, tmp_path, command, edit):
+        # Each of these used to escape as a TypeError, FileNotFoundError or
+        # ValueError traceback instead of a configuration error.
+        body = config_dict(str(tmp_path / "out"))
+        edit(body)
+        with pytest.raises(ConfigError):
+            cfg = parse_config(copy.deepcopy(body))
+            if command == "simulate":
+                empirical_documents(cfg)
+        path = write_config(tmp_path, body)
+        assert main([command, "--config", path, "--quiet"]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["region"])
@@ -311,11 +331,20 @@ class TestExitCodes:
 
 
 def test_import_loads_no_scipy():
-    # scipy is only needed by the stationary analysis and the Markov-order
-    # check, so importing the package must not pay for it.
+    # scipy is only needed by the Markov-order check, so neither importing
+    # the package nor solving a chain may pay for it.
     src = os.path.dirname(os.path.dirname(slice_markov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, slice_markov; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys\n"
+        "from slice_markov import *\n"
+        "model = ResourceModel((1.0,), ((0.3,),))\n"
+        "region = enumerate_region(model)\n"
+        "matrix = build_transition_matrix(model, region, DemandScenario((0.5,), (4.0,)),"
+        " always_accept_strategy(model, region), 2)\n"
+        "assert abs(stationary_distribution(matrix).sum() - 1.0) < 1e-12\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ from slice_markov.experiments import (
     strategies_document,
 )
 from slice_markov.serialize import _write_table, render_csv
+
+PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+BASELINE_HASH = "195938a4b816e0b89e34b5d69aa0be1198d50b45ea77e387e6ff215e90b7a23a"
 
 
 def baseline_raw() -> dict:
@@ -249,6 +253,23 @@ class TestConfigHash:
         base = parse_config(raw).config_hash()
         raw["model"]["resource_pool"] = [2.0]
         assert parse_config(raw).config_hash() != base
+
+    @pytest.mark.parametrize("path, digest", [
+        (default_config_path(), BASELINE_HASH),
+        (PERFBENCH_CONFIGS / "n3_matrix.json",
+         "91a3d6102452111247ec45c836d3c387f22461f53a4d6a6aba048a07f08da237"),
+        (PERFBENCH_CONFIGS / "n3_traces.json",
+         "d137f7708d93e713fe99e72323842d2c3800371a3d580529884765e60230195a"),
+    ])
+    def test_golden_hash(self, path, digest):
+        # Published outputs carry these digests; the hashed document must
+        # not change shape, key order or number spelling.
+        assert load_config(str(path)).config_hash() == digest
+
+    def test_integer_spelling_hashes_like_float(self, raw):
+        raw["model"]["resource_pool"] = [1]
+        raw["scenarios"]["A"]["creation_rates"] = [1]
+        assert parse_config(raw).config_hash() == BASELINE_HASH
 
 
 # ---------------------------------------------------------------------------

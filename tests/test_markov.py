@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from slice_markov import (
-    ConvergenceError,
     DemandScenario,
     GuardExceededError,
     InvalidStrategyError,
@@ -28,6 +27,7 @@ from slice_markov import (
     strategy_from_table,
     truncation_tail_bound,
 )
+from slice_markov.markov import _closed_classes
 
 RELEASE_P_MU4 = 0.22119921692859512  # 1 - exp(-1/4)
 BINOM_2_1_MU4 = 0.3445402467175429  # C(2,1) p (1-p)
@@ -433,13 +433,36 @@ class TestStationaryDistribution:
         pi = stationary_distribution(matrix)
         assert pi[region.index((3,))] == pytest.approx(0.0, abs=1e-12)
 
-    def test_convergence_guard(self, model, region, scenario_c, decline_all):
+    def test_slowly_mixing_chain_is_solved(self, model, region, decline_all):
+        # Slices of mean lifetime 100000 almost never leave, so an iterative
+        # solver crawls towards the one closed class {[0]}; the direct solve
+        # lands on it at once.
         sluggish = DemandScenario(creation_rates=(0.5,), mean_lifetimes=(100000.0,))
         matrix = build_transition_matrix(
             model, region, sluggish, decline_all, q_plus_max=4
         )
-        with pytest.raises(ConvergenceError):
-            stationary_distribution(matrix, tol=1e-12, max_iterations=10)
+        np.testing.assert_array_equal(stationary_distribution(matrix), [1.0, 0.0, 0.0, 0.0])
+
+    def test_closed_classes_match_a_graph_search(self):
+        # Random sparse chains against a plain depth-first reachability.
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 5, 9, 14):
+            for _ in range(20):
+                probs = (rng.random((size, size)) < 1.5 / size) * rng.random((size, size))
+                reach = []
+                for start in range(size):
+                    seen, stack = {start}, [start]
+                    while stack:
+                        for j in np.flatnonzero(probs[stack.pop()]):
+                            if j not in seen:
+                                seen.add(int(j))
+                                stack.append(int(j))
+                    reach.append(seen)
+                expected = sorted(
+                    sorted(reach[i]) for i in range(size)
+                    if all(i in reach[j] for j in reach[i]) and min(reach[i]) == i
+                )
+                assert [cls.tolist() for cls in _closed_classes(probs)] == expected
 
     def test_raw_matrix_rejected(self, model, region, scenario_c, accept_all):
         raw = build_transition_matrix(
