@@ -8,7 +8,8 @@ run the bundled distribution-evolution and truncation-error protocols.
 Logs and progress go to standard error; data goes to files under the output
 directory (``region`` and ``strategies`` also print to standard output).
 Exit codes: 0 success, 2 configuration error, 3 degenerate model or invalid
-strategy, 4 runtime guard exceeded.
+strategy, 4 runtime guard exceeded, 5 an output file or directory could not
+be written.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ log = logging.getLogger("slice_markov")
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_GUARD = 4
+EXIT_OUTPUT = 5
 
 
 def _positive_int(text: str) -> int:
@@ -131,6 +133,12 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceededError as exc:
         log.error("runtime guard exceeded: %s", exc)
         return EXIT_GUARD
+    except OSError as exc:
+        # load_config reports a failed read as a ConfigError, so an OSError
+        # here comes from creating the output directory or writing a file
+        # or standard output.
+        log.error("cannot write output: %s", exc)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

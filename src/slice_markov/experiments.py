@@ -36,6 +36,7 @@ from .domain import (
 )
 from .errors import ConfigError, InvalidStrategyError
 from .markov import build_transition_matrix, distribution_after, truncation_tail_bound
+from .serialize import TraceRows
 from .simulate import SimConfig, estimate_empirical_matrix, rmse, simulate_episodes
 
 log = logging.getLogger("slice_markov")
@@ -442,11 +443,7 @@ def empirical_documents(
                 "strategy": label,
                 "labels": labels,
                 "columns": ["run", "period", "state_index", "state_label"],
-                "rows": [
-                    [run, period, idx, labels[idx]]
-                    for run, trajectory in enumerate(map(np.ndarray.tolist, trajectories))
-                    for period, idx in enumerate(trajectory)
-                ],
+                "rows": TraceRows(trajectories, labels),
             })
     return docs
 

@@ -14,7 +14,7 @@ import jsonschema
 import pytest
 
 import slice_markov
-from slice_markov import ConfigError, parse_config
+from slice_markov import ConfigError, figure3_document, parse_config, serialize
 from slice_markov.cli import main
 from slice_markov.experiments import empirical_documents, matrix_documents
 
@@ -175,6 +175,17 @@ class TestJsonOutputs:
             "figure2", "figure3",
         }
 
+    def test_json_file_bytes_equal_rendered_text(self, workspace, tmp_path):
+        # write_document streams JSON into the file; the bytes must be
+        # exactly what render_json prints.
+        config_path, _ = workspace
+        cfg = parse_config(json.loads(config_path.read_text()))
+        trace = empirical_documents(cfg, include_traces=True)[1]
+        for doc in (trace, figure3_document(cfg)):
+            [path] = serialize.write_document(doc, str(tmp_path / "json"), "json")
+            with open(path, "rb") as handle:
+                assert handle.read() == serialize.render_json(doc).encode("utf-8")
+
     def test_csv_floats_parse_back_bit_identical(self, workspace, tmp_path):
         config_path, out_dir = workspace
         assert main(["matrix", "--config", str(config_path), "--quiet"]) == 0
@@ -311,6 +322,23 @@ class TestExitCodes:
         path = write_config(tmp_path, body)
         assert main([command, "--config", path, "--quiet"]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
+        config_path, _ = workspace
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("keep me", encoding="utf-8")
+        code = main(["region", "--config", str(config_path), "--out", str(blocker), "--quiet"])
+        assert code == 5
+        assert "cannot write output" in caplog.text
+        assert blocker.read_text(encoding="utf-8") == "keep me"
+
+    def test_file_name_too_long_is_an_output_error(self, tmp_path, caplog):
+        body = config_dict(str(tmp_path / "out"))
+        body["scenarios"]["x" * 300] = body["scenarios"].pop("C")
+        body["figure2"]["scenario"] = body["figure3"]["scenarios"][0] = "A"
+        path = write_config(tmp_path, body)
+        assert main(["matrix", "--config", path, "--quiet"]) == 5
+        assert "cannot write output" in caplog.text
 
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +23,14 @@ from slice_markov import (
     parse_config,
     resolve_strategy,
 )
+from slice_markov.cli import main
 from slice_markov.experiments import (
     empirical_documents,
     matrix_documents,
     region_document,
     strategies_document,
 )
-from slice_markov.serialize import _write_table, render_csv
+from slice_markov.serialize import TraceRows, _write_table, render_csv
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 BASELINE_HASH = "195938a4b816e0b89e34b5d69aa0be1198d50b45ea77e387e6ff215e90b7a23a"
@@ -41,6 +44,18 @@ def baseline_raw() -> dict:
 @pytest.fixture()
 def raw():
     return baseline_raw()
+
+
+def n3_traces_raw(num_runs: int, periods_per_run: int) -> dict:
+    """The perfbench N=3 traces configuration, shrunk to the given runs."""
+    with open(PERFBENCH_CONFIGS / "n3_traces.json", encoding="utf-8") as handle:
+        raw = json.load(handle)
+    raw["sim"].update(num_runs=num_runs, periods_per_run=periods_per_run)
+    return raw
+
+
+def n3_config(num_runs: int, periods_per_run: int):
+    return parse_config(n3_traces_raw(num_runs, periods_per_run))
 
 
 def small_config(**edits):
@@ -272,6 +287,47 @@ class TestConfigHash:
         assert parse_config(raw).config_hash() == BASELINE_HASH
 
 
+class TestGoldenOutputs:
+    # SHA-256 of every file `simulate --traces` writes for a small N=3
+    # model, whose state labels ("s=[1,0,2]") need CSV quoting. Published
+    # trajectories must keep these bytes through any change to how trace
+    # rows are held or written.
+    GOLDEN = {
+        "csv": {
+            "empirical_A.csv":
+                "9e6b3fc3ef818e6e50c4886a4fbaf3cbf42ae47b1af04282c2e611a4f989207a",
+            "empirical_C.csv":
+                "62268490ca5ffd3f2a900bff7c5d304632d950d184391cebf75a305df4753ba7",
+            "traces_A.csv":
+                "cf28db3a9620890407cc82e2ae0b3d1453b9815a955867d1b55bf49ae79032b4",
+            "traces_C.csv":
+                "5abd834b0a8ddaf288d5e5fb306b0118eaf6ead1498e61b8cbc01452aaef8daf",
+        },
+        "json": {
+            "empirical_A.json":
+                "12f9355732ceb913b20e55c5a27f7d80e86e14edfd6c9d795a5212e42cea0d31",
+            "empirical_C.json":
+                "fc1c9ed5d5a1c3f692fc53a64c356474add5246e5ff1c9980442bf9e5e30720f",
+            "traces_A.json":
+                "2e8b6f57bcdb43f2da3b20acc957a74ce75f937f45b918da6bdde904342d38b8",
+            "traces_C.json":
+                "ad0d8ca5de1bbb0ff9599e70d12641b338bc0d5586f3847e2b2111861ca268a3",
+        },
+    }
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_simulate_traces_bytes(self, tmp_path, out_format):
+        config = tmp_path / "n3_small.json"
+        config.write_text(json.dumps(n3_traces_raw(200, 5)), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), "--traces", "--quiet",
+                "--out", str(out), "--format", out_format]
+        assert main(argv) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == self.GOLDEN[out_format]
+
+
 # ---------------------------------------------------------------------------
 # Strategy resolution
 # ---------------------------------------------------------------------------
@@ -394,14 +450,59 @@ class TestEmpiricalDocuments:
         assert trace["columns"] == ["run", "period", "state_index", "state_label"]
 
     def test_traces_csv_matches_generic_table_writer(self):
-        # render_csv writes trace rows without format_value; the text must
-        # equal the per-cell path that every other table takes.
-        trace = empirical_documents(small_config(), include_traces=True)[1]
-        quoted = dict(trace, rows=[[0, 0, 1, "s=[1,0]"], [0, 1, 2, 'say "2"'], [7, 2, 0, ""]])
-        for doc in (trace, quoted):
+        # Trace tables are streamed from the trajectory array; the text must
+        # equal the per-cell path that every other table takes, on N=1
+        # (plain labels) and on N=3 (quoted labels such as "s=[1,0,2]").
+        for cfg in (small_config(), n3_config(20, 10)):
+            trace = empirical_documents(cfg, include_traces=True)[1]
+            assert isinstance(trace["rows"], TraceRows)
             generic = io.StringIO()
-            _write_table(generic, doc, doc["columns"], doc["rows"])
-            assert render_csv(doc) == {"": generic.getvalue()}
+            _write_table(generic, trace, trace["columns"], list(trace["rows"]))
+            assert render_csv(trace) == {"": generic.getvalue()}
+        assert '"s=[1,0,0]"' in generic.getvalue()
+
+    def test_streamed_trace_quoting_of_awkward_labels(self):
+        labels = ["s=[1,0]", 'say "2"', "", "a\nb", " lead"]
+        rows = TraceRows(np.array([[0, 1, 2], [3, 4, 0]]), labels)
+        doc = {"kind": "traces", "config_hash": "0" * 64,
+               "columns": ["run", "period", "state_index", "state_label"]}
+        generic = io.StringIO()
+        _write_table(generic, doc, doc["columns"], list(rows))
+        assert render_csv(dict(doc, rows=rows)) == {"": generic.getvalue()}
+
+    def test_trace_rows_view_matches_materialised_rows(self):
+        trace = empirical_documents(n3_config(20, 10), include_traces=True)[1]
+        rows = trace["rows"]
+        listed = list(rows)
+        assert len(rows) == len(listed) == 20 * 11
+        assert rows[0] == listed[0] and rows[-1] == listed[-1]
+        assert rows[5:30:7] == listed[5:30:7]
+        assert rows == listed and not rows != listed
+        assert json.dumps(rows) == json.dumps(listed)
+        assert json.dumps(rows, indent=2) == json.dumps(listed, indent=2)
+        assert {type(cell) for row in listed for cell in row} == {int, str}
+        assert all(type(cell) is int for cell in rows[-1][:3])
+        with pytest.raises(TypeError):
+            rows.append(listed[0])
+        with pytest.raises(TypeError):
+            listed[0] in rows
+
+    def test_trace_documents_hold_no_per_row_objects(self):
+        # Trace rows are a view over the int64 trajectory arrays. Measured
+        # peaks: about 1.75 times the arrays' bytes with the view (most of
+        # it the simulation's own buffers), about 13 times with one Python
+        # list per boundary.
+        cfg = n3_config(3000, 10)
+        empirical_documents(cfg)
+        array_bytes = len(cfg.scenarios) * cfg.sim.num_runs * (cfg.sim.periods_per_run + 1) * 8
+        tracemalloc.start()
+        try:
+            docs = empirical_documents(cfg, include_traces=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [doc["kind"] for doc in docs] == ["empirical", "traces"] * 2
+        assert peak < 4 * array_bytes
 
 
 class TestFigure2Document:
