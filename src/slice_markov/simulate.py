@@ -6,24 +6,28 @@ slice lifetimes), folds each period's queue through the strategy's compiled
 successor table (``Strategy.next_index``), and records the state at every
 period boundary. Creation counts are never truncated here.
 
-Each run makes all of its random draws in a few bulk calls before the first
-period (the order is given in :func:`run_episode`) and then runs a plain
-loop over the pre-drawn numbers, so the per-period cost is a handful of list
-and table lookups rather than several generator calls.
+Each run makes all of its random draws before the first period (the order
+is given in :func:`run_episode`) and then runs a plain loop over the
+pre-drawn numbers, so the per-period cost is a handful of list and table
+lookups rather than several generator calls. The creation counts and
+timestamps come from one stream of uniforms, decoded the way numpy's
+Poisson sampler reads it (:func:`_creation_draws`), so the variates are
+those of numpy's own calls without the cost of its per-call checks.
 
 Within-period mechanics: a slice admitted during period t becomes active at
 the t+1 boundary and its lifetime starts counting there, matching the
 synchronous model where decisions take effect at period ends. A slice active
 at a boundary with remaining lifetime below one period emits a release event
 inside the period at an offset equal to that remaining lifetime; survivors
-carry their lifetime forward reduced by one period. Equal timestamps (a
-measure-zero event) put creations before releases, lower types first, then
-draw order.
+carry their lifetime forward reduced by one period, so each slice's release
+period and offset are known when it becomes active, and its release is
+filed under that period at once. Equal timestamps (a measure-zero event)
+put creations before releases, lower types first, then draw order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,6 +160,71 @@ def _pcg64_states(seed: int, start: int, stop: int, block: int = _STATE_BLOCK):
                    "has_uint32": 0, "uinteger": 0}
 
 
+def _creation_draws(rng: np.random.Generator, rates, periods: int):
+    """Draws 3 and 4 of :func:`run_episode`: the creations of every period.
+
+    Returns ``(kinds, ends, stamps)``: the type index of each creation in
+    (period, type) order, the number of creations up to the end of each
+    period, and each creation's timestamp.
+
+    numpy draws a Poisson count below rate 10 by multiplying uniforms
+    (``next_double``) until the product is at most ``exp(-rate)``, and
+    ``Generator.random`` reads the same ``next_double`` stream, so the counts
+    of ``poisson(rates, (periods, N))`` and the stamps of the following
+    ``random(total)`` are one run of uniforms. This replays the
+    multiplication on that run, drawn in chunks that never pass the uniforms
+    certainly needed: all cells still to decode take at least one more, and
+    every creation found needs a stamp. The generator is left exactly where
+    the two numpy calls leave it, and no per-call validation of an array of
+    rates is paid. From rate 10 up numpy switches to Hörmann's PTRS, so any
+    such rate makes the run use numpy's own calls.
+    """
+    num_types = len(rates)
+    cells = periods * num_types
+    if max(rates) >= 10.0:
+        counts = rng.poisson(rates, (periods, num_types))
+        kinds = np.repeat(np.tile(np.arange(num_types), periods), counts.ravel()).tolist()
+        ends = np.cumsum(counts.sum(axis=1)).tolist()
+        return kinds, ends, rng.random(len(kinds)).tolist()
+    limits = [math.exp(-rate) for rate in rates]
+    kinds = []
+    ends = []
+    add = kinds.append
+    n = 0
+    limit = limits[0]
+    product = 1.0
+    drawn = cells
+    chunk = rng.random(cells).tolist()
+    while True:
+        for uniform in chunk:
+            product *= uniform
+            if product > limit:
+                add(n)
+                continue
+            product = 1.0
+            n += 1
+            if n == num_types:
+                n = 0
+                ends.append(len(kinds))
+                if len(ends) == periods:
+                    break
+            limit = limits[n]
+        if len(ends) == periods:
+            break
+        # Every uniform drawn went to the counts: each undecoded cell needs
+        # one more, and each creation found so far a stamp.
+        need = cells - len(ends) * num_types - n + len(kinds)
+        drawn += need
+        chunk = rng.random(need).tolist()
+    # Each uniform either ends a cell or adds a creation; the rest of the
+    # last chunk are the first stamps.
+    total = len(kinds)
+    stamps = chunk[len(chunk) - (drawn - cells - total):]
+    if len(stamps) < total:
+        stamps += rng.random(total - len(stamps)).tolist()
+    return kinds, ends, stamps
+
+
 def run_episode(
     region: AdmissibilityRegion,
     scenario: DemandScenario,
@@ -171,28 +240,37 @@ def run_episode(
     1. the start index, ``integers(len(region))``, when the start is uniform;
     2. ``standard_exponential(sum(state))``: the initial lifetimes, type by
        type, each scaled by its type's mean lifetime;
-    3. ``poisson(creation_rates, (periods, N))``: the creation counts of every
-       (period, type);
-    4. ``random(total)``: the creation timestamps, in (period, type) order;
+    3. the creation counts of every (period, type), as
+       ``poisson(creation_rates, (periods, N))`` draws them;
+    4. the creation timestamps, as ``random(total)`` draws them, in
+       (period, type) order;
     5. ``standard_exponential(total)``: a fresh unit lifetime for every
        creation, scaled by its type's mean and used only if it is accepted.
 
-    After these draws the run makes no further generator calls. Initial
-    slices get fresh exponential lifetimes: the residual lifetime of an
-    exponential in steady state is again exponential, so no aging needs to
-    be modeled. The horizon sets the size of draw 3, so draws 4 and 5 start
-    elsewhere in the stream: a run with a shorter horizon is not a prefix of
-    a longer run from the same substream ``(seed, r)``. A run still depends
-    only on that substream and its arguments.
+    Below rate 10 draws 3 and 4 are one stream of uniforms, decoded by
+    :func:`_creation_draws` the way numpy's Poisson sampler consumes it;
+    from rate 10 up they are numpy's own two calls. Either way the variates
+    and the generator's final state are those of the two calls. After these
+    draws the run makes no further generator calls. Initial slices get fresh
+    exponential lifetimes: the residual lifetime of an exponential in steady
+    state is again exponential, so no aging needs to be modeled. The horizon
+    sets the size of draw 3, so draws 4 and 5 start elsewhere in the stream:
+    a run with a shorter horizon is not a prefix of a longer run from the
+    same substream ``(seed, r)``. A run still depends only on that substream
+    and its arguments.
 
-    Each period then folds its creations and the releases of every lifetime
-    below 1.0, sorted by timestamp, through ``strategy.next_index``: column
-    ``n`` is a creation of type n+1 and column ``N+n`` its release, the
+    A slice with remaining lifetime ``x`` at the boundary b where it becomes
+    active is released in the period that starts at boundary ``b + int(x)``,
+    at offset ``x - int(x)``, the value that subtracting one period at a
+    time reaches (exactly, below 2**53); its release goes straight into that
+    period's bucket. Each period then folds its creations and its bucket, sorted by
+    timestamp, through ``strategy.next_index``: column ``n`` is a creation
+    of type n+1 and column ``N+n`` its release, the
     :func:`~slice_markov.arrivals.request_kinds` order. A creation is
     accepted when the index changes. A ``-1`` in the table (a release with
-    no slice to release, or a creation that leaves the region) or a
-    lifetime count that disagrees with the final state is a bookkeeping bug
-    and aborts.
+    no slice to release, or a creation that leaves the region) or a count of
+    slices outliving the horizon that disagrees with the final state is a
+    bookkeeping bug and aborts.
     """
     if initial_state is None:
         index = int(rng.integers(len(region)))
@@ -202,36 +280,32 @@ def run_episode(
             raise ValueError(f"initial state {tuple(initial_state)} not in region")
     num_types = scenario.num_types
     means = scenario.mean_lifetimes
-    rates = scenario.creation_rates
     start_types = [n for n, count in enumerate(region.states[index]) for _ in range(count)]
     initial = rng.standard_exponential(len(start_types)).tolist()
-    # A scalar rate draws the same variates as a tuple of equal rates, faster.
-    counts = rng.poisson(rates[0] if len(set(rates)) == 1 else rates, (periods, num_types))
-    total = int(counts.sum())
-    stamps = rng.random(total).tolist()
+    kinds, ends, stamps = _creation_draws(rng, scenario.creation_rates, periods)
+    total = len(kinds)
     fresh = rng.standard_exponential(total).tolist()
-    counts = counts.ravel().tolist()
+    creations = list(zip(stamps, kinds, range(total)))
 
     table = strategy.next_index
-    # Live slices as (remaining lifetime, release column).
-    active = [(means[n] * life, num_types + n) for n, life in zip(start_types, initial)]
+    # releases[t]: the (offset, release column, -1) events of period t;
+    # held[n]: the type-n slices still active after the last period.
+    releases = [[] for _ in range(periods)]
+    held = [0] * num_types
+    for n, life in zip(start_types, initial):
+        remaining = means[n] * life
+        period = int(remaining)
+        if period < periods:
+            releases[period].append((remaining - period, num_types + n, -1))
+        else:
+            held[n] += 1
     trajectory = [index]
-    cell = creation = 0
-    for _ in range(periods):
-        events = []
-        for n in range(num_types):
-            for _ in range(counts[cell]):
-                events.append((stamps[creation], n, creation))
-                creation += 1
-            cell += 1
-        if active:
-            survivors = []
-            for remaining, column in active:
-                if remaining < 1.0:
-                    events.append((remaining, column, -1))
-                else:
-                    survivors.append((remaining - 1.0, column))
-            active = survivors
+    start = 0
+    for t, end in enumerate(ends):
+        events = creations[start:end]
+        start = end
+        if releases[t]:
+            events += releases[t]
         if events:
             events.sort()
             for _, column, creation_id in events:
@@ -243,12 +317,16 @@ def run_episode(
                     )
                 if column < num_types and successor != index:
                     # The admitted slice's lifetime starts at the next boundary.
-                    active.append((means[column] * fresh[creation_id], num_types + column))
+                    remaining = means[column] * fresh[creation_id]
+                    period = int(remaining)
+                    if t + 1 + period < periods:
+                        releases[t + 1 + period].append(
+                            (remaining - period, num_types + column, -1)
+                        )
+                    else:
+                        held[column] += 1
                 index = successor
         trajectory.append(index)
-    held = [0] * num_types
-    for _, column in active:
-        held[column - num_types] += 1
     if tuple(held) != region.states[index]:
         raise RuntimeError(
             f"lifetime bookkeeping holds {tuple(held)} slices, final state is {region.states[index]}"
@@ -293,6 +371,10 @@ def simulate_episodes(
             for start, stop in zip(bounds[:-1], bounds[1:])
             if stop > start
         ]
+        # Imported here: it pulls in multiprocessing, which a serial run
+        # need not load.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return np.vstack(list(pool.map(_episode_batch, tasks)))
     return _episode_batch((region, scenario, strategy, sim, 0, sim.num_runs))

@@ -377,3 +377,25 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_serial_simulation_loads_no_process_pool():
+    # The process pool, and multiprocessing with it, is only imported for
+    # --workers above 1.
+    src = os.path.dirname(os.path.dirname(slice_markov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from slice_markov import *\n"
+        "model = ResourceModel((1.0,), ((0.3,),))\n"
+        "region = enumerate_region(model)\n"
+        "runs = simulate_episodes(model, region, DemandScenario((0.5,), (4.0,)),"
+        " always_accept_strategy(model, region), SimConfig(3, 5, 7))\n"
+        "assert runs.shape == (3, 6)\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
+        " if m in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -327,6 +327,48 @@ class TestGoldenOutputs:
                    for path in sorted(out.iterdir())}
         assert digests == self.GOLDEN[out_format]
 
+    # The same for the one-type baseline.json figures at a reduced protocol;
+    # they pin the simulator's single-rate path.
+    FIGURE_GOLDEN = {
+        ("figure3", "csv"): {
+            "figure3.csv": "a8eb06a3e8c32f918af752fb047e7bd3ce16bfcd8d8feaa7685dfa109f7f6b44",
+            "figure3_summary.csv":
+                "fed407ac456b99fb2207761ab37b14a765ac28f8805dfbac70cdfa063bb2a66a",
+        },
+        ("figure3", "json"): {
+            "figure3.json": "1247535346b7d40aef793d94792af32749d8c913e291bb21f40aea2d2b8e5119",
+        },
+        ("figure2", "csv"): {
+            "figure2.csv": "be4e78ff880cf26bb8937130d2d3ddcd04ee4781de1e6387360008583ffb9a58",
+        },
+        ("figure2", "json"): {
+            "figure2.json": "5b2e5d7ac6dbe191b60c1ef330b058cc40ee6f9baa3b03693309304b6799f7e6",
+        },
+    }
+
+    def figure_digests(self, tmp_path, command, out_format):
+        raw = baseline_raw()
+        raw["figure3"].update(num_runs=50, periods_per_run=100)
+        raw["figure2"].update(episodes=500)
+        config = tmp_path / "baseline_small.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--quiet", "--out", str(out),
+                "--format", out_format]
+        assert main(argv) == 0
+        return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_figure3_bytes(self, tmp_path, out_format):
+        digests = self.figure_digests(tmp_path, "figure3", out_format)
+        assert digests == self.FIGURE_GOLDEN["figure3", out_format]
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_figure2_bytes(self, tmp_path, out_format):
+        digests = self.figure_digests(tmp_path, "figure2", out_format)
+        assert digests == self.FIGURE_GOLDEN["figure2", out_format]
+
 
 # ---------------------------------------------------------------------------
 # Strategy resolution

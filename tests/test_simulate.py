@@ -26,7 +26,7 @@ from slice_markov import (
     simulate_episodes,
     strategy_from_table,
 )
-from slice_markov.simulate import _pcg64_states
+from slice_markov.simulate import _creation_draws, _pcg64_states
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +155,64 @@ class TestRunEpisode:
         expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), 12)
         np.testing.assert_array_equal(trajectory, expected)
 
+    def test_counts_from_rate_ten_up_come_from_numpy_poisson(self):
+        # From rate 10 numpy's Poisson sampler is PTRS, which the simulator
+        # leaves to numpy. Lifetimes of 1e12 periods never end, so
+        # always-accept follows the cumulative counts up to 333 slices.
+        roomy = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.003,),))
+        roomy_region = enumerate_region(roomy)
+        cap = roomy_region.states[-1][0]
+        scenario = DemandScenario(creation_rates=(12.0,), mean_lifetimes=(1e12,))
+        strategy = always_accept_strategy(roomy, roomy_region)
+        trajectory = run_episode(
+            roomy_region, scenario, strategy, 40, run_rng(28, 0), initial_state=(0,)
+        )
+        counts = run_rng(28, 0).poisson(12.0, (40, 1))[:, 0]
+        expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), cap)
+        assert cap == 333 and expected[-1] == cap and expected[10] < cap
+        np.testing.assert_array_equal(trajectory, expected)
+
     def test_table_hole_aborts(self, region, scenario_a):
         # Accepting a creation in s=[3] has no successor in the region;
         # run_episode trusts its caller and stops at the -1 it meets.
         greedy = strategy_from_table(region, ((True,),) * 4)
         with pytest.raises(RuntimeError):
             run_episode(region, scenario_a, greedy, 200, run_rng(27, 0), initial_state=(3,))
+
+
+class TestCreationDraws:
+    """``_creation_draws`` replays numpy's Poisson sampler on the uniform
+    stream; it must give the counts of ``poisson(rates, (periods, N))``, the
+    stamps of the ``random(total)`` after it, and leave the generator where
+    those two calls leave it."""
+
+    SEEDS = (0, 1, 42, 2**64 - 1)
+    HORIZONS = (1, 7, 100)
+
+    @pytest.mark.parametrize(
+        "rates", [(1e-9,), (0.3,), (0.6, 0.4, 0.3), (9.99,), (10.0,), (12.0,), (11.0, 0.4)]
+    )
+    @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
+    def test_replays_poisson_then_random(self, rates, bit_generator):
+        make = getattr(np.random, bit_generator)
+        num_types = len(rates)
+        for seed in self.SEEDS:
+            for periods in self.HORIZONS:
+                reference = np.random.Generator(make(seed))
+                counts = reference.poisson(rates, (periods, num_types))
+                total = int(counts.sum())
+                stamps = reference.random(total)
+                rng = np.random.Generator(make(seed))
+                kinds, ends = [], []
+                for row in counts.tolist():
+                    for n, count in enumerate(row):
+                        kinds += [n] * count
+                    ends.append(len(kinds))
+                assert _creation_draws(rng, rates, periods) == (kinds, ends, stamps.tolist())
+                np.testing.assert_array_equal(
+                    rng.standard_exponential(total + 3),
+                    reference.standard_exponential(total + 3),
+                )
 
 
 class TestSimulateEpisodes:
