@@ -35,7 +35,6 @@ from .domain import (
     state_label,
     strategy_from_bits,
     strategy_from_table,
-    validate_strategy,
 )
 from .errors import (
     ConfigError,
@@ -129,6 +128,5 @@ __all__ = [
     "stationary_distribution",
     "strategy_from_bits",
     "strategy_from_table",
-    "validate_strategy",
     "truncation_tail_bound",
 ]

@@ -64,13 +64,14 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="experiment configuration (JSON)")
         cmd.add_argument("--out", help="output directory (overrides the configuration)")
         cmd.add_argument("--seed", type=int, help="base seed (overrides the configuration)")
-        cmd.add_argument("--workers", type=_positive_int, default=None,
-                         help="worker processes for simulation runs only (default: serial)")
         cmd.add_argument("--format", choices=experiments.OUTPUT_FORMATS,
                          help="output format (overrides the configuration)")
         cmd.add_argument("--no-renormalize", action="store_true",
                          help="keep raw rows with deficits instead of renormalizing")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress logging")
+        if name in ("simulate", "figure2", "figure3"):
+            cmd.add_argument("--workers", type=_positive_int, default=None,
+                             help="worker processes for simulation runs (default: serial)")
         if name == "simulate":
             cmd.add_argument("--traces", action="store_true",
                              help="also write per-run state trajectories")
@@ -93,7 +94,6 @@ def run(args: argparse.Namespace) -> int:
         format_override=args.format,
         renormalize_override=False if args.no_renormalize else None,
     )
-    workers = args.workers
     if args.command == "region":
         docs = [experiments.region_document(cfg)]
     elif args.command == "strategies":
@@ -101,11 +101,11 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "matrix":
         docs = experiments.matrix_documents(cfg)
     elif args.command == "simulate":
-        docs = experiments.empirical_documents(cfg, workers=workers, include_traces=args.traces)
+        docs = experiments.empirical_documents(cfg, workers=args.workers, include_traces=args.traces)
     elif args.command == "figure2":
-        docs = [experiments.figure2_document(cfg, workers=workers)]
+        docs = [experiments.figure2_document(cfg, workers=args.workers)]
     else:
-        docs = [experiments.figure3_document(cfg, workers=workers)]
+        docs = [experiments.figure3_document(cfg, workers=args.workers)]
     for doc in docs:
         paths = serialize.write_document(doc, cfg.out_dir, cfg.out_format)
         for path in paths:

@@ -13,6 +13,7 @@ pool of 1.0) are classified stably.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -127,6 +128,22 @@ class AdmissibilityRegion:
     def index(self, state: State) -> int:
         return self.index_of[state]
 
+    @property
+    def num_types(self) -> int:
+        return len(self.states[0]) if self.states else 0
+
+    @cached_property
+    def creation_mask(self) -> int:
+        """The admissible creations as strategy bits: bit ``row*N + n`` is
+        set iff creating a type-``n+1`` slice in state ``row`` stays in the
+        region. The valid strategies are exactly its submasks."""
+        mask = 0
+        for row, state in enumerate(self.states):
+            for n in range(self.num_types):
+                if apply_request(state, n + 1, True) in self:
+                    mask |= 1 << (row * self.num_types + n)
+        return mask
+
 
 def state_label(state: Sequence[int]) -> str:
     """Render a state as ``s=[n1,...,nN]`` for headers and traces."""
@@ -184,7 +201,7 @@ def apply_request(state: State, request: Request, accept: bool) -> State:
 
 @dataclass(frozen=True)
 class Strategy:
-    """A consistent admission rule over an enumerated region.
+    """A valid admission rule over an enumerated region.
 
     Only creation requests carry a degree of freedom: ``creation_accept`` has
     one row per region state and one column per slice type. Releases are
@@ -192,23 +209,37 @@ class Strategy:
     decision table never needs storing; a region with ``k`` free creation
     decisions therefore stands for ``2**k`` raw accept/decline tables whose
     release bits are all forced to accept.
+
+    Construction raises :class:`InvalidStrategyError` unless the table has
+    that shape and every accepted creation stays in the region, so a
+    strategy that exists is valid.
     """
 
     region: AdmissibilityRegion
     creation_accept: tuple[tuple[bool, ...], ...]
+    # Stable integer id: creation bit (row, type) maps to 2**(row*N + type-1).
+    bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.creation_accept) != len(self.region):
+        region = self.region
+        if len(self.creation_accept) != len(region):
             raise InvalidStrategyError(
                 f"decision table has {len(self.creation_accept)} rows, "
-                f"region has {len(self.region)} states"
+                f"region has {len(region)} states"
             )
-        if len({len(row) for row in self.creation_accept}) > 1:
-            raise InvalidStrategyError("decision table rows differ in length")
+        if any(len(row) != region.num_types for row in self.creation_accept):
+            raise InvalidStrategyError(
+                f"decision table rows must have {region.num_types} columns, one per slice type"
+            )
+        cells = itertools.chain.from_iterable(self.creation_accept)
+        bits = sum(1 << i for i, accept in enumerate(cells) if accept)
+        if bits & ~region.creation_mask:
+            raise InvalidStrategyError("strategy accepts a creation that leaves the region")
+        object.__setattr__(self, "bits", bits)
 
     @property
     def num_types(self) -> int:
-        return len(self.creation_accept[0]) if self.creation_accept else 0
+        return self.region.num_types
 
     def decide(self, request: Request, state: State) -> bool:
         """The accept/decline decision for one request in one state."""
@@ -226,10 +257,8 @@ class Strategy:
 
         ``next_index[i][p]`` is the region index reached from state ``i``
         when a request of kind ``request_kinds(N)[p]`` (``+1..+N`` then
-        ``-1..-N``) is decided. It is ``-1`` where the request has no
-        successor in the region: a release with no active slice of its type,
-        or, in an invalid strategy, an accepted creation that leaves the
-        region. Computed once per strategy object.
+        ``-1..-N``) is decided. It is ``-1`` where a release has no active
+        slice of its type to release. Computed once per strategy object.
         """
         index_of = self.region.index_of
         table = []
@@ -239,20 +268,9 @@ class Strategy:
                 if kind < 0 and state[-kind - 1] == 0:
                     row.append(-1)
                 else:
-                    row.append(index_of.get(apply_request(state, kind, self.decide(kind, state)), -1))
+                    row.append(index_of[apply_request(state, kind, self.decide(kind, state))])
             table.append(tuple(row))
         return tuple(table)
-
-    @property
-    def bits(self) -> int:
-        """Stable integer id: creation bit (row, type) maps to 2**(row*N + type-1)."""
-        num_types = self.num_types
-        value = 0
-        for row_index, row in enumerate(self.creation_accept):
-            for type_index, accept in enumerate(row):
-                if accept:
-                    value |= 1 << (row_index * num_types + type_index)
-        return value
 
 
 def strategy_from_bits(region: AdmissibilityRegion, num_types: int, bits: int) -> Strategy:
@@ -269,50 +287,16 @@ def strategy_from_bits(region: AdmissibilityRegion, num_types: int, bits: int) -
 
 
 def strategy_from_table(region: AdmissibilityRegion, table: Sequence[Sequence[bool]]) -> Strategy:
-    rows = tuple(tuple(bool(x) for x in row) for row in table)
-    widths = {len(row) for row in rows}
-    if len(rows) != len(region) or (rows and widths != {len(rows[0])}):
-        raise InvalidStrategyError("decision table shape does not match the region")
-    return Strategy(region, rows)
+    return Strategy(region, tuple(tuple(bool(x) for x in row) for row in table))
 
 
 def always_accept_strategy(model: ResourceModel, region: AdmissibilityRegion) -> Strategy:
     """Accept every creation whose resulting allocation stays feasible."""
-    table = tuple(
-        tuple(
-            apply_request(state, n + 1, True) in region
-            for n in range(model.num_types)
-        )
-        for state in region.states
-    )
-    return Strategy(region, table)
+    return strategy_from_bits(region, model.num_types, region.creation_mask)
 
 
 def decline_all_strategy(model: ResourceModel, region: AdmissibilityRegion) -> Strategy:
-    table = tuple(tuple(False for _ in range(model.num_types)) for _ in region.states)
-    return Strategy(region, table)
-
-
-def validate_strategy(model: ResourceModel, region: AdmissibilityRegion, strategy: Strategy) -> bool:
-    """Check that a strategy never leads outside the region.
-
-    Releases are accepted by representation, so only accepted creations can
-    escape: the strategy is valid iff every accepted creation lands on a
-    state that is itself in the region. A table whose shape does not cover
-    the whole region raises instead of returning False.
-    """
-    if strategy.region.states != region.states:
-        raise InvalidStrategyError("strategy is defined over a different region")
-    if strategy.num_types != model.num_types:
-        raise InvalidStrategyError(
-            f"decision table covers {strategy.num_types} slice types, model has {model.num_types}"
-        )
-    for state in region.states:
-        row = strategy.creation_accept[region.index_of[state]]
-        for n, accept in enumerate(row):
-            if accept and apply_request(state, n + 1, True) not in region:
-                return False
-    return True
+    return strategy_from_bits(region, model.num_types, 0)
 
 
 def enumerate_valid_strategies(
@@ -322,19 +306,13 @@ def enumerate_valid_strategies(
 ) -> list[Strategy]:
     """All valid strategies, ordered by ascending decision-table bits.
 
-    Validity is per bit: a creation-only table is valid iff every set bit
-    has an in-region target. So the valid tables are exactly the submasks of
-    the ``allowed`` bits, and only those are walked; the cap applies to
-    their number, ``2**popcount(allowed)``. Each table stands for the
+    The valid tables are exactly the submasks of the region's
+    ``creation_mask``, and only those are walked; the cap applies to their
+    number, ``2**popcount(creation_mask)``. Each table stands for the
     ``2**(release bits)`` raw tables that agree on creations, all but one of
     which are ruled out by mandatory release acceptance.
     """
-    num_types = model.num_types
-    allowed = 0
-    for row_index, state in enumerate(region.states):
-        for type_index in range(num_types):
-            if apply_request(state, type_index + 1, True) in region:
-                allowed |= 1 << (row_index * num_types + type_index)
+    allowed = region.creation_mask
     free = allowed.bit_count()
     if (1 << free) > max_candidates:
         raise GuardExceededError(
@@ -343,7 +321,7 @@ def enumerate_valid_strategies(
     valid = []
     bits = 0
     while True:
-        valid.append(strategy_from_bits(region, num_types, bits))
+        valid.append(strategy_from_bits(region, model.num_types, bits))
         if bits == allowed:
             return valid
         bits = (bits - allowed) & allowed

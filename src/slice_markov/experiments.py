@@ -31,10 +31,10 @@ from .domain import (
     enumerate_region,
     enumerate_valid_strategies,
     state_label,
+    strategy_from_bits,
     strategy_from_table,
-    validate_strategy,
 )
-from .errors import ConfigError, InvalidStrategyError
+from .errors import ConfigError
 from .markov import build_transition_matrix, distribution_after, truncation_tail_bound
 from .serialize import TraceRows
 from .simulate import SimConfig, estimate_empirical_matrix, rmse, simulate_episodes
@@ -319,14 +319,16 @@ def resolve_strategy(cfg: ExperimentConfig, region: AdmissibilityRegion | None =
     if spec == "decline-all":
         return decline_all_strategy(cfg.model, region), "decline-all"
     if isinstance(spec, int):
-        strategies = enumerate_valid_strategies(cfg.model, region)
-        if spec >= len(strategies):
-            raise ConfigError(f"strategy id {spec} out of range; {len(strategies)} valid strategies exist")
-        return strategies[spec], f"D{spec}"
-    strategy = strategy_from_table(region, spec)
-    if not validate_strategy(cfg.model, region, strategy):
-        raise InvalidStrategyError("configured strategy table leads outside the region")
-    return strategy, "custom"
+        # Strategy D<id> is the id-th submask of the creation mask in
+        # ascending order: the id's bits, lowest first, placed on the mask's
+        # set bits, lowest first.
+        mask = region.creation_mask
+        free = [bit for bit in range(mask.bit_length()) if mask >> bit & 1]
+        if spec >> len(free):
+            raise ConfigError(f"strategy id {spec} out of range; {1 << len(free)} valid strategies exist")
+        bits = sum(1 << bit for k, bit in enumerate(free) if spec >> k & 1)
+        return strategy_from_bits(region, cfg.model.num_types, bits), f"D{spec}"
+    return strategy_from_table(region, spec), "custom"
 
 
 def _child_seed(base_seed: int, *key: int) -> int:

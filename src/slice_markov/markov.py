@@ -26,7 +26,6 @@ from .domain import (
     Strategy,
     apply_sequence,
     state_label,
-    validate_strategy,
 )
 from .errors import GuardExceededError, InvalidStrategyError, ReducibleChainError
 
@@ -161,8 +160,8 @@ def build_transition_matrix(
         raise ValueError("region is empty")
     if q_plus_max < 1:
         raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
-    if not validate_strategy(model, region, strategy):
-        raise InvalidStrategyError("strategy leads outside the region")
+    if strategy.region != region:
+        raise InvalidStrategyError("strategy is defined over a different region")
     memo = _ORDERING_MEMOS.get(strategy)
     if memo is None:
         memo = _ORDERING_MEMOS[strategy] = {}
@@ -212,8 +211,8 @@ def brute_force_transition_matrix(
     than the memoized builder; intended as an independent check at small
     truncation depths.
     """
-    if not validate_strategy(model, region, strategy):
-        raise InvalidStrategyError("strategy leads outside the region")
+    if strategy.region != region:
+        raise InvalidStrategyError("strategy is defined over a different region")
     if q_plus_max < 1:
         raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
     kinds = request_kinds(scenario.num_types)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import DemandScenario
-from .domain import AdmissibilityRegion, ResourceModel, State, Strategy, validate_strategy
+from .domain import AdmissibilityRegion, ResourceModel, State, Strategy
 from .errors import InvalidStrategyError
 
 
@@ -267,9 +267,9 @@ def run_episode(
     timestamp, through ``strategy.next_index``: column ``n`` is a creation
     of type n+1 and column ``N+n`` its release, the
     :func:`~slice_markov.arrivals.request_kinds` order. A creation is
-    accepted when the index changes. A ``-1`` in the table (a release with
-    no slice to release, or a creation that leaves the region) or a count of
-    slices outliving the horizon that disagrees with the final state is a
+    accepted when the index changes. A ``-1`` met in the table (a release
+    with no slice to release, or a corrupted table) or a count of slices
+    outliving the horizon that disagrees with the final state is a
     bookkeeping bug and aborts.
     """
     if initial_state is None:
@@ -313,7 +313,8 @@ def run_episode(
                 if successor < 0:
                     raise RuntimeError(
                         f"request kind column {column} has no successor from state "
-                        f"{region.states[index]}"
+                        f"{region.states[index]}: a release with no active slice, "
+                        "or a corrupted table"
                     )
                 if column < num_types and successor != index:
                     # The admitted slice's lifetime starts at the next boundary.
@@ -362,8 +363,8 @@ def simulate_episodes(
     Run r always uses the substream (seed, r), so the result is independent
     of execution order and identical across worker counts.
     """
-    if not validate_strategy(model, region, strategy):
-        raise InvalidStrategyError("strategy leads outside the region")
+    if strategy.region != region:
+        raise InvalidStrategyError("strategy is defined over a different region")
     if workers is not None and workers > 1:
         bounds = np.linspace(0, sim.num_runs, min(workers, sim.num_runs) + 1, dtype=int)
         tasks = [

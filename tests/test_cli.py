@@ -298,6 +298,22 @@ class TestExitCodes:
         path = write_config(tmp_path, body)
         assert main(["matrix", "--config", path, "--quiet"]) == 3
 
+    def test_strategy_id_on_large_region(self, tmp_path):
+        # 2**57 valid strategies: an id is resolved without enumerating them.
+        # In state [0,0,0] every creation is admissible, so D5 accepts
+        # creations of types 1 and 3 there and declines all others.
+        config = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs", "n3_matrix.json")
+        with open(config, encoding="utf-8") as handle:
+            body = json.load(handle)
+        body.update(strategy=5, truncation=[1])
+        path = write_config(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["matrix", "--config", path, "--out", str(out), "--format", "json",
+                     "--quiet"]) == 0
+        for name in ("matrix_A_q1.json", "matrix_C_q1.json"):
+            doc = json.loads((out / name).read_text(encoding="utf-8"))
+            assert (doc["strategy"], doc["strategy_bits"]) == ("D5", 0b101)
+
     def test_strategy_enumeration_guard(self, tmp_path):
         body = config_dict(str(tmp_path / "out"))
         body["model"] = {"resource_pool": [30.0], "cost_matrix": [[1.0]]}
@@ -350,6 +366,14 @@ class TestExitCodes:
         config_path, _ = workspace
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate", "--config", str(config_path), "--workers", workers, "--quiet"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["region", "strategies", "matrix"])
+    def test_workers_only_for_simulating_commands(self, workspace, command):
+        # These commands simulate nothing, so they take no worker count.
+        config_path, _ = workspace
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--config", str(config_path), "--workers", "2", "--quiet"])
         assert excinfo.value.code == 2
 
     def test_unknown_command(self):

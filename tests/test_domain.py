@@ -23,7 +23,6 @@ from slice_markov import (
     state_label,
     strategy_from_bits,
     strategy_from_table,
-    validate_strategy,
 )
 
 
@@ -287,27 +286,30 @@ class TestStrategy:
         assert len(valid) == 1
         assert valid[0].decide(+1, (0,)) is False
 
-    def test_validate_accept_everywhere_invalid(self, model, region):
-        greedy = strategy_from_table(region, ((True,),) * 4)
-        assert validate_strategy(model, region, greedy) is False
+    def test_validate_accept_everywhere_invalid(self, region):
+        # Accepting a creation in the full state [3] would leave the region.
+        with pytest.raises(InvalidStrategyError, match="leaves the region"):
+            strategy_from_table(region, ((True,),) * 4)
+        with pytest.raises(InvalidStrategyError, match="leaves the region"):
+            strategy_from_bits(region, 1, 0b1000)
 
-    def test_validate_decline_all_valid(self, model, region, decline_all):
-        assert validate_strategy(model, region, decline_all) is True
+    def test_validate_decline_all_valid(self, decline_all):
+        assert decline_all.bits == 0
 
-    def test_validate_accept_until_full_valid(self, model, region, accept_all):
-        assert validate_strategy(model, region, accept_all) is True
-
-    def test_validate_foreign_region_raises(self, model, region):
-        other = enumerate_region(
-            ResourceModel(resource_pool=(1.0,), cost_matrix=((0.5,),))
-        )
-        foreign = strategy_from_table(other, ((False,),) * len(other))
-        with pytest.raises(InvalidStrategyError):
-            validate_strategy(model, region, foreign)
+    def test_validate_accept_until_full_valid(self, region, accept_all):
+        assert region.creation_mask == 0b0111
+        assert accept_all.bits == region.creation_mask
 
     def test_strategy_from_bits_round_trip(self, region):
-        for bits in range(16):
+        for bits in range(8):
             assert strategy_from_bits(region, 1, bits).bits == bits
+        for bits in range(8, 16):
+            with pytest.raises(InvalidStrategyError):
+                strategy_from_bits(region, 1, bits)
+
+    def test_table_width_must_match_region(self, region):
+        with pytest.raises(InvalidStrategyError, match="columns"):
+            strategy_from_bits(region, 2, 0)
 
     def test_strategy_from_bits_out_of_range(self, region):
         with pytest.raises(InvalidStrategyError):
@@ -331,22 +333,22 @@ class TestStrategy:
     def test_submask_walk_matches_full_scan(self):
         two_type = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),))
         two_region = enumerate_region(two_type)
-        scanned = [
-            bits
-            for bits in range(1 << (2 * len(two_region)))
-            if validate_strategy(two_type, two_region, strategy_from_bits(two_region, 2, bits))
-        ]
+        scanned = []
+        for bits in range(1 << (2 * len(two_region))):
+            try:
+                strategy_from_bits(two_region, 2, bits)
+            except InvalidStrategyError:
+                continue
+            scanned.append(bits)
         walked = [s.bits for s in enumerate_valid_strategies(two_type, two_region)]
         assert walked == scanned
         assert len(walked) == 128
 
-    def test_next_index_tables(self, region, accept_all, decline_all):
+    def test_next_index_tables(self, accept_all, decline_all):
         # Columns follow request_kinds(1) = (+1, -1); -1 marks a release
         # with no active slice.
         assert accept_all.next_index == ((1, -1), (2, 0), (3, 1), (3, 2))
         assert decline_all.next_index == ((0, -1), (1, 0), (2, 1), (3, 2))
-        greedy = strategy_from_table(region, ((True,),) * 4)
-        assert greedy.next_index[3] == (-1, 2)
 
     def test_next_index_agrees_with_apply_request(self, strategies, region):
         for strat in strategies:
@@ -412,7 +414,7 @@ class TestApplySequence:
                 assert final in region
 
     @given(
-        bits=st.integers(min_value=0, max_value=15),
+        bits=st.integers(min_value=0, max_value=7),
         start=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=40, deadline=None)

@@ -17,6 +17,7 @@ from slice_markov import (
     DegenerateModelError,
     InvalidStrategyError,
     default_config_path,
+    enumerate_valid_strategies,
     figure2_document,
     figure3_document,
     load_config,
@@ -56,6 +57,17 @@ def n3_traces_raw(num_runs: int, periods_per_run: int) -> dict:
 
 def n3_config(num_runs: int, periods_per_run: int):
     return parse_config(n3_traces_raw(num_runs, periods_per_run))
+
+
+def two_type_raw() -> dict:
+    """baseline.json with two slice types (costs 0.3 and 0.5 of a pool of
+    1.0): 7 states, 128 valid strategies."""
+    raw = baseline_raw()
+    raw["model"] = {"resource_pool": [1.0], "cost_matrix": [[0.3, 0.5]]}
+    raw["scenarios"] = {"A": {"creation_rates": [1.0, 0.5], "mean_lifetimes": [4.0, 4.0]}}
+    raw["figure2"].update(scenario="A", initial_state=[0, 0])
+    raw["figure3"]["scenarios"] = ["A"]
+    return raw
 
 
 def small_config(**edits):
@@ -369,6 +381,35 @@ class TestGoldenOutputs:
         digests = self.figure_digests(tmp_path, "figure2", out_format)
         assert digests == self.FIGURE_GOLDEN["figure2", out_format]
 
+    # The same for the region and the 128 valid strategies of the two-type
+    # model, which pin the enumeration order and the strategy bits.
+    ENUMERATION_GOLDEN = {
+        ("region", "csv"): {
+            "region.csv": "4fe25506be0fe08b53e70e4a39ea33cfb864cf651d554ce09610f789dd5d4014",
+        },
+        ("region", "json"): {
+            "region.json": "8ff0ab2e58837083b13eba85c0bfd9270c2db2a781cf6d2c6f6e4b992b84ae2f",
+        },
+        ("strategies", "csv"): {
+            "strategies.csv": "f1b530022bfdfad6cec86bc8de6baea5d02d51e58584761efc85b24faa9af1ff",
+        },
+        ("strategies", "json"): {
+            "strategies.json": "b340e30efea0d16777bd9fe58d7e966ab7dd2178e2afea2debbcb973e5e728d2",
+        },
+    }
+
+    @pytest.mark.parametrize("command, out_format", sorted(ENUMERATION_GOLDEN))
+    def test_enumeration_bytes(self, tmp_path, capsys, command, out_format):
+        config = tmp_path / "two_type.json"
+        config.write_text(json.dumps(two_type_raw()), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--quiet", "--out", str(out),
+                "--format", out_format]
+        assert main(argv) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == self.ENUMERATION_GOLDEN[command, out_format]
+
 
 # ---------------------------------------------------------------------------
 # Strategy resolution
@@ -393,6 +434,17 @@ class TestResolveStrategy:
         strategy, label = resolve_strategy(parse_config(raw))
         assert label == "D5"
         assert strategy.bits == 5
+
+    def test_ids_match_enumeration(self, raw):
+        for body, count in ((raw, 8), (two_type_raw(), 128)):
+            cfg = parse_config(body)
+            region = cfg.region()
+            enumerated = enumerate_valid_strategies(cfg.model, region)
+            assert len(enumerated) == count
+            for i, expected in enumerate(enumerated):
+                body["strategy"] = i
+                strategy, label = resolve_strategy(parse_config(body), region)
+                assert (label, strategy) == (f"D{i}", expected)
 
     def test_id_out_of_range(self, raw):
         raw["strategy"] = 8

@@ -117,9 +117,11 @@ class TestBuildTransitionMatrix:
         np.testing.assert_allclose(matrix.probs, np.eye(4), atol=1e-8)
 
     def test_invalid_strategy_rejected(self, model, region, scenario_c):
-        greedy = strategy_from_table(region, ((True,),) * 4)
-        with pytest.raises(InvalidStrategyError):
-            build_transition_matrix(model, region, scenario_c, greedy, q_plus_max=2)
+        other = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.5,),)))
+        foreign = strategy_from_table(other, ((False,),) * len(other))
+        for builder in (build_transition_matrix, brute_force_transition_matrix):
+            with pytest.raises(InvalidStrategyError, match="different region"):
+                builder(model, region, scenario_c, foreign, 2)
 
     def test_nonpositive_truncation_rejected(self, model, region, scenario_c, accept_all):
         with pytest.raises(ValueError):

@@ -172,12 +172,17 @@ class TestRunEpisode:
         assert cap == 333 and expected[-1] == cap and expected[10] < cap
         np.testing.assert_array_equal(trajectory, expected)
 
-    def test_table_hole_aborts(self, region, scenario_a):
-        # Accepting a creation in s=[3] has no successor in the region;
-        # run_episode trusts its caller and stops at the -1 it meets.
-        greedy = strategy_from_table(region, ((True,),) * 4)
-        with pytest.raises(RuntimeError):
-            run_episode(region, scenario_a, greedy, 200, run_rng(27, 0), initial_state=(3,))
+    def test_table_hole_aborts(self, model, region, scenario_a):
+        # A valid strategy's table has a -1 only where a release has no
+        # slice to release. Corrupt the compiled table of a fresh strategy
+        # so that a creation in s=[3] has no successor: run_episode trusts
+        # its table and stops at the -1 it meets.
+        strategy = always_accept_strategy(model, region)
+        table = list(strategy.next_index)
+        table[3] = (-1, 2)
+        strategy.__dict__["next_index"] = tuple(table)
+        with pytest.raises(RuntimeError, match="corrupted"):
+            run_episode(region, scenario_a, strategy, 200, run_rng(27, 0), initial_state=(3,))
 
 
 class TestCreationDraws:
@@ -279,10 +284,11 @@ class TestSimulateEpisodes:
         assert np.all(runs[:, 0] == region.index((3,)))
 
     def test_invalid_strategy_rejected(self, model, region, scenario_c):
-        greedy = strategy_from_table(region, ((True,),) * 4)
+        other = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.5,),)))
+        foreign = strategy_from_table(other, ((False,),) * len(other))
         sim = SimConfig(num_runs=1, periods_per_run=1, seed=18)
-        with pytest.raises(InvalidStrategyError):
-            simulate_episodes(model, region, scenario_c, greedy, sim)
+        with pytest.raises(InvalidStrategyError, match="different region"):
+            simulate_episodes(model, region, scenario_c, foreign, sim)
 
 
 # ---------------------------------------------------------------------------
