@@ -300,6 +300,17 @@ class TestStrategy:
         assert region.creation_mask == 0b0111
         assert accept_all.bits == region.creation_mask
 
+    def test_validate_foreign_region_raises(self, region):
+        # A strategy belongs to the region it was built over; it decides
+        # nothing for the states of another region.
+        other = enumerate_region(
+            ResourceModel(resource_pool=(1.0,), cost_matrix=((0.5,),))
+        )
+        foreign = strategy_from_table(other, ((False,),) * len(other))
+        assert foreign.region != region
+        with pytest.raises(InvalidStrategyError):
+            foreign.decide(+1, (3,))
+
     def test_strategy_from_bits_round_trip(self, region):
         for bits in range(8):
             assert strategy_from_bits(region, 1, bits).bits == bits
