@@ -33,7 +33,6 @@ from .domain import (
     enumerate_region,
     enumerate_valid_strategies,
     state_label,
-    strategy_from_bits,
     strategy_from_table,
 )
 from .errors import (
@@ -126,7 +125,6 @@ __all__ = [
     "simulate_episodes",
     "state_label",
     "stationary_distribution",
-    "strategy_from_bits",
     "strategy_from_table",
     "truncation_tail_bound",
 ]

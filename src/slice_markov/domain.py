@@ -133,16 +133,37 @@ class AdmissibilityRegion:
         return len(self.states[0]) if self.states else 0
 
     @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """The accepted successor of every (state, request kind), as indices.
+
+        ``successors[i][p]`` is the region index reached from state ``i``
+        when a request of kind ``request_kinds(N)[p]`` (``+1..+N`` then
+        ``-1..-N``) is accepted, or ``-1`` where accepting it leaves the
+        region: a creation past the pool, or a release with no active slice
+        of its type.
+        """
+        table = []
+        for state in self.states:
+            row = []
+            for kind in request_kinds(self.num_types):
+                n = abs(kind) - 1
+                moved = state[:n] + (state[n] + (1 if kind > 0 else -1),) + state[n + 1:]
+                row.append(self.index_of.get(moved, -1))
+            table.append(tuple(row))
+        return tuple(table)
+
+    @cached_property
     def creation_mask(self) -> int:
         """The admissible creations as strategy bits: bit ``row*N + n`` is
         set iff creating a type-``n+1`` slice in state ``row`` stays in the
         region. The valid strategies are exactly its submasks."""
-        mask = 0
-        for row, state in enumerate(self.states):
-            for n in range(self.num_types):
-                if apply_request(state, n + 1, True) in self:
-                    mask |= 1 << (row * self.num_types + n)
-        return mask
+        width = self.num_types
+        return sum(
+            1 << (row * width + n)
+            for row, successors in enumerate(self.successors)
+            for n in range(width)
+            if successors[n] >= 0
+        )
 
 
 def state_label(state: Sequence[int]) -> str:
@@ -203,100 +224,78 @@ def apply_request(state: State, request: Request, accept: bool) -> State:
 class Strategy:
     """A valid admission rule over an enumerated region.
 
-    Only creation requests carry a degree of freedom: ``creation_accept`` has
-    one row per region state and one column per slice type. Releases are
-    accepted unconditionally by construction, so the release half of the
-    decision table never needs storing; a region with ``k`` free creation
-    decisions therefore stands for ``2**k`` raw accept/decline tables whose
-    release bits are all forced to accept.
+    Only creation requests carry a degree of freedom: bit ``row*N + n`` of
+    ``bits`` accepts a creation of type ``n+1`` in region state ``row``.
+    Releases are accepted unconditionally by construction, so the release
+    half of the decision table never needs storing; a region with ``k``
+    free creation decisions therefore stands for ``2**k`` raw accept/decline
+    tables whose release bits are all forced to accept.
 
-    Construction raises :class:`InvalidStrategyError` unless the table has
-    that shape and every accepted creation stays in the region, so a
-    strategy that exists is valid.
+    Construction raises :class:`InvalidStrategyError` unless ``bits`` is a
+    submask of the region's ``creation_mask``, so a strategy that exists is
+    valid.
     """
 
     region: AdmissibilityRegion
-    creation_accept: tuple[tuple[bool, ...], ...]
-    # Stable integer id: creation bit (row, type) maps to 2**(row*N + type-1).
-    bits: int = field(init=False, repr=False, compare=False)
+    bits: int
 
     def __post_init__(self):
-        region = self.region
-        if len(self.creation_accept) != len(region):
-            raise InvalidStrategyError(
-                f"decision table has {len(self.creation_accept)} rows, "
-                f"region has {len(region)} states"
-            )
-        if any(len(row) != region.num_types for row in self.creation_accept):
-            raise InvalidStrategyError(
-                f"decision table rows must have {region.num_types} columns, one per slice type"
-            )
-        cells = itertools.chain.from_iterable(self.creation_accept)
-        bits = sum(1 << i for i, accept in enumerate(cells) if accept)
-        if bits & ~region.creation_mask:
+        # A negative value has every bit past the mask set, so it fails too.
+        if self.bits & ~self.region.creation_mask:
             raise InvalidStrategyError("strategy accepts a creation that leaves the region")
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def num_types(self) -> int:
-        return self.region.num_types
 
     def decide(self, request: Request, state: State) -> bool:
         """The accept/decline decision for one request in one state."""
+        width = self.region.num_types
+        if request == 0 or abs(request) > width:
+            raise ValueError(f"request {request!r} does not address a slice type in 1..{width}")
         if request < 0:
             return True
         try:
             row = self.region.index_of[state]
         except KeyError:
             raise InvalidStrategyError(f"strategy not defined for state {state}") from None
-        return self.creation_accept[row][request - 1]
+        return bool(self.bits >> (row * width + request - 1) & 1)
 
     @cached_property
     def next_index(self) -> tuple[tuple[int, ...], ...]:
         """The decided successor of every (state, request kind), as indices.
 
         ``next_index[i][p]`` is the region index reached from state ``i``
-        when a request of kind ``request_kinds(N)[p]`` (``+1..+N`` then
-        ``-1..-N``) is decided. It is ``-1`` where a release has no active
-        slice of its type to release. Computed once per strategy object.
+        when a request of kind ``request_kinds(N)[p]`` is decided: ``i``
+        for a declined creation, the region's ``successors[i][p]`` for
+        everything else, so ``-1`` only where a release has no active slice
+        of its type. Computed once per strategy object.
         """
-        index_of = self.region.index_of
-        table = []
-        for state in self.region.states:
-            row = []
-            for kind in request_kinds(self.num_types):
-                if kind < 0 and state[-kind - 1] == 0:
-                    row.append(-1)
-                else:
-                    row.append(index_of[apply_request(state, kind, self.decide(kind, state))])
-            table.append(tuple(row))
-        return tuple(table)
-
-
-def strategy_from_bits(region: AdmissibilityRegion, num_types: int, bits: int) -> Strategy:
-    """Inverse of :attr:`Strategy.bits`."""
-    if bits < 0 or bits >= 1 << (len(region) * num_types):
-        raise InvalidStrategyError(
-            f"bits {bits} outside [0, 2**{len(region) * num_types})"
+        width = self.region.num_types
+        return tuple(
+            tuple(
+                i if p < width and not self.bits >> (i * width + p) & 1 else successor
+                for p, successor in enumerate(row)
+            )
+            for i, row in enumerate(self.region.successors)
         )
-    table = tuple(
-        tuple(bool(bits >> (row * num_types + col) & 1) for col in range(num_types))
-        for row in range(len(region))
-    )
-    return Strategy(region, table)
 
 
 def strategy_from_table(region: AdmissibilityRegion, table: Sequence[Sequence[bool]]) -> Strategy:
-    return Strategy(region, tuple(tuple(bool(x) for x in row) for row in table))
+    """The strategy whose decision table has one row per region state and
+    one accept flag per slice type in each row."""
+    if len(table) != len(region) or any(len(row) != region.num_types for row in table):
+        raise InvalidStrategyError(
+            f"decision table must have {len(region)} rows of {region.num_types} columns, "
+            "one row per state and one column per slice type"
+        )
+    cells = itertools.chain.from_iterable(table)
+    return Strategy(region, sum(1 << i for i, accept in enumerate(cells) if accept))
 
 
 def always_accept_strategy(model: ResourceModel, region: AdmissibilityRegion) -> Strategy:
     """Accept every creation whose resulting allocation stays feasible."""
-    return strategy_from_bits(region, model.num_types, region.creation_mask)
+    return Strategy(region, region.creation_mask)
 
 
 def decline_all_strategy(model: ResourceModel, region: AdmissibilityRegion) -> Strategy:
-    return strategy_from_bits(region, model.num_types, 0)
+    return Strategy(region, 0)
 
 
 def enumerate_valid_strategies(
@@ -321,7 +320,7 @@ def enumerate_valid_strategies(
     valid = []
     bits = 0
     while True:
-        valid.append(strategy_from_bits(region, model.num_types, bits))
+        valid.append(Strategy(region, bits))
         if bits == allowed:
             return valid
         bits = (bits - allowed) & allowed

@@ -31,7 +31,6 @@ from .domain import (
     enumerate_region,
     enumerate_valid_strategies,
     state_label,
-    strategy_from_bits,
     strategy_from_table,
 )
 from .errors import ConfigError
@@ -327,7 +326,7 @@ def resolve_strategy(cfg: ExperimentConfig, region: AdmissibilityRegion | None =
         if spec >> len(free):
             raise ConfigError(f"strategy id {spec} out of range; {1 << len(free)} valid strategies exist")
         bits = sum(1 << bit for k, bit in enumerate(free) if spec >> k & 1)
-        return strategy_from_bits(region, cfg.model.num_types, bits), f"D{spec}"
+        return Strategy(region, bits), f"D{spec}"
     return strategy_from_table(region, spec), "custom"
 
 
@@ -354,9 +353,12 @@ def region_document(cfg: ExperimentConfig) -> dict:
 def strategies_document(cfg: ExperimentConfig) -> dict:
     region = cfg.region()
     strategies = enumerate_valid_strategies(cfg.model, region)
+    width = region.num_types
     rows = []
     for i, strategy in enumerate(strategies):
-        table = "|".join("".join("1" if b else "0" for b in row) for row in strategy.creation_accept)
+        # The decision table, one 0/1 group per state: bit row*N + n, lowest first.
+        cells = "".join(str(strategy.bits >> k & 1) for k in range(len(region) * width))
+        table = "|".join(cells[row:row + width] for row in range(0, len(cells), width))
         rows.append([f"D{i}", strategy.bits, table])
     return {
         "kind": "strategies",

@@ -27,7 +27,7 @@ from .domain import (
     apply_sequence,
     state_label,
 )
-from .errors import GuardExceededError, InvalidStrategyError, ReducibleChainError
+from .errors import ConfigError, GuardExceededError, InvalidStrategyError, ReducibleChainError
 
 ROW_SUM_TOL = 1e-12
 
@@ -55,6 +55,8 @@ class TransitionMatrix:
             raise ValueError(f"matrix shape {self.probs.shape} does not match region size {size}")
         if self.row_deficits.shape != (size,):
             raise ValueError("row_deficits must have one entry per region state")
+        if not (np.all(np.isfinite(self.probs)) and np.all(np.isfinite(self.row_deficits))):
+            raise ValueError("matrix entries and row deficits must be finite")
         if np.any(self.probs < -ROW_SUM_TOL) or np.any(self.probs > 1 + ROW_SUM_TOL):
             raise ValueError("matrix entries must lie in [0, 1]")
         if np.any(self.row_deficits < -ROW_SUM_TOL):
@@ -133,6 +135,37 @@ def _ordering_distribution(
     return result
 
 
+def _check_build_arguments(region: AdmissibilityRegion, strategy: Strategy, q_plus_max: int) -> None:
+    """The argument checks both builders make."""
+    if len(region) == 0:
+        raise ValueError("region is empty")
+    if q_plus_max < 1:
+        raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
+    if strategy.region != region:
+        raise InvalidStrategyError("strategy is defined over a different region")
+
+
+def _finish_build(
+    probs: np.ndarray, region: AdmissibilityRegion, q_plus_max: int, renormalize: bool
+) -> TransitionMatrix:
+    """Record each raw row's deficit and, if asked, scale the rows to sum
+    to one. A row that kept no mass at all below the cap (every bag's mass
+    underflowed) cannot be scaled, and is refused rather than turned into
+    NaN."""
+    sums = probs.sum(axis=1)
+    deficits = 1.0 - sums
+    if renormalize:
+        empty = np.flatnonzero(sums <= 0.0)
+        if empty.size:
+            raise ConfigError(
+                f"row {state_label(region.states[empty[0]])} keeps no probability mass at "
+                f"q_plus_max={q_plus_max}, so it cannot be renormalized; raise q_plus_max "
+                "or keep the raw rows"
+            )
+        probs = probs / sums[:, None]
+    return TransitionMatrix(probs=probs, region=region, renormalized=renormalize, row_deficits=deficits)
+
+
 def build_transition_matrix(
     model: ResourceModel,
     region: AdmissibilityRegion,
@@ -156,12 +189,7 @@ def build_transition_matrix(
     The ordering distributions come from the strategy's shared memo, so a
     later build with the same strategy reuses every sub-bag already solved.
     """
-    if len(region) == 0:
-        raise ValueError("region is empty")
-    if q_plus_max < 1:
-        raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
-    if strategy.region != region:
-        raise InvalidStrategyError("strategy is defined over a different region")
+    _check_build_arguments(region, strategy, q_plus_max)
     memo = _ORDERING_MEMOS.get(strategy)
     if memo is None:
         memo = _ORDERING_MEMOS[strategy] = {}
@@ -186,11 +214,7 @@ def build_transition_matrix(
             for final, weight in zip(finals, weights):
                 row[final] += bag_prob * weight
         probs[row_index] = row
-    sums = probs.sum(axis=1)
-    deficits = 1.0 - sums
-    if renormalize:
-        probs = probs / sums[:, None]
-    return TransitionMatrix(probs=probs, region=region, renormalized=renormalize, row_deficits=deficits)
+    return _finish_build(probs, region, q_plus_max, renormalize)
 
 
 def brute_force_transition_matrix(
@@ -211,10 +235,7 @@ def brute_force_transition_matrix(
     than the memoized builder; intended as an independent check at small
     truncation depths.
     """
-    if strategy.region != region:
-        raise InvalidStrategyError("strategy is defined over a different region")
-    if q_plus_max < 1:
-        raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
+    _check_build_arguments(region, strategy, q_plus_max)
     kinds = request_kinds(scenario.num_types)
     size = len(region)
     probs = np.zeros((size, size))
@@ -229,11 +250,7 @@ def brute_force_transition_matrix(
             for ordering in itertools.permutations(bag):
                 final = apply_sequence(state, ordering, strategy)
                 probs[row_index, region.index_of[final]] += sequence_prob(scenario, ordering, state)
-    sums = probs.sum(axis=1)
-    deficits = 1.0 - sums
-    if renormalize:
-        probs = probs / sums[:, None]
-    return TransitionMatrix(probs=probs, region=region, renormalized=renormalize, row_deficits=deficits)
+    return _finish_build(probs, region, q_plus_max, renormalize)
 
 
 def truncation_tail_bound(scenario: DemandScenario, q_plus_max: int) -> float:

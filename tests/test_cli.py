@@ -325,9 +325,23 @@ class TestExitCodes:
         ("figure3", lambda body: body["figure3"].update(scenarios=[{"C": 1}])),
         ("matrix", lambda body: body["scenarios"].update({"x/y": body["scenarios"]["C"]})),
         ("simulate", lambda body: body["sim"].update(initial_state=[5])),
-    ], ids=["figure2-scenario-array", "figure3-scenario-object", "slash-in-name", "start-outside-region"])
+        ("region", lambda body: body["model"].update(resource_pool=1.0)),
+        ("region", lambda body: body["model"].update(cost_matrix=[["0.3"]])),
+        ("region", lambda body: body["scenarios"]["C"].update(creation_rates=[10 ** 400])),
+        ("matrix", lambda body: body.update(strategy=True)),
+        ("matrix", lambda body: body.update(strategy=1.5)),
+        ("matrix", lambda body: body.update(truncation=[])),
+        ("region", lambda body: body["model"].update(resource_pool=[-1.0])),
+        ("region", lambda body: body.update(scenarios={})),
+        ("matrix", lambda body: body.update(renormalize=1)),
+        ("figure3", lambda body: body["figure3"].update(scenarios=[])),
+        ("region", lambda body: body["output"].update(dir="")),
+    ], ids=["figure2-scenario-array", "figure3-scenario-object", "slash-in-name", "start-outside-region",
+            "number-for-array", "string-for-number", "overflowing-number", "strategy-true",
+            "strategy-float", "empty-truncation", "negative-pool", "no-scenarios", "renormalize-int",
+            "figure3-no-scenarios", "empty-output-dir"])
     def test_outside_input_is_a_configuration_error(self, tmp_path, command, edit):
-        # Each of these used to escape as a TypeError, FileNotFoundError or
+        # The first four used to escape as a TypeError, FileNotFoundError or
         # ValueError traceback instead of a configuration error.
         body = config_dict(str(tmp_path / "out"))
         edit(body)
@@ -338,6 +352,23 @@ class TestExitCodes:
         path = write_config(tmp_path, body)
         assert main([command, "--config", path, "--quiet"]) == 2
         assert not (tmp_path / "out").exists()
+
+    def test_zero_kept_mass_is_a_configuration_error(self, tmp_path):
+        # At rate 800 every Poisson mass up to the cap underflows to 0, so
+        # no row keeps any mass to renormalize; nothing is written.
+        body = config_dict(str(tmp_path / "out"))
+        body["scenarios"] = {"C": {"creation_rates": [800.0], "mean_lifetimes": [4.0]}}
+        body.update(truncation=[2])
+        path = write_config(tmp_path, body)
+        for command in ("matrix", "figure2"):
+            assert main([command, "--config", path, "--quiet"]) == 2
+            assert not (tmp_path / "out").exists()
+        # Raw rows are all zero with deficit 1, and are written as such.
+        assert main(["matrix", "--config", path, "--no-renormalize", "--quiet"]) == 0
+        for name in os.listdir(tmp_path / "out"):
+            text = (tmp_path / "out" / name).read_text(encoding="utf-8")
+            assert "nan" not in text.lower()
+            assert "s=[0],0,0,0,0,1" in text
 
     def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
         config_path, _ = workspace
@@ -361,7 +392,7 @@ class TestExitCodes:
             main(["region"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("workers", ["0", "-3", "abc"])
     def test_worker_count_below_one_is_a_usage_error(self, workspace, workers):
         config_path, _ = workspace
         with pytest.raises(SystemExit) as excinfo:

@@ -14,14 +14,15 @@ from slice_markov import (
     GuardExceededError,
     InvalidStrategyError,
     ResourceModel,
+    Strategy,
     always_accept_strategy,
     apply_request,
     apply_sequence,
     check_feasible,
     enumerate_region,
     enumerate_valid_strategies,
+    request_kinds,
     state_label,
-    strategy_from_bits,
     strategy_from_table,
 )
 
@@ -260,10 +261,10 @@ class TestStrategy:
         assert [s.bits for s in strategies] == [0, 1, 2, 3, 4, 5, 6, 7]
 
     def test_decline_all_is_first(self, strategies, decline_all):
-        assert strategies[0].creation_accept == decline_all.creation_accept
+        assert strategies[0] == decline_all
 
     def test_always_accept_is_last(self, strategies, accept_all):
-        assert strategies[-1].creation_accept == accept_all.creation_accept
+        assert strategies[-1] == accept_all
 
     def test_always_accept_declines_only_at_full_state(self, accept_all, region):
         for state in region.states:
@@ -279,6 +280,12 @@ class TestStrategy:
         with pytest.raises(InvalidStrategyError):
             accept_all.decide(+1, (9,))
 
+    @pytest.mark.parametrize("request_kind", [0, +2, -2])
+    def test_decide_unknown_request_raises(self, accept_all, request_kind):
+        # Bit row*N + n belongs to another state when n falls outside 1..N.
+        with pytest.raises(ValueError, match="does not address a slice type"):
+            accept_all.decide(request_kind, (0,))
+
     def test_zero_pool_model_has_one_strategy(self):
         empty = ResourceModel(resource_pool=(0.0,), cost_matrix=((0.3,),))
         found = enumerate_region(empty)
@@ -291,7 +298,7 @@ class TestStrategy:
         with pytest.raises(InvalidStrategyError, match="leaves the region"):
             strategy_from_table(region, ((True,),) * 4)
         with pytest.raises(InvalidStrategyError, match="leaves the region"):
-            strategy_from_bits(region, 1, 0b1000)
+            Strategy(region, 0b1000)
 
     def test_validate_decline_all_valid(self, decline_all):
         assert decline_all.bits == 0
@@ -313,20 +320,23 @@ class TestStrategy:
 
     def test_strategy_from_bits_round_trip(self, region):
         for bits in range(8):
-            assert strategy_from_bits(region, 1, bits).bits == bits
+            assert Strategy(region, bits).bits == bits
+            assert Strategy(region, bits) == strategy_from_table(
+                region, [[bits >> row & 1] for row in range(len(region))]
+            )
         for bits in range(8, 16):
             with pytest.raises(InvalidStrategyError):
-                strategy_from_bits(region, 1, bits)
+                Strategy(region, bits)
 
     def test_table_width_must_match_region(self, region):
         with pytest.raises(InvalidStrategyError, match="columns"):
-            strategy_from_bits(region, 2, 0)
+            strategy_from_table(region, ((False, False),) * len(region))
 
     def test_strategy_from_bits_out_of_range(self, region):
         with pytest.raises(InvalidStrategyError):
-            strategy_from_bits(region, 1, 16)
+            Strategy(region, 16)
         with pytest.raises(InvalidStrategyError):
-            strategy_from_bits(region, 1, -1)
+            Strategy(region, -1)
 
     def test_strategy_from_table_shape_checked(self, region):
         with pytest.raises(InvalidStrategyError):
@@ -347,7 +357,7 @@ class TestStrategy:
         scanned = []
         for bits in range(1 << (2 * len(two_region))):
             try:
-                strategy_from_bits(two_region, 2, bits)
+                Strategy(two_region, bits)
             except InvalidStrategyError:
                 continue
             scanned.append(bits)
@@ -355,11 +365,37 @@ class TestStrategy:
         assert walked == scanned
         assert len(walked) == 128
 
-    def test_next_index_tables(self, accept_all, decline_all):
+    def test_next_index_tables(self, region, accept_all, decline_all):
         # Columns follow request_kinds(1) = (+1, -1); -1 marks a release
-        # with no active slice.
+        # with no active slice or, in the region's table, a creation past
+        # the pool.
+        assert region.successors == ((1, -1), (2, 0), (3, 1), (-1, 2))
         assert accept_all.next_index == ((1, -1), (2, 0), (3, 1), (3, 2))
         assert decline_all.next_index == ((0, -1), (1, 0), (2, 1), (3, 2))
+
+    @pytest.mark.parametrize("pool, costs", [
+        ((1.0,), ((0.3,),)),
+        ((1.0,), ((0.3, 0.5),)),
+        ((2.0,), ((0.3, 0.5, 0.7),)),  # the N=3 model of perfbench's n3_matrix.json
+    ], ids=["N1", "N2", "N3"])
+    def test_successors_agree_with_apply_request(self, pool, costs):
+        found = enumerate_region(ResourceModel(resource_pool=pool, cost_matrix=costs))
+        kinds = request_kinds(found.num_types)
+        for i, state in enumerate(found.states):
+            expected = []
+            for kind in kinds:
+                try:
+                    reached = apply_request(state, kind, True)
+                except ValueError:
+                    reached = None  # a release with no active slice
+                expected.append(found.index_of.get(reached, -1))
+            assert found.successors[i] == tuple(expected)
+        assert found.creation_mask == sum(
+            1 << (i * found.num_types + n)
+            for i, state in enumerate(found.states)
+            for n in range(found.num_types)
+            if apply_request(state, n + 1, True) in found
+        )
 
     def test_next_index_agrees_with_apply_request(self, strategies, region):
         for strat in strategies:
@@ -402,7 +438,7 @@ class TestApplySequence:
         # Accept creations only in state [1]: processing [+1, -1] from [1]
         # climbs to [2] then releases back to [1], while [-1, +1] drops to
         # [0] where the creation is declined.
-        picky = strategy_from_bits(region, 1, 0b0010)
+        picky = Strategy(region, 0b0010)
         create_first = apply_sequence((1,), (+1, -1), picky)
         release_first = apply_sequence((1,), (-1, +1), picky)
         assert create_first == (1,)
@@ -432,7 +468,7 @@ class TestApplySequence:
     def test_declined_creations_never_change_state(self, bits, start):
         reference = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3,),))
         found = enumerate_region(reference)
-        strat = strategy_from_bits(found, 1, bits)
+        strat = Strategy(found, bits)
         state = found.states[start]
         if not strat.decide(+1, state):
             assert apply_sequence(state, (+1,), strat) == state

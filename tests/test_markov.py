@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from slice_markov import (
+    ConfigError,
     DemandScenario,
     GuardExceededError,
     InvalidStrategyError,
@@ -204,6 +205,17 @@ class TestTruncation:
             sums.append(raw.probs.sum(axis=1)[0])
         assert all(a < b for a, b in zip(sums, sums[1:]))
 
+    def test_zero_kept_mass_is_not_renormalized(self, model, region, accept_all):
+        # exp(-800) underflows, so no bag below the cap keeps any mass and
+        # every raw row is zero; scaling one to sum to 1 would divide 0 by 0.
+        flood = DemandScenario(creation_rates=(800.0,), mean_lifetimes=(4.0,))
+        for builder in (build_transition_matrix, brute_force_transition_matrix):
+            with pytest.raises(ConfigError, match=r"row s=\[0\] .*q_plus_max=2"):
+                builder(model, region, flood, accept_all, 2)
+            raw = builder(model, region, flood, accept_all, 2, renormalize=False)
+            assert not raw.probs.any()
+            np.testing.assert_array_equal(raw.row_deficits, np.ones(len(region)))
+
     def test_tail_bound_decreases_with_depth(self, scenario_a):
         bounds = [truncation_tail_bound(scenario_a, q) for q in range(1, 7)]
         assert all(a > b for a, b in zip(bounds, bounds[1:]))
@@ -317,6 +329,24 @@ class TestTransitionMatrixContainer:
                 region=region,
                 renormalized=True,
                 row_deficits=np.zeros(4),
+            )
+
+    @pytest.mark.parametrize("probs, renormalized, deficits, match", [
+        (np.eye(4), True, np.zeros(3), "one entry per region state"),
+        (np.eye(4), True, np.array([0.0, -0.1, 0.0, 0.0]), "nonnegative"),
+        (np.full((4, 4), 0.3), False, np.zeros(4), "at most 1"),
+        (np.full((4, 4), np.nan), True, np.zeros(4), "finite"),
+        (np.full((4, 4), np.nan), False, np.ones(4), "finite"),
+        (np.eye(4), True, np.array([0.0, np.inf, 0.0, 0.0]), "finite"),
+    ], ids=["deficit-shape", "negative-deficit", "raw-row-sum", "nan-entries", "raw-nan-entries",
+            "infinite-deficit"])
+    def test_malformed_container_rejected(self, region, probs, renormalized, deficits, match):
+        with pytest.raises(ValueError, match=match):
+            TransitionMatrix(
+                probs=probs,
+                region=region,
+                renormalized=renormalized,
+                row_deficits=deficits,
             )
 
     def test_shape_mismatch_rejected(self, region):
