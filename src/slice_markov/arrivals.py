@@ -84,11 +84,13 @@ def release_pmf(mean_lifetime: float, active: int, count: int) -> float:
     if active == 0:
         return 1.0
     log_release = math.log(-math.expm1(-1.0 / mean_lifetime))
-    log_survive = -1.0 / mean_lifetime
+    # With no survivors the survival factor is 1, also where a tiny mean
+    # lifetime makes log_survive -inf (0 * -inf would be NaN).
+    log_survive = (active - count) * (-1.0 / mean_lifetime) if count < active else 0.0
     log_choose = (
         math.lgamma(active + 1) - math.lgamma(count + 1) - math.lgamma(active - count + 1)
     )
-    return math.exp(log_choose + count * log_release + (active - count) * log_survive)
+    return math.exp(log_choose + count * log_release + log_survive)
 
 
 def arrival_pmf(scenario: DemandScenario, kind: int, count: int, state: State) -> float:

@@ -78,14 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_to_stdout(doc: dict, out_format: str) -> None:
-    if out_format == "json":
-        sys.stdout.write(serialize.render_json(doc))
-    else:
-        for text in serialize.render_csv(doc).values():
-            sys.stdout.write(text)
-
-
 def run(args: argparse.Namespace) -> int:
     cfg = experiments.load_config(
         args.config,
@@ -111,7 +103,7 @@ def run(args: argparse.Namespace) -> int:
         for path in paths:
             log.info("wrote %s", path)
     if args.command in ("region", "strategies"):
-        _print_to_stdout(docs[0], cfg.out_format)
+        serialize.dump(docs[0], sys.stdout, cfg.out_format)
     return 0
 
 

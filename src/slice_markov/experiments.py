@@ -336,18 +336,22 @@ def _child_seed(base_seed: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _document(kind: str, cfg: ExperimentConfig, **fields) -> dict:
+    """A result document: its kind, the configuration hash and the base
+    seed, then its own fields."""
+    return {"kind": kind, "config_hash": cfg.config_hash(), "seed": cfg.sim.seed, **fields}
+
+
 def region_document(cfg: ExperimentConfig) -> dict:
     region = cfg.region()
-    return {
-        "kind": "region",
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.sim.seed,
-        "resource_pool": [float(r) for r in cfg.model.resource_pool],
-        "cost_matrix": [[float(c) for c in row] for row in cfg.model.cost_matrix],
-        "size": len(region),
-        "columns": ["index", "label"] + [f"type_{n + 1}" for n in range(cfg.model.num_types)],
-        "rows": [[i, state_label(s), *s] for i, s in enumerate(region.states)],
-    }
+    return _document(
+        "region", cfg,
+        resource_pool=[float(r) for r in cfg.model.resource_pool],
+        cost_matrix=[[float(c) for c in row] for row in cfg.model.cost_matrix],
+        size=len(region),
+        columns=["index", "label"] + [f"type_{n + 1}" for n in range(cfg.model.num_types)],
+        rows=[[i, state_label(s), *s] for i, s in enumerate(region.states)],
+    )
 
 
 def strategies_document(cfg: ExperimentConfig) -> dict:
@@ -360,15 +364,13 @@ def strategies_document(cfg: ExperimentConfig) -> dict:
         cells = "".join(str(strategy.bits >> k & 1) for k in range(len(region) * width))
         table = "|".join(cells[row:row + width] for row in range(0, len(cells), width))
         rows.append([f"D{i}", strategy.bits, table])
-    return {
-        "kind": "strategies",
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.sim.seed,
-        "count": len(strategies),
-        "state_labels": [state_label(s) for s in region.states],
-        "columns": ["id", "bits", "creation_accept"],
-        "rows": rows,
-    }
+    return _document(
+        "strategies", cfg,
+        count=len(strategies),
+        state_labels=[state_label(s) for s in region.states],
+        columns=["id", "bits", "creation_accept"],
+        rows=rows,
+    )
 
 
 def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
@@ -383,22 +385,20 @@ def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
             matrix = build_transition_matrix(
                 cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize
             )
-            docs.append({
-                "kind": "matrix",
-                "config_hash": cfg.config_hash(),
-                "seed": cfg.sim.seed,
-                "scenario": name,
-                "creation_rates": list(scenario.creation_rates),
-                "mean_lifetimes": list(scenario.mean_lifetimes),
-                "strategy": label,
-                "strategy_bits": strategy.bits,
-                "q_plus_max": q,
-                "renormalized": matrix.renormalized,
-                "labels": labels,
-                "entries": [[float(x) for x in row] for row in matrix.probs],
-                "row_deficits": [float(x) for x in matrix.row_deficits],
-                "deficit_bound": truncation_tail_bound(scenario, q),
-            })
+            docs.append(_document(
+                "matrix", cfg,
+                scenario=name,
+                creation_rates=list(scenario.creation_rates),
+                mean_lifetimes=list(scenario.mean_lifetimes),
+                strategy=label,
+                strategy_bits=strategy.bits,
+                q_plus_max=q,
+                renormalized=matrix.renormalized,
+                labels=labels,
+                entries=[[float(x) for x in row] for row in matrix.probs],
+                row_deficits=[float(x) for x in matrix.row_deficits],
+                deficit_bound=truncation_tail_bound(scenario, q),
+            ))
     return docs
 
 
@@ -421,34 +421,30 @@ def empirical_documents(
         log.info("simulated scenario %s: %d runs x %d periods in %.1fs",
                  name, sim.num_runs, sim.periods_per_run, time.perf_counter() - started)
         empirical = estimate_empirical_matrix(region, trajectories)
-        docs.append({
-            "kind": "empirical",
-            "config_hash": cfg.config_hash(),
-            "seed": cfg.sim.seed,
-            "scenario_seed": seed,
-            "scenario": name,
-            "strategy": label,
-            "strategy_bits": strategy.bits,
-            "num_runs": sim.num_runs,
-            "periods_per_run": sim.periods_per_run,
-            "labels": labels,
-            "counts": [[int(c) for c in row] for row in empirical.counts],
-            "entries": [[float(x) for x in row] for row in empirical.probs],
-            "visits": [int(v) for v in empirical.visits],
-            "zero_visit_rows": list(empirical.zero_visit_rows),
-        })
+        docs.append(_document(
+            "empirical", cfg,
+            scenario_seed=seed,
+            scenario=name,
+            strategy=label,
+            strategy_bits=strategy.bits,
+            num_runs=sim.num_runs,
+            periods_per_run=sim.periods_per_run,
+            labels=labels,
+            counts=[[int(c) for c in row] for row in empirical.counts],
+            entries=[[float(x) for x in row] for row in empirical.probs],
+            visits=[int(v) for v in empirical.visits],
+            zero_visit_rows=list(empirical.zero_visit_rows),
+        ))
         if include_traces:
-            docs.append({
-                "kind": "traces",
-                "config_hash": cfg.config_hash(),
-                "seed": cfg.sim.seed,
-                "scenario_seed": seed,
-                "scenario": name,
-                "strategy": label,
-                "labels": labels,
-                "columns": ["run", "period", "state_index", "state_label"],
-                "rows": TraceRows(trajectories, labels),
-            })
+            docs.append(_document(
+                "traces", cfg,
+                scenario_seed=seed,
+                scenario=name,
+                strategy=label,
+                labels=labels,
+                columns=["run", "period", "state_index", "state_label"],
+                rows=TraceRows(trajectories, labels),
+            ))
     return docs
 
 
@@ -480,20 +476,18 @@ def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         for i, s in enumerate(region.states):
             stderr = float(np.sqrt(empirical[i] * (1.0 - empirical[i]) / proto.episodes))
             rows.append([t, i, state_label(s), float(analytical[i]), float(empirical[i]), stderr])
-    return {
-        "kind": "figure2",
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.sim.seed,
-        "scenario": proto.scenario,
-        "strategy": label,
-        "strategy_bits": strategy.bits,
-        "q_plus_max": proto.q_plus_max,
-        "episodes": proto.episodes,
-        "periods": proto.periods,
-        "initial_state": list(proto.initial_state),
-        "columns": ["period", "state_index", "state_label", "analytical", "empirical", "stderr"],
-        "rows": rows,
-    }
+    return _document(
+        "figure2", cfg,
+        scenario=proto.scenario,
+        strategy=label,
+        strategy_bits=strategy.bits,
+        q_plus_max=proto.q_plus_max,
+        episodes=proto.episodes,
+        periods=proto.periods,
+        initial_state=list(proto.initial_state),
+        columns=["period", "state_index", "state_label", "analytical", "empirical", "stderr"],
+        rows=rows,
+    )
 
 
 def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
@@ -535,16 +529,14 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         log.info("scenario %s: %d strategies x %d depths in %.1fs; mean error %s",
                  name, len(strategies), len(proto.q_plus_max), time.perf_counter() - started,
                  " ".join(f"q{q}=%.3e" % float(np.mean(errors[q])) for q in proto.q_plus_max))
-    return {
-        "kind": "figure3",
-        "config_hash": cfg.config_hash(),
-        "seed": cfg.sim.seed,
-        "renormalized": cfg.renormalize,
-        "num_runs": proto.num_runs,
-        "periods_per_run": proto.periods_per_run,
-        "strategy_count": len(strategies),
-        "columns": ["scenario", "strategy_id", "strategy_bits", "q_plus_max", "epsilon", "unvisited_rows"],
-        "rows": rows,
-        "summary_columns": ["scenario", "q_plus_max", "mean_epsilon", "var_epsilon"],
-        "summary_rows": summary_rows,
-    }
+    return _document(
+        "figure3", cfg,
+        renormalized=cfg.renormalize,
+        num_runs=proto.num_runs,
+        periods_per_run=proto.periods_per_run,
+        strategy_count=len(strategies),
+        columns=["scenario", "strategy_id", "strategy_bits", "q_plus_max", "epsilon", "unvisited_rows"],
+        rows=rows,
+        summary_columns=["scenario", "q_plus_max", "mean_epsilon", "var_epsilon"],
+        summary_rows=summary_rows,
+    )

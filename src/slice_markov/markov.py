@@ -149,18 +149,19 @@ def _finish_build(
     probs: np.ndarray, region: AdmissibilityRegion, q_plus_max: int, renormalize: bool
 ) -> TransitionMatrix:
     """Record each raw row's deficit and, if asked, scale the rows to sum
-    to one. A row that kept no mass at all below the cap (every bag's mass
-    underflowed) cannot be scaled, and is refused rather than turned into
-    NaN."""
+    to one. A row that kept less mass below the cap than the smallest normal
+    double is refused: its bag masses underflowed to subnormals (or to 0),
+    which keep too few digits for the scaled row to be right, or to be a
+    number at all."""
     sums = probs.sum(axis=1)
     deficits = 1.0 - sums
     if renormalize:
-        empty = np.flatnonzero(sums <= 0.0)
-        if empty.size:
+        starved = np.flatnonzero(sums < np.finfo(float).tiny)
+        if starved.size:
             raise ConfigError(
-                f"row {state_label(region.states[empty[0]])} keeps no probability mass at "
-                f"q_plus_max={q_plus_max}, so it cannot be renormalized; raise q_plus_max "
-                "or keep the raw rows"
+                f"row {state_label(region.states[starved[0]])} keeps less than the smallest normal "
+                f"double of probability mass at q_plus_max={q_plus_max}, so it cannot be renormalized; "
+                "raise q_plus_max or keep the raw rows"
             )
         probs = probs / sums[:, None]
     return TransitionMatrix(probs=probs, region=region, renormalized=renormalize, row_deficits=deficits)

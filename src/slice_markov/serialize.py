@@ -14,10 +14,6 @@ import io
 import json
 import os
 
-_TABLE_FIELDS = {"columns", "rows", "summary_columns", "summary_rows", "labels",
-                 "state_labels", "entries", "counts", "visits", "row_deficits",
-                 "zero_visit_rows"}
-
 
 def format_value(value) -> str:
     if isinstance(value, bool):
@@ -28,12 +24,9 @@ def format_value(value) -> str:
 
 
 def _comment_lines(doc: dict) -> list[str]:
-    keys = [k for k, v in doc.items()
-            if k not in _TABLE_FIELDS and isinstance(v, (str, int, float, bool))]
-    keys.remove("config_hash")
-    keys.remove("kind")
-    ordered = ["kind", "config_hash"] + sorted(keys)
-    lines = [f"# {key}={format_value(doc[key])}" for key in ordered]
+    keys = sorted(k for k, v in doc.items()
+                  if isinstance(v, (str, int, float, bool)) and k not in ("kind", "config_hash"))
+    lines = [f"# {key}={format_value(doc[key])}" for key in ("kind", "config_hash", *keys)]
     for key in ("initial_state", "creation_rates", "mean_lifetimes", "resource_pool", "cost_matrix"):
         if key in doc:
             lines.append(f"# {key}={json.dumps(doc[key])}")
@@ -121,46 +114,30 @@ def _write_table(out, doc: dict, columns, rows) -> None:
 
 def _csv_tables(doc: dict) -> dict[str, tuple]:
     """The CSV tables of a document, keyed by filename suffix ("" for the
-    main file), each as the ``(columns, rows)`` of ``_write_table``."""
+    main file), each as the ``(columns, rows)`` of ``_write_table``. A
+    matrix row is its label, its entries, then its deficit; an empirical
+    row ends with its visit count instead."""
     kind = doc["kind"]
-    if kind == "matrix":
-        columns = ["from", *doc["labels"], "deficit"]
-        rows = [
-            [label, *entries, deficit]
-            for label, entries, deficit in zip(doc["labels"], doc["entries"], doc["row_deficits"])
-        ]
-        return {"": (columns, rows)}
-    if kind == "empirical":
-        columns = ["from", *doc["labels"], "visits"]
-        rows = [
-            [label, *entries, visits]
-            for label, entries, visits in zip(doc["labels"], doc["entries"], doc["visits"])
-        ]
-        return {"": (columns, rows)}
+    if kind in ("matrix", "empirical"):
+        column, key = ("deficit", "row_deficits") if kind == "matrix" else ("visits", "visits")
+        rows = [[label, *entries, last] for label, entries, last in zip(doc["labels"], doc["entries"], doc[key])]
+        return {"": (["from", *doc["labels"], column], rows)}
+    tables = {"": (doc["columns"], doc["rows"])}
     if kind == "figure3":
-        return {
-            "": (doc["columns"], doc["rows"]),
-            "_summary": (doc["summary_columns"], doc["summary_rows"]),
-        }
-    return {"": (doc["columns"], doc["rows"])}
+        tables["_summary"] = (doc["summary_columns"], doc["summary_rows"])
+    return tables
 
 
-def render_csv(doc: dict) -> dict[str, str]:
-    """Render a document to CSV text, one entry per output file.
-
-    Keys are filename suffixes ("" for the main file); the writer joins
-    them onto the document's base name.
-    """
-    texts = {}
-    for suffix, table in _csv_tables(doc).items():
-        out = io.StringIO()
-        _write_table(out, doc, *table)
-        texts[suffix] = out.getvalue()
-    return texts
-
-
-def render_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+def dump(doc: dict, out, out_format: str) -> None:
+    """Write one document to an open text stream: JSON as the document
+    itself, sorted and indented, then a newline; CSV as each of its tables
+    in turn."""
+    if out_format == "json":
+        json.dump(doc, out, sort_keys=True, indent=2)
+        out.write("\n")
+        return
+    for columns, rows in _csv_tables(doc).values():
+        _write_table(out, doc, columns, rows)
 
 
 def document_basename(doc: dict) -> str:
@@ -177,14 +154,12 @@ def write_document(doc: dict, out_dir: str, out_format: str) -> list[str]:
     paths written."""
     os.makedirs(out_dir, exist_ok=True)
     base = document_basename(doc)
-    paths = []
     if out_format == "json":
         path = os.path.join(out_dir, base + ".json")
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(doc, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        paths.append(path)
-        return paths
+            dump(doc, handle, out_format)
+        return [path]
+    paths = []
     for suffix, table in _csv_tables(doc).items():
         path = os.path.join(out_dir, base + suffix + ".csv")
         with open(path, "w", encoding="utf-8") as handle:

@@ -142,17 +142,18 @@ def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(seed: int, start: int, stop: int, block: int = _STATE_BLOCK):
+def _pcg64_states(seed: int, start: int, stop: int):
     """Yield, for each run r in [start, stop), the ``PCG64.state`` dict of
-    ``run_rng(seed, r)``, deriving the seed words ``block`` runs at a time.
+    ``run_rng(seed, r)``, deriving the seed words ``_STATE_BLOCK`` runs at a
+    time from ``start``.
 
     A PCG64 seeded with words (s0, s1, i0, i1) starts with
     ``inc = 2 * (i0 << 64 | i1) + 1`` and, after two steps of
     ``pcg_setseq_128_srandom_r``, ``state = ((s0 << 64 | s1) + inc) * M + inc``
     modulo 2**128.
     """
-    for first in range(start, stop, block):
-        runs = np.arange(first, min(first + block, stop), dtype=np.uint64)
+    for first in range(start, stop, _STATE_BLOCK):
+        runs = np.arange(first, min(first + _STATE_BLOCK, stop), dtype=np.uint64)
         for s0, s1, i0, i1 in _seed_words(seed, runs).tolist():
             inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
             state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128

@@ -156,6 +156,12 @@ class TestReleasePmf:
         with pytest.raises(ValueError):
             release_pmf(0.0, 1, 1)
 
+    def test_tiny_lifetime_releases_every_slice(self):
+        # 1/1e-310 overflows to inf, so the survival log is -inf; with no
+        # survivors its term is 0, not 0 * -inf = NaN.
+        assert release_pmf(1e-310, 2, 2) == 1.0
+        assert release_pmf(1e-310, 2, 1) == 0.0
+
     def test_matches_factorial_exponential_form(self):
         # Independent algebraic form: s! p^k / (k! (s-k)!) * exp(-(s-k)/mu).
         for mu in (0.5, 2.0, 4.0, 10.0):

@@ -11,10 +11,11 @@ import sys
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 import slice_markov
-from slice_markov import ConfigError, figure3_document, parse_config, serialize
+from slice_markov import ConfigError, parse_config
 from slice_markov.cli import main
 from slice_markov.experiments import empirical_documents, matrix_documents
 
@@ -175,16 +176,14 @@ class TestJsonOutputs:
             "figure2", "figure3",
         }
 
-    def test_json_file_bytes_equal_rendered_text(self, workspace, tmp_path):
-        # write_document streams JSON into the file; the bytes must be
-        # exactly what render_json prints.
-        config_path, _ = workspace
-        cfg = parse_config(json.loads(config_path.read_text()))
-        trace = empirical_documents(cfg, include_traces=True)[1]
-        for doc in (trace, figure3_document(cfg)):
-            [path] = serialize.write_document(doc, str(tmp_path / "json"), "json")
-            with open(path, "rb") as handle:
-                assert handle.read() == serialize.render_json(doc).encode("utf-8")
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["region", "strategies"])
+    def test_stdout_equals_written_file(self, workspace, capsys, command, out_format):
+        # One writer serves the file and standard output.
+        config_path, out_dir = workspace
+        assert main([command, "--config", str(config_path), "--format", out_format, "--quiet"]) == 0
+        written = (out_dir / f"{command}.{out_format}").read_text(encoding="utf-8")
+        assert capsys.readouterr().out == written
 
     def test_csv_floats_parse_back_bit_identical(self, workspace, tmp_path):
         config_path, out_dir = workspace
@@ -355,20 +354,41 @@ class TestExitCodes:
 
     def test_zero_kept_mass_is_a_configuration_error(self, tmp_path):
         # At rate 800 every Poisson mass up to the cap underflows to 0, so
-        # no row keeps any mass to renormalize; nothing is written.
+        # no row keeps any mass to renormalize; at q=1, rates 744 and 745
+        # keep only a subnormal mass, too coarse to scale. Nothing is written.
+        for rate, q in ((800.0, 2), (744.0, 1), (745.0, 1)):
+            out_dir = tmp_path / f"out_{rate:g}"
+            body = config_dict(str(out_dir))
+            body["scenarios"] = {"C": {"creation_rates": [rate], "mean_lifetimes": [4.0]}}
+            body.update(truncation=[q])
+            body["figure2"]["q_plus_max"] = q
+            path = write_config(tmp_path, body)
+            for command in ("matrix", "figure2"):
+                assert main([command, "--config", path, "--quiet"]) == 2
+                assert not out_dir.exists()
+            # Raw rows keep their deficits, and are written as such.
+            assert main(["matrix", "--config", path, "--no-renormalize", "--quiet"]) == 0
+            for name in os.listdir(out_dir):
+                text = (out_dir / name).read_text(encoding="utf-8")
+                assert "nan" not in text.lower()
+                if rate == 800.0:
+                    assert "s=[0],0,0,0,0,1" in text
+
+    def test_tiny_mean_lifetime_builds_finite_entries(self, tmp_path):
+        # 1/1e-310 overflows to inf; every active slice then releases with
+        # probability 1 instead of the release mass turning NaN.
         body = config_dict(str(tmp_path / "out"))
-        body["scenarios"] = {"C": {"creation_rates": [800.0], "mean_lifetimes": [4.0]}}
+        body["scenarios"] = {"C": {"creation_rates": [1.0], "mean_lifetimes": [1e-310]}}
         body.update(truncation=[2])
+        body["output"]["format"] = "json"
         path = write_config(tmp_path, body)
         for command in ("matrix", "figure2"):
-            assert main([command, "--config", path, "--quiet"]) == 2
-            assert not (tmp_path / "out").exists()
-        # Raw rows are all zero with deficit 1, and are written as such.
-        assert main(["matrix", "--config", path, "--no-renormalize", "--quiet"]) == 0
-        for name in os.listdir(tmp_path / "out"):
-            text = (tmp_path / "out" / name).read_text(encoding="utf-8")
-            assert "nan" not in text.lower()
-            assert "s=[0],0,0,0,0,1" in text
+            assert main([command, "--config", path, "--quiet"]) == 0
+        matrix = json.loads((tmp_path / "out" / "matrix_C_q2.json").read_text(encoding="utf-8"))
+        assert np.all(np.isfinite(matrix["entries"]))
+        np.testing.assert_allclose(np.sum(matrix["entries"], axis=1), 1.0)
+        figure2 = json.loads((tmp_path / "out" / "figure2.json").read_text(encoding="utf-8"))
+        assert np.all(np.isfinite([row[3:] for row in figure2["rows"]]))
 
     def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
         config_path, _ = workspace

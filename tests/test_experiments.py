@@ -31,7 +31,7 @@ from slice_markov.experiments import (
     region_document,
     strategies_document,
 )
-from slice_markov.serialize import TraceRows, _write_table, render_csv
+from slice_markov.serialize import TraceRows, _write_table, dump
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 BASELINE_HASH = "195938a4b816e0b89e34b5d69aa0be1198d50b45ea77e387e6ff215e90b7a23a"
@@ -550,9 +550,10 @@ class TestEmpiricalDocuments:
         for cfg in (small_config(), n3_config(20, 10)):
             trace = empirical_documents(cfg, include_traces=True)[1]
             assert isinstance(trace["rows"], TraceRows)
-            generic = io.StringIO()
+            generic, streamed = io.StringIO(), io.StringIO()
             _write_table(generic, trace, trace["columns"], list(trace["rows"]))
-            assert render_csv(trace) == {"": generic.getvalue()}
+            dump(trace, streamed, "csv")
+            assert streamed.getvalue() == generic.getvalue()
         assert '"s=[1,0,0]"' in generic.getvalue()
 
     def test_streamed_trace_quoting_of_awkward_labels(self):
@@ -560,9 +561,10 @@ class TestEmpiricalDocuments:
         rows = TraceRows(np.array([[0, 1, 2], [3, 4, 0]]), labels)
         doc = {"kind": "traces", "config_hash": "0" * 64,
                "columns": ["run", "period", "state_index", "state_label"]}
-        generic = io.StringIO()
+        generic, streamed = io.StringIO(), io.StringIO()
         _write_table(generic, doc, doc["columns"], list(rows))
-        assert render_csv(dict(doc, rows=rows)) == {"": generic.getvalue()}
+        dump(dict(doc, rows=rows), streamed, "csv")
+        assert streamed.getvalue() == generic.getvalue()
 
     def test_trace_rows_view_matches_materialised_rows(self):
         trace = empirical_documents(n3_config(20, 10), include_traces=True)[1]

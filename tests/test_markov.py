@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from slice_markov import (
+    AdmissibilityRegion,
     ConfigError,
     DemandScenario,
     GuardExceededError,
@@ -128,6 +129,11 @@ class TestBuildTransitionMatrix:
         with pytest.raises(ValueError):
             build_transition_matrix(model, region, scenario_c, accept_all, q_plus_max=0)
 
+    def test_empty_region_rejected(self, model, scenario_c, accept_all):
+        for builder in (build_transition_matrix, brute_force_transition_matrix):
+            with pytest.raises(ValueError, match="region is empty"):
+                builder(model, AdmissibilityRegion(()), scenario_c, accept_all, 2)
+
     def test_matrices_depend_on_strategy(self, model, region, scenario_c, strategies):
         matrices = [
             build_transition_matrix(model, region, scenario_c, s, q_plus_max=2).probs
@@ -208,13 +214,27 @@ class TestTruncation:
     def test_zero_kept_mass_is_not_renormalized(self, model, region, accept_all):
         # exp(-800) underflows, so no bag below the cap keeps any mass and
         # every raw row is zero; scaling one to sum to 1 would divide 0 by 0.
-        flood = DemandScenario(creation_rates=(800.0,), mean_lifetimes=(4.0,))
+        # At q=1, rates 744 and 745 keep a subnormal mass, whose few digits
+        # would scale s=[0]->s=[0] to 0.00173 and 0.00234 instead of 1/745
+        # and 1/746.
+        for rate, q in ((800.0, 2), (744.0, 1), (745.0, 1)):
+            flood = DemandScenario(creation_rates=(rate,), mean_lifetimes=(4.0,))
+            for builder in (build_transition_matrix, brute_force_transition_matrix):
+                with pytest.raises(ConfigError, match=rf"row s=\[0\] .*q_plus_max={q}"):
+                    builder(model, region, flood, accept_all, q)
+                raw = builder(model, region, flood, accept_all, q, renormalize=False)
+                assert np.all(raw.probs.sum(axis=1) < np.finfo(float).tiny)
+                if rate == 800.0:
+                    assert not raw.probs.any()
+                    np.testing.assert_array_equal(raw.row_deficits, np.ones(len(region)))
+
+    def test_smallest_normal_kept_mass_is_renormalized(self, model, region, accept_all):
+        # At rate 712 the kept mass at q=1 is normal, and the renormalized
+        # s=[0]->s=[0] entry is the truncated chain's exact 1/713.
+        scenario = DemandScenario(creation_rates=(712.0,), mean_lifetimes=(4.0,))
         for builder in (build_transition_matrix, brute_force_transition_matrix):
-            with pytest.raises(ConfigError, match=r"row s=\[0\] .*q_plus_max=2"):
-                builder(model, region, flood, accept_all, 2)
-            raw = builder(model, region, flood, accept_all, 2, renormalize=False)
-            assert not raw.probs.any()
-            np.testing.assert_array_equal(raw.row_deficits, np.ones(len(region)))
+            matrix = builder(model, region, scenario, accept_all, 1)
+            assert matrix.probs[0, 0] == pytest.approx(1 / 713, rel=1e-9)
 
     def test_tail_bound_decreases_with_depth(self, scenario_a):
         bounds = [truncation_tail_bound(scenario_a, q) for q in range(1, 7)]

@@ -72,8 +72,9 @@ class TestBulkStreams:
 
     SEEDS = (0, 1, 42, 2**63 + 5, 2**64 - 1)
     # A batch from 0, one starting mid-range as a --workers batch does, one
-    # whose spawn keys take two uint32 words, and one crossing 2**32.
-    RANGES = ((0, 5), (1021, 1030), (2**32 + 7, 2**32 + 9), (2**32 - 2, 2**32 + 2))
+    # whose spawn keys take two uint32 words, one crossing 2**32, and one
+    # longer than a block of 1024 runs, so that one call derives two blocks.
+    RANGES = ((0, 5), (1021, 1030), (2**32 + 7, 2**32 + 9), (2**32 - 2, 2**32 + 2), (1000, 2100))
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("start, stop", RANGES)
@@ -87,11 +88,6 @@ class TestBulkStreams:
             assert state == reference.bit_generator.state
             bits.state = state
             np.testing.assert_array_equal(rng.random(8), reference.random(8))
-
-    @pytest.mark.parametrize("block", [1, 3, 4, 1000])
-    def test_block_size_changes_nothing(self, block):
-        start, stop = 2**32 - 5, 2**32 + 6
-        assert list(_pcg64_states(42, start, stop, block)) == list(_pcg64_states(42, start, stop))
 
 
 # ---------------------------------------------------------------------------
