@@ -58,7 +58,6 @@ from .markov import (
     TransitionMatrix,
     brute_force_transition_matrix,
     build_transition_matrix,
-    distribution_after,
     occupancy_mean,
     stationary_distribution,
     truncation_tail_bound,
@@ -104,7 +103,6 @@ __all__ = [
     "creation_pmf",
     "decline_all_strategy",
     "default_config_path",
-    "distribution_after",
     "enumerate_region",
     "enumerate_valid_strategies",
     "estimate_empirical_matrix",

@@ -17,7 +17,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .arrivals import request_kinds
 from .errors import DegenerateModelError, GuardExceededError, InvalidStrategyError
@@ -27,6 +27,14 @@ Request = int
 
 # Slack tolerance for float-valued pools/costs; exact types use strict >= 0.
 FEASIBILITY_TOL = 1e-9
+
+# Largest region enumerate_region builds. The bundled and ladder models stay
+# below 200 states; every |R| x |R| float64 array a region feeds (a matrix, an
+# empirical estimate) takes 134 MB at this size and 1 GB near 11,000 states.
+MAX_REGION_STATES = 4096
+
+# Largest number of valid strategies enumerate_valid_strategies lists.
+MAX_STRATEGIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -119,15 +127,6 @@ class AdmissibilityRegion:
     def __len__(self) -> int:
         return len(self.states)
 
-    def __iter__(self) -> Iterator[State]:
-        return iter(self.states)
-
-    def __contains__(self, state: State) -> bool:
-        return state in self.index_of
-
-    def index(self, state: State) -> int:
-        return self.index_of[state]
-
     @property
     def num_types(self) -> int:
         return len(self.states[0]) if self.states else 0
@@ -176,7 +175,8 @@ def enumerate_region(model: ResourceModel) -> AdmissibilityRegion:
 
     Feasibility is downward closed (removing slices never hurts), so a
     depth-first scan can stop raising a component at the first infeasible
-    value.
+    value. The scan stops with :class:`GuardExceededError` as soon as the
+    region passes ``MAX_REGION_STATES``.
     """
     num_types = model.num_types
     states: list[State] = []
@@ -184,6 +184,8 @@ def enumerate_region(model: ResourceModel) -> AdmissibilityRegion:
 
     def scan(level: int) -> None:
         if level == num_types:
+            if len(states) == MAX_REGION_STATES:
+                raise GuardExceededError(f"the region has more than {MAX_REGION_STATES} states")
             states.append(tuple(counts))
             return
         value = 0
@@ -289,33 +291,30 @@ def strategy_from_table(region: AdmissibilityRegion, table: Sequence[Sequence[bo
     return Strategy(region, sum(1 << i for i, accept in enumerate(cells) if accept))
 
 
-def always_accept_strategy(model: ResourceModel, region: AdmissibilityRegion) -> Strategy:
+def always_accept_strategy(region: AdmissibilityRegion) -> Strategy:
     """Accept every creation whose resulting allocation stays feasible."""
     return Strategy(region, region.creation_mask)
 
 
-def decline_all_strategy(model: ResourceModel, region: AdmissibilityRegion) -> Strategy:
+def decline_all_strategy(region: AdmissibilityRegion) -> Strategy:
     return Strategy(region, 0)
 
 
-def enumerate_valid_strategies(
-    model: ResourceModel,
-    region: AdmissibilityRegion,
-    max_candidates: int = 1 << 20,
-) -> list[Strategy]:
+def enumerate_valid_strategies(model: ResourceModel, region: AdmissibilityRegion) -> list[Strategy]:
     """All valid strategies, ordered by ascending decision-table bits.
 
-    The valid tables are exactly the submasks of the region's
-    ``creation_mask``, and only those are walked; the cap applies to their
-    number, ``2**popcount(creation_mask)``. Each table stands for the
-    ``2**(release bits)`` raw tables that agree on creations, all but one of
-    which are ruled out by mandatory release acceptance.
+    ``model`` is not read. The valid tables are exactly the submasks of the
+    region's ``creation_mask``, and only those are walked; their number,
+    ``2**popcount(creation_mask)``, may not pass ``MAX_STRATEGIES``. Each
+    table stands for the ``2**(release bits)`` raw tables that agree on
+    creations, all but one of which are ruled out by mandatory release
+    acceptance.
     """
     allowed = region.creation_mask
     free = allowed.bit_count()
-    if (1 << free) > max_candidates:
+    if (1 << free) > MAX_STRATEGIES:
         raise GuardExceededError(
-            f"2**{free} valid tables exceed the cap of {max_candidates}"
+            f"2**{free} valid tables exceed the cap of {MAX_STRATEGIES}"
         )
     valid = []
     bits = 0

@@ -34,7 +34,7 @@ from .domain import (
     strategy_from_table,
 )
 from .errors import ConfigError
-from .markov import build_transition_matrix, distribution_after, truncation_tail_bound
+from .markov import build_transition_matrix, truncation_tail_bound
 from .serialize import TraceRows
 from .simulate import SimConfig, estimate_empirical_matrix, rmse, simulate_episodes
 
@@ -309,14 +309,14 @@ def default_config_path() -> str:
     return str(resources.files("slice_markov").joinpath("configs/baseline.json"))
 
 
-def resolve_strategy(cfg: ExperimentConfig, region: AdmissibilityRegion | None = None) -> tuple[Strategy, str]:
-    """Turn the configured strategy selector into a Strategy and a label."""
-    region = cfg.region() if region is None else region
+def resolve_strategy(cfg: ExperimentConfig, region: AdmissibilityRegion) -> tuple[Strategy, str]:
+    """Turn the configured strategy selector into a Strategy over ``region``
+    and a label."""
     spec = cfg.strategy_spec
     if spec == "always-accept":
-        return always_accept_strategy(cfg.model, region), "always-accept"
+        return always_accept_strategy(region), "always-accept"
     if spec == "decline-all":
-        return decline_all_strategy(cfg.model, region), "decline-all"
+        return decline_all_strategy(region), "decline-all"
     if isinstance(spec, int):
         # Strategy D<id> is the id-th submask of the creation mask in
         # ascending order: the id's bits, lowest first, placed on the mask's
@@ -417,7 +417,7 @@ def empirical_documents(
         seed = _child_seed(cfg.sim.seed, si)
         sim = SimConfig(cfg.sim.num_runs, cfg.sim.periods_per_run, seed, cfg.sim.initial_state)
         started = time.perf_counter()
-        trajectories = simulate_episodes(cfg.model, region, scenario, strategy, sim, workers=workers)
+        trajectories = simulate_episodes(region, scenario, strategy, sim, workers=workers)
         log.info("simulated scenario %s: %d runs x %d periods in %.1fs",
                  name, sim.num_runs, sim.periods_per_run, time.perf_counter() - started)
         empirical = estimate_empirical_matrix(region, trajectories)
@@ -466,9 +466,10 @@ def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         cfg.model, region, scenario, strategy, proto.q_plus_max, renormalize=True
     )
     sim = SimConfig(proto.episodes, proto.periods, cfg.sim.seed, proto.initial_state)
-    trajectories = simulate_episodes(cfg.model, region, scenario, strategy, sim, workers=workers)
+    trajectories = simulate_episodes(region, scenario, strategy, sim, workers=workers)
     rows = []
-    analytical = distribution_after(matrix, start, 0)
+    analytical = np.zeros(len(region))
+    analytical[start] = 1.0
     for t in range(proto.periods + 1):
         if t:
             analytical = analytical @ matrix.probs
@@ -515,7 +516,7 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         for di, strategy in enumerate(strategies):
             seed = _child_seed(cfg.sim.seed, si, di)
             sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
-            trajectories = simulate_episodes(cfg.model, region, scenario, strategy, sim, workers=workers)
+            trajectories = simulate_episodes(region, scenario, strategy, sim, workers=workers)
             empirical = estimate_empirical_matrix(region, trajectories)
             for q in proto.q_plus_max:
                 matrix = build_transition_matrix(

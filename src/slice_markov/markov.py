@@ -31,6 +31,9 @@ from .errors import ConfigError, GuardExceededError, InvalidStrategyError, Reduc
 
 ROW_SUM_TOL = 1e-12
 
+# Longest bag brute_force_transition_matrix expands into its Q! orderings.
+BRUTE_FORCE_MAX_QUEUE = 8
+
 
 @dataclass(eq=False)
 class TransitionMatrix:
@@ -179,6 +182,7 @@ def build_transition_matrix(
 
     Parameters
     ----------
+    model : not read; the region already holds what the resource model decides.
     q_plus_max : per-type cap on creation-request multiplicities considered
         per period. Release multiplicities need no cap; they are bounded by
         the row state's active counts.
@@ -225,7 +229,6 @@ def brute_force_transition_matrix(
     strategy: Strategy,
     q_plus_max: int,
     renormalize: bool = True,
-    max_queue_length: int = 8,
 ) -> TransitionMatrix:
     """Reference builder: explicit enumeration of every bag ordering.
 
@@ -234,7 +237,8 @@ def brute_force_transition_matrix(
     counted separately), folds each ordering through the strategy and sums
     its sequence probability into the reached entry. Exponentially slower
     than the memoized builder; intended as an independent check at small
-    truncation depths.
+    truncation depths, and a bag longer than ``BRUTE_FORCE_MAX_QUEUE`` raises.
+    ``model`` is not read.
     """
     _check_build_arguments(region, strategy, q_plus_max)
     kinds = request_kinds(scenario.num_types)
@@ -243,9 +247,9 @@ def brute_force_transition_matrix(
     for row_index, state in enumerate(region.states):
         for counts in _iter_request_bags(state, q_plus_max, scenario.num_types):
             total = sum(counts)
-            if total > max_queue_length:
+            if total > BRUTE_FORCE_MAX_QUEUE:
                 raise GuardExceededError(
-                    f"bag of {total} requests exceeds the brute-force guard of {max_queue_length}"
+                    f"bag of {total} requests exceeds the brute-force guard of {BRUTE_FORCE_MAX_QUEUE}"
                 )
             bag = [kind for kind, k in zip(kinds, counts) for _ in range(k)]
             for ordering in itertools.permutations(bag):
@@ -265,26 +269,6 @@ def truncation_tail_bound(scenario: DemandScenario, q_plus_max: int) -> float:
         kept = sum(creation_pmf(rate, k) for k in range(q_plus_max + 1))
         total += max(0.0, 1.0 - kept)
     return total
-
-
-def distribution_after(matrix: TransitionMatrix, start_index: int, periods: int) -> np.ndarray:
-    """State distribution after a number of periods from a point start.
-
-    Computed by repeated vector-matrix products, never by materializing a
-    matrix power. Requires a renormalized matrix; deficit rows would leak
-    mass out of the distribution.
-    """
-    if not matrix.renormalized:
-        raise ValueError("distribution_after requires a renormalized matrix")
-    if periods < 0:
-        raise ValueError(f"periods must be >= 0, got {periods}")
-    if not 0 <= start_index < matrix.size:
-        raise ValueError(f"start_index {start_index} outside region of size {matrix.size}")
-    dist = np.zeros(matrix.size)
-    dist[start_index] = 1.0
-    for _ in range(periods):
-        dist = dist @ matrix.probs
-    return dist
 
 
 def _closed_classes(probs: np.ndarray) -> list[np.ndarray]:

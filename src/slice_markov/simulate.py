@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arrivals import DemandScenario
-from .domain import AdmissibilityRegion, ResourceModel, State, Strategy
+from .domain import AdmissibilityRegion, State, Strategy
 from .errors import InvalidStrategyError
 
 
@@ -352,7 +352,6 @@ def _episode_batch(args) -> np.ndarray:
 
 
 def simulate_episodes(
-    model: ResourceModel,
     region: AdmissibilityRegion,
     scenario: DemandScenario,
     strategy: Strategy,

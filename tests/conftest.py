@@ -78,10 +78,10 @@ def strategies(model, region):
 
 
 @pytest.fixture(scope="session")
-def accept_all(model, region):
-    return always_accept_strategy(model, region)
+def accept_all(region):
+    return always_accept_strategy(region)
 
 
 @pytest.fixture(scope="session")
-def decline_all(model, region):
-    return decline_all_strategy(model, region)
+def decline_all(region):
+    return decline_all_strategy(region)

@@ -144,12 +144,12 @@ def test_ac5_unconstrained_occupancy(acceptance_report):
     region = enumerate_region(model)
     assert len(region) >= 13  # room for at least 12 active slices
     scenario = DemandScenario(creation_rates=(0.5,), mean_lifetimes=(4.0,))
-    strategy = always_accept_strategy(model, region)
+    strategy = always_accept_strategy(region)
     matrix = build_transition_matrix(model, region, scenario, strategy, q_plus_max=6)
     analytical = float(occupancy_mean(region, stationary_distribution(matrix))[0])
 
     sim = SimConfig(num_runs=200, periods_per_run=500, seed=42)
-    runs = simulate_episodes(model, region, scenario, strategy, sim)
+    runs = simulate_episodes(region, scenario, strategy, sim)
     burn_in = 50
     states = np.array(region.states)[:, 0]
     simulated = float(states[runs[:, burn_in:]].mean())
@@ -209,11 +209,11 @@ def test_ac7_markov_property(acceptance_report):
     started = perf_counter()
     cfg = load_config(default_config_path())
     region = cfg.region()
-    strategy = always_accept_strategy(cfg.model, region)
+    strategy = always_accept_strategy(region)
     pvalues = {}
     for name in ("A", "B", "C"):
         sim = SimConfig(num_runs=1, periods_per_run=100_000, seed=42)
-        runs = simulate_episodes(cfg.model, region, cfg.scenarios[name], strategy, sim)
+        runs = simulate_episodes(region, cfg.scenarios[name], strategy, sim)
         _, dof, pvalue = markov_order_test(runs, len(region))
         assert dof > 0
         pvalues[name] = pvalue

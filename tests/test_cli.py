@@ -319,6 +319,17 @@ class TestExitCodes:
         path = write_config(tmp_path, body)
         assert main(["strategies", "--config", path, "--quiet"]) == 4
 
+    @pytest.mark.parametrize("command", ["region", "matrix", "simulate"])
+    def test_region_guard(self, tmp_path, command):
+        # About 5e7 admissible states: enumeration stops at the region cap.
+        body = {
+            "model": {"resource_pool": [1.0], "cost_matrix": [[0.0001, 0.0001]]},
+            "scenarios": {"A": {"creation_rates": [1.0, 1.0], "mean_lifetimes": [4.0, 4.0]}},
+            "sim": {"num_runs": 1, "periods_per_run": 1},
+        }
+        path = write_config(tmp_path, body)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 4
+
     @pytest.mark.parametrize("command, edit", [
         ("figure2", lambda body: body["figure2"].update(scenario=["C"])),
         ("figure3", lambda body: body["figure3"].update(scenarios=[{"C": 1}])),
@@ -444,7 +455,7 @@ def test_import_loads_no_scipy():
         "model = ResourceModel((1.0,), ((0.3,),))\n"
         "region = enumerate_region(model)\n"
         "matrix = build_transition_matrix(model, region, DemandScenario((0.5,), (4.0,)),"
-        " always_accept_strategy(model, region), 2)\n"
+        " always_accept_strategy(region), 2)\n"
         "assert abs(stationary_distribution(matrix).sum() - 1.0) < 1e-12\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
@@ -452,6 +463,24 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_benchmark_job_runs_traced(tmp_path):
+    # perfbench/job.py drives the package the way the benchmark does and
+    # traces the calls it makes into it; matrix-n3 builds q=1..4 for two
+    # scenarios.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(slice_markov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    result_path = tmp_path / "result.json"
+    subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "job.py"), "matrix-n3", "1",
+         str(tmp_path / "out"), str(result_path), "trace"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(result_path.read_text(encoding="utf-8"))
+    assert result["exit_code"] == 0
+    assert result["counts"]["markov.builds"] == 8
 
 
 def test_serial_simulation_loads_no_process_pool():
@@ -464,8 +493,8 @@ def test_serial_simulation_loads_no_process_pool():
         "from slice_markov import *\n"
         "model = ResourceModel((1.0,), ((0.3,),))\n"
         "region = enumerate_region(model)\n"
-        "runs = simulate_episodes(model, region, DemandScenario((0.5,), (4.0,)),"
-        " always_accept_strategy(model, region), SimConfig(3, 5, 7))\n"
+        "runs = simulate_episodes(region, DemandScenario((0.5,), (4.0,)),"
+        " always_accept_strategy(region), SimConfig(3, 5, 7))\n"
         "assert runs.shape == (3, 6)\n"
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"
         " if m in sys.modules))"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slice_markov import domain
 from slice_markov import (
     DegenerateModelError,
     GuardExceededError,
@@ -154,21 +155,37 @@ class TestEnumerateRegion:
     def test_lexicographic_order(self, region):
         assert list(region.states) == sorted(region.states)
 
+    def test_region_guard(self):
+        # About 5e7 feasible states: the scan stops as soon as it passes the cap.
+        huge = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.0001, 0.0001),))
+        with pytest.raises(GuardExceededError, match=f"more than {domain.MAX_REGION_STATES} states"):
+            enumerate_region(huge)
+
+    def test_region_cap_admits_a_region_of_its_size(self, model, monkeypatch):
+        monkeypatch.setattr(domain, "MAX_REGION_STATES", 4)
+        assert len(enumerate_region(model)) == 4
+        monkeypatch.setattr(domain, "MAX_REGION_STATES", 3)
+        with pytest.raises(GuardExceededError):
+            enumerate_region(model)
+
     def test_contains_origin(self, region):
-        assert (0,) in region
+        assert (0,) in region.index_of
 
     def test_index_round_trip(self, region):
         for i, s in enumerate(region.states):
-            assert region.index(s) == i
             assert region.index_of[s] == i
 
     def test_index_of_missing_state(self, region):
         with pytest.raises(KeyError):
-            region.index((4,))
+            region.index_of[(4,)]
 
     def test_len_and_iter(self, region):
+        # A region is walked and searched through its states and index_of,
+        # not as a container of its own.
         assert len(region) == 4
-        assert list(region) == [(0,), (1,), (2,), (3,)]
+        assert region.states == ((0,), (1,), (2,), (3,))
+        with pytest.raises(TypeError):
+            iter(region)
 
     @given(data=st.data())
     @settings(max_examples=50, deadline=None)
@@ -342,13 +359,15 @@ class TestStrategy:
         with pytest.raises(InvalidStrategyError):
             strategy_from_table(region, ((True,),))  # missing rows
 
-    def test_enumeration_guard(self, model, region):
+    def test_enumeration_guard(self, model, region, monkeypatch):
+        monkeypatch.setattr(domain, "MAX_STRATEGIES", 4)
         with pytest.raises(GuardExceededError):
-            enumerate_valid_strategies(model, region, max_candidates=4)
+            enumerate_valid_strategies(model, region)
 
-    def test_enumeration_cap_counts_valid_tables(self, model, region, strategies):
+    def test_enumeration_cap_counts_valid_tables(self, model, region, strategies, monkeypatch):
         # 2**4 creation tables but only 2**3 valid ones: a cap of 8 admits them.
-        capped = enumerate_valid_strategies(model, region, max_candidates=8)
+        monkeypatch.setattr(domain, "MAX_STRATEGIES", 8)
+        capped = enumerate_valid_strategies(model, region)
         assert [s.bits for s in capped] == [s.bits for s in strategies] == list(range(8))
 
     def test_submask_walk_matches_full_scan(self):
@@ -394,7 +413,7 @@ class TestStrategy:
             1 << (i * found.num_types + n)
             for i, state in enumerate(found.states)
             for n in range(found.num_types)
-            if apply_request(state, n + 1, True) in found
+            if apply_request(state, n + 1, True) in found.index_of
         )
 
     def test_next_index_agrees_with_apply_request(self, strategies, region):
@@ -404,14 +423,14 @@ class TestStrategy:
                     if kind < 0 and state[0] == 0:
                         continue
                     reached = apply_request(state, kind, strat.decide(kind, state))
-                    assert strat.next_index[i][p] == region.index(reached)
+                    assert strat.next_index[i][p] == region.index_of[reached]
 
-    def test_every_enumerated_strategy_is_closed(self, model, region, strategies):
+    def test_every_enumerated_strategy_is_closed(self, region, strategies):
         # Folding any accepted creation from any state stays inside the region.
         for strat in strategies:
             for state in region.states:
                 if strat.decide(+1, state):
-                    assert apply_request(state, +1, True) in region
+                    assert apply_request(state, +1, True) in region.index_of
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +477,7 @@ class TestApplySequence:
                     final = apply_sequence((2,), queue, strat)
                 except ValueError:
                     continue  # more releases than active slices
-                assert final in region
+                assert final in region.index_of
 
     @given(
         bits=st.integers(min_value=0, max_value=7),

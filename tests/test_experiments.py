@@ -16,6 +16,7 @@ from slice_markov import (
     ConfigError,
     DegenerateModelError,
     InvalidStrategyError,
+    build_transition_matrix,
     default_config_path,
     enumerate_valid_strategies,
     figure2_document,
@@ -416,22 +417,26 @@ class TestGoldenOutputs:
 # ---------------------------------------------------------------------------
 
 
+def resolve(raw: dict):
+    cfg = parse_config(raw)
+    return resolve_strategy(cfg, cfg.region())
+
+
 class TestResolveStrategy:
     def test_always_accept(self, raw):
-        cfg = parse_config(raw)
-        strategy, label = resolve_strategy(cfg)
+        strategy, label = resolve(raw)
         assert label == "always-accept"
         assert strategy.bits == 0b0111
 
     def test_decline_all(self, raw):
         raw["strategy"] = "decline-all"
-        strategy, label = resolve_strategy(parse_config(raw))
+        strategy, label = resolve(raw)
         assert label == "decline-all"
         assert strategy.bits == 0
 
     def test_numeric_id(self, raw):
         raw["strategy"] = 5
-        strategy, label = resolve_strategy(parse_config(raw))
+        strategy, label = resolve(raw)
         assert label == "D5"
         assert strategy.bits == 5
 
@@ -449,18 +454,18 @@ class TestResolveStrategy:
     def test_id_out_of_range(self, raw):
         raw["strategy"] = 8
         with pytest.raises(ConfigError, match="out of range"):
-            resolve_strategy(parse_config(raw))
+            resolve(raw)
 
     def test_explicit_table(self, raw):
         raw["strategy"] = [[1], [0], [1], [0]]
-        strategy, label = resolve_strategy(parse_config(raw))
+        strategy, label = resolve(raw)
         assert label == "custom"
         assert strategy.bits == 0b0101
 
     def test_invalid_table_rejected(self, raw):
         raw["strategy"] = [[1], [1], [1], [1]]  # accepts out of the region
         with pytest.raises(InvalidStrategyError):
-            resolve_strategy(parse_config(raw))
+            resolve(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +626,23 @@ class TestFigure2Document:
         assert start_rows[0][3] == 1.0 and start_rows[0][4] == 1.0
         for row in start_rows[1:]:
             assert row[3] == 0.0 and row[4] == 0.0
+
+    def test_analytical_column_is_matrix_power_row(self):
+        # The analytical PMF at period t is row `start` of P**t.
+        cfg = small_config()
+        doc = figure2_document(cfg)
+        proto = cfg.figure2
+        region = cfg.region()
+        strategy, _ = resolve_strategy(cfg, region)
+        matrix = build_transition_matrix(
+            cfg.model, region, cfg.scenarios[proto.scenario], strategy, proto.q_plus_max
+        )
+        start = region.index_of[proto.initial_state]
+        for t in range(proto.periods + 1):
+            analytical = [row[3] for row in doc["rows"] if row[0] == t]
+            np.testing.assert_allclose(
+                analytical, np.linalg.matrix_power(matrix.probs, t)[start], rtol=0, atol=1e-12
+            )
 
     def test_out_of_region_start_rejected(self, raw):
         raw["figure2"]["initial_state"] = [9]

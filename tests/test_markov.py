@@ -21,7 +21,6 @@ from slice_markov import (
     brute_force_transition_matrix,
     build_transition_matrix,
     decline_all_strategy,
-    distribution_after,
     enumerate_region,
     enumerate_valid_strategies,
     occupancy_mean,
@@ -88,11 +87,11 @@ class TestBuildTransitionMatrix:
             model, region, scenario_c, decline_all, q_plus_max=4
         )
         p = RELEASE_P_MU4
-        row = matrix.probs[region.index((2,))]
-        assert row[region.index((0,))] == pytest.approx(p * p, rel=1e-10)
-        assert row[region.index((1,))] == pytest.approx(BINOM_2_1_MU4, rel=1e-10)
-        assert row[region.index((2,))] == pytest.approx((1 - p) ** 2, rel=1e-10)
-        assert row[region.index((3,))] == 0.0
+        row = matrix.probs[region.index_of[(2,)]]
+        assert row[region.index_of[(0,)]] == pytest.approx(p * p, rel=1e-10)
+        assert row[region.index_of[(1,)]] == pytest.approx(BINOM_2_1_MU4, rel=1e-10)
+        assert row[region.index_of[(2,)]] == pytest.approx((1 - p) ** 2, rel=1e-10)
+        assert row[region.index_of[(3,)]] == 0.0
 
     def test_decline_all_empty_state_is_absorbing(
         self, model, region, scenario_c, decline_all
@@ -107,7 +106,7 @@ class TestBuildTransitionMatrix:
     def test_single_state_region(self):
         tiny = ResourceModel(resource_pool=(0.0,), cost_matrix=((0.3,),))
         tiny_region = enumerate_region(tiny)
-        strat = decline_all_strategy(tiny, tiny_region)
+        strat = decline_all_strategy(tiny_region)
         scenario = DemandScenario(creation_rates=(0.5,), mean_lifetimes=(4.0,))
         matrix = build_transition_matrix(tiny, tiny_region, scenario, strat, q_plus_max=4)
         np.testing.assert_allclose(matrix.probs, [[1.0]])
@@ -149,11 +148,11 @@ class TestBuildTransitionMatrix:
         # same bits as a fresh one.
         scenario_a = DemandScenario(creation_rates=(1.0, 0.8), mean_lifetimes=(4.0, 4.0))
         scenario_c = DemandScenario(creation_rates=(0.6, 0.4), mean_lifetimes=(4.0, 2.0))
-        fresh = always_accept_strategy(two_type_model, two_type_region)
+        fresh = always_accept_strategy(two_type_region)
         cold = build_transition_matrix(two_type_model, two_type_region, scenario_c, fresh, 3)
         del fresh
         gc.collect()
-        warm = always_accept_strategy(two_type_model, two_type_region)
+        warm = always_accept_strategy(two_type_region)
         for q in (1, 2, 3, 4):
             build_transition_matrix(two_type_model, two_type_region, scenario_a, warm, q)
         shared = build_transition_matrix(two_type_model, two_type_region, scenario_c, warm, 3)
@@ -287,8 +286,8 @@ class TestBruteForceAgreement:
         assert len(two_type_region) == 7
         assert len(valid) == 128
         picked = [
-            always_accept_strategy(two_type_model, two_type_region),
-            decline_all_strategy(two_type_model, two_type_region),
+            always_accept_strategy(two_type_region),
+            decline_all_strategy(two_type_region),
             *(valid[i] for i in (1, 42, 101)),
         ]
         for q in (1, 2):
@@ -305,12 +304,6 @@ class TestBruteForceAgreement:
         with pytest.raises(GuardExceededError):
             brute_force_transition_matrix(
                 model, region, scenario_c, accept_all, q_plus_max=9
-            )
-
-    def test_guard_is_configurable(self, model, region, scenario_c, accept_all):
-        with pytest.raises(GuardExceededError):
-            brute_force_transition_matrix(
-                model, region, scenario_c, accept_all, q_plus_max=3, max_queue_length=4
             )
 
 
@@ -386,53 +379,6 @@ class TestTransitionMatrixContainer:
 
 
 # ---------------------------------------------------------------------------
-# Distribution evolution
-# ---------------------------------------------------------------------------
-
-
-class TestDistributionAfter:
-    def test_zero_periods_is_point_mass(self, model, region, scenario_c, accept_all):
-        matrix = build_transition_matrix(
-            model, region, scenario_c, accept_all, q_plus_max=4
-        )
-        dist = distribution_after(matrix, 0, 0)
-        np.testing.assert_array_equal(dist, [1.0, 0.0, 0.0, 0.0])
-
-    def test_one_period_is_matrix_row(self, model, region, scenario_c, accept_all):
-        matrix = build_transition_matrix(
-            model, region, scenario_c, accept_all, q_plus_max=4
-        )
-        np.testing.assert_allclose(
-            distribution_after(matrix, 0, 1), matrix.probs[0], atol=1e-15
-        )
-
-    def test_distribution_stays_normalized(self, model, region, scenario_a, accept_all):
-        matrix = build_transition_matrix(
-            model, region, scenario_a, accept_all, q_plus_max=4
-        )
-        for t in range(11):
-            dist = distribution_after(matrix, 0, t)
-            assert dist.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(dist >= 0)
-
-    def test_raw_matrix_rejected(self, model, region, scenario_c, accept_all):
-        raw = build_transition_matrix(
-            model, region, scenario_c, accept_all, q_plus_max=4, renormalize=False
-        )
-        with pytest.raises(ValueError):
-            distribution_after(raw, 0, 1)
-
-    def test_invalid_arguments_rejected(self, model, region, scenario_c, accept_all):
-        matrix = build_transition_matrix(
-            model, region, scenario_c, accept_all, q_plus_max=4
-        )
-        with pytest.raises(ValueError):
-            distribution_after(matrix, 0, -1)
-        with pytest.raises(ValueError):
-            distribution_after(matrix, 7, 1)
-
-
-# ---------------------------------------------------------------------------
 # Stationary analysis
 # ---------------------------------------------------------------------------
 
@@ -457,7 +403,7 @@ class TestStationaryDistribution:
     def test_single_state_chain(self):
         tiny = ResourceModel(resource_pool=(0.0,), cost_matrix=((0.3,),))
         tiny_region = enumerate_region(tiny)
-        strat = decline_all_strategy(tiny, tiny_region)
+        strat = decline_all_strategy(tiny_region)
         scenario = DemandScenario(creation_rates=(0.5,), mean_lifetimes=(4.0,))
         matrix = build_transition_matrix(tiny, tiny_region, scenario, strat, q_plus_max=2)
         np.testing.assert_allclose(stationary_distribution(matrix), [1.0])
@@ -483,7 +429,7 @@ class TestStationaryDistribution:
             model, region, scenario_c, decline_all, q_plus_max=4
         )
         pi = stationary_distribution(matrix)
-        assert pi[region.index((3,))] == pytest.approx(0.0, abs=1e-12)
+        assert pi[region.index_of[(3,)]] == pytest.approx(0.0, abs=1e-12)
 
     def test_slowly_mixing_chain_is_solved(self, model, region, decline_all):
         # Slices of mean lifetime 100000 almost never leave, so an iterative

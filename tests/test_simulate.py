@@ -107,7 +107,7 @@ class TestRunEpisode:
             region, scenario_c, accept_all, 30, run_rng(8, 0), initial_state=(2,)
         )
         assert trajectory.shape == (31,)
-        assert trajectory[0] == region.index((2,))
+        assert trajectory[0] == region.index_of[(2,)]
 
     def test_indices_stay_in_region(self, region, scenario_a, accept_all):
         trajectory = run_episode(region, scenario_a, accept_all, 500, run_rng(9, 0))
@@ -143,7 +143,7 @@ class TestRunEpisode:
         roomy = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.08,),))
         roomy_region = enumerate_region(roomy)
         scenario = DemandScenario(creation_rates=(0.9,), mean_lifetimes=(1e12,))
-        strategy = always_accept_strategy(roomy, roomy_region)
+        strategy = always_accept_strategy(roomy_region)
         trajectory = run_episode(
             roomy_region, scenario, strategy, 40, run_rng(26, 0), initial_state=(0,)
         )
@@ -159,7 +159,7 @@ class TestRunEpisode:
         roomy_region = enumerate_region(roomy)
         cap = roomy_region.states[-1][0]
         scenario = DemandScenario(creation_rates=(12.0,), mean_lifetimes=(1e12,))
-        strategy = always_accept_strategy(roomy, roomy_region)
+        strategy = always_accept_strategy(roomy_region)
         trajectory = run_episode(
             roomy_region, scenario, strategy, 40, run_rng(28, 0), initial_state=(0,)
         )
@@ -168,12 +168,12 @@ class TestRunEpisode:
         assert cap == 333 and expected[-1] == cap and expected[10] < cap
         np.testing.assert_array_equal(trajectory, expected)
 
-    def test_table_hole_aborts(self, model, region, scenario_a):
+    def test_table_hole_aborts(self, region, scenario_a):
         # A valid strategy's table has a -1 only where a release has no
         # slice to release. Corrupt the compiled table of a fresh strategy
         # so that a creation in s=[3] has no successor: run_episode trusts
         # its table and stops at the -1 it meets.
-        strategy = always_accept_strategy(model, region)
+        strategy = always_accept_strategy(region)
         table = list(strategy.next_index)
         table[3] = (-1, 2)
         strategy.__dict__["next_index"] = tuple(table)
@@ -217,29 +217,29 @@ class TestCreationDraws:
 
 
 class TestSimulateEpisodes:
-    def test_shape(self, model, region, scenario_c, accept_all):
+    def test_shape(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=20, periods_per_run=10, seed=13)
-        runs = simulate_episodes(model, region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(region, scenario_c, accept_all, sim)
         assert runs.shape == (20, 11)
 
-    def test_runs_use_independent_substreams(self, model, region, scenario_c, accept_all):
+    def test_runs_use_independent_substreams(self, region, scenario_c, accept_all):
         # Run r depends only on (seed, r): shrinking the run count must not
         # change the runs that remain.
         big = simulate_episodes(
-            model, region, scenario_c, accept_all,
+            region, scenario_c, accept_all,
             SimConfig(num_runs=6, periods_per_run=20, seed=14),
         )
         small = simulate_episodes(
-            model, region, scenario_c, accept_all,
+            region, scenario_c, accept_all,
             SimConfig(num_runs=3, periods_per_run=20, seed=14),
         )
         np.testing.assert_array_equal(big[:3], small)
 
-    def test_parallel_matches_serial(self, model, region, scenario_b, accept_all):
+    def test_parallel_matches_serial(self, region, scenario_b, accept_all):
         sim = SimConfig(num_runs=12, periods_per_run=25, seed=15)
-        serial = simulate_episodes(model, region, scenario_b, accept_all, sim)
+        serial = simulate_episodes(region, scenario_b, accept_all, sim)
         parallel = simulate_episodes(
-            model, region, scenario_b, accept_all, sim, workers=3
+            region, scenario_b, accept_all, sim, workers=3
         )
         np.testing.assert_array_equal(serial, parallel)
 
@@ -263,28 +263,28 @@ class TestSimulateEpisodes:
             run_episode(region, scenario, strategy, sim.periods_per_run, run_rng(sim.seed, r), start)
             for r in range(sim.num_runs)
         ])
-        runs = simulate_episodes(model, region, scenario, strategy, sim, workers=workers)
+        runs = simulate_episodes(region, scenario, strategy, sim, workers=workers)
         np.testing.assert_array_equal(runs, expected)
 
-    def test_uniform_initialization_covers_region(self, model, region, scenario_c, accept_all):
+    def test_uniform_initialization_covers_region(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=400, periods_per_run=1, seed=16)
-        runs = simulate_episodes(model, region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(region, scenario_c, accept_all, sim)
         starts = np.bincount(runs[:, 0], minlength=4)
         assert np.all(starts > 0)
         # Uniform draw: each state expects 100 +- 3 sigma ~ 26 starts.
         assert np.all(np.abs(starts - 100) < 50)
 
-    def test_fixed_initialization(self, model, region, scenario_c, accept_all):
+    def test_fixed_initialization(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=10, periods_per_run=1, seed=17, initial_state=(3,))
-        runs = simulate_episodes(model, region, scenario_c, accept_all, sim)
-        assert np.all(runs[:, 0] == region.index((3,)))
+        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        assert np.all(runs[:, 0] == region.index_of[(3,)])
 
-    def test_invalid_strategy_rejected(self, model, region, scenario_c):
+    def test_invalid_strategy_rejected(self, region, scenario_c):
         other = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.5,),)))
         foreign = strategy_from_table(other, ((False,),) * len(other))
         sim = SimConfig(num_runs=1, periods_per_run=1, seed=18)
         with pytest.raises(InvalidStrategyError, match="different region"):
-            simulate_episodes(model, region, scenario_c, foreign, sim)
+            simulate_episodes(region, scenario_c, foreign, sim)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +316,7 @@ class TestAgainstExactBuilderRows:
         exact = build_transition_matrix(model, region, scenario_c, decline_all, q_plus_max=8)
         sim = SimConfig(num_runs=20_000, periods_per_run=3, seed=28, initial_state=(3,))
         est = estimate_empirical_matrix(
-            region, simulate_episodes(model, region, scenario_c, decline_all, sim)
+            region, simulate_episodes(region, scenario_c, decline_all, sim)
         )
         assert est.zero_visit_rows == ()
         assert _max_z_against_exact(exact.probs, est, range(len(region))) <= 4.0
@@ -326,7 +326,7 @@ class TestAgainstExactBuilderRows:
         exact = build_transition_matrix(model, region, scenario_c, accept_all, q_plus_max=8)
         sim = SimConfig(num_runs=20_000, periods_per_run=1, seed=29, initial_state=(0,))
         est = estimate_empirical_matrix(
-            region, simulate_episodes(model, region, scenario_c, accept_all, sim)
+            region, simulate_episodes(region, scenario_c, accept_all, sim)
         )
         assert est.visits[0] == 20_000
         assert _max_z_against_exact(exact.probs, est, [0]) <= 4.0
@@ -341,7 +341,7 @@ def _reference_episode(region, scenario, strategy, periods, rng) -> np.ndarray:
         [float(rng.exponential(means[n])) for _ in range(state[n])]
         for n in range(scenario.num_types)
     ]
-    trajectory = [region.index(state)]
+    trajectory = [region.index_of[state]]
     for _ in range(periods):
         events = []
         for n, rate in enumerate(scenario.creation_rates):
@@ -356,7 +356,7 @@ def _reference_episode(region, scenario, strategy, periods, rng) -> np.ndarray:
                 if kind > 0:
                     survivors[kind - 1].append(float(rng.exponential(means[kind - 1])))
         lifetimes = survivors
-        trajectory.append(region.index(state))
+        trajectory.append(region.index_of[state])
     return np.array(trajectory)
 
 
@@ -388,7 +388,7 @@ class TestAgainstReferenceSimulator:
         runs, periods = 2000, 100
         sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=30)
         bulk = estimate_empirical_matrix(
-            region, simulate_episodes(self.MODEL, region, self.SCENARIO, strategy, sim)
+            region, simulate_episodes(region, self.SCENARIO, strategy, sim)
         )
         reference = estimate_empirical_matrix(
             region,
@@ -403,7 +403,7 @@ class TestAgainstReferenceSimulator:
 
     def test_always_accept(self):
         region = enumerate_region(self.MODEL)
-        self._compare(always_accept_strategy(self.MODEL, region))
+        self._compare(always_accept_strategy(region))
 
     def test_enumerated_strategy(self):
         # D101 declines type-2 creations everywhere but s=[1,0].
@@ -424,15 +424,15 @@ class TestEstimateEmpiricalMatrix:
         np.testing.assert_array_equal(est.probs[0], [1.0, 0.0, 0.0, 0.0])
         assert est.zero_visit_rows == (1, 2, 3)
 
-    def test_counts_total_equals_observed_transitions(self, model, region, scenario_c, accept_all):
+    def test_counts_total_equals_observed_transitions(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=50, periods_per_run=40, seed=19)
-        runs = simulate_episodes(model, region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(region, scenario_c, accept_all, sim)
         est = estimate_empirical_matrix(region, runs)
         assert est.counts.sum() == 50 * 40
 
-    def test_visited_rows_normalize(self, model, region, scenario_a, accept_all):
+    def test_visited_rows_normalize(self, region, scenario_a, accept_all):
         sim = SimConfig(num_runs=30, periods_per_run=30, seed=20)
-        runs = simulate_episodes(model, region, scenario_a, accept_all, sim)
+        runs = simulate_episodes(region, scenario_a, accept_all, sim)
         est = estimate_empirical_matrix(region, runs)
         for i in range(4):
             if est.visits[i]:
@@ -440,10 +440,10 @@ class TestEstimateEmpiricalMatrix:
             else:
                 assert est.probs[i].sum() == 0.0
 
-    def test_full_coverage_under_reference_protocol(self, model, region, scenario_c, accept_all):
+    def test_full_coverage_under_reference_protocol(self, region, scenario_c, accept_all):
         # 1000 uniformly initialized runs of 100 periods visit every row.
         sim = SimConfig(num_runs=1000, periods_per_run=100, seed=42)
-        runs = simulate_episodes(model, region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(region, scenario_c, accept_all, sim)
         est = estimate_empirical_matrix(region, runs)
         assert est.zero_visit_rows == ()
 
@@ -514,7 +514,7 @@ class TestRmse:
         errors = []
         for runs in (50, 1000):
             sim = SimConfig(num_runs=runs, periods_per_run=100, seed=21)
-            sims = simulate_episodes(model, region, scenario_c, accept_all, sim)
+            sims = simulate_episodes(region, scenario_c, accept_all, sim)
             errors.append(rmse(matrix.probs, estimate_empirical_matrix(region, sims)))
         assert errors[1] < errors[0]
 
@@ -525,9 +525,9 @@ class TestRmse:
 
 
 class TestMarkovOrderTest:
-    def test_simulated_chain_not_rejected(self, model, region, scenario_c, accept_all):
+    def test_simulated_chain_not_rejected(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=50, periods_per_run=200, seed=22)
-        runs = simulate_episodes(model, region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(region, scenario_c, accept_all, sim)
         _, dof, pvalue = markov_order_test(runs, len(region))
         assert dof > 0
         assert pvalue >= 0.01
