@@ -18,7 +18,7 @@ class InvalidStrategyError(SliceMarkovError):
 
 
 class GuardExceededError(SliceMarkovError):
-    """A runtime guard (region size, strategy count, brute-force bag length) was hit."""
+    """A runtime guard (region size, strategy count, bags per build, brute-force bag length) was hit."""
 
 
 class ReducibleChainError(SliceMarkovError):

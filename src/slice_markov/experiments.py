@@ -163,11 +163,18 @@ def _strategy_spec(raw):
     raise ConfigError(f"strategy must be a name, id, or table, got {type(raw).__name__}")
 
 
+def _distinct(values: tuple, where: str) -> tuple:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{where} lists {value!r} more than once")
+    return values
+
+
 def _truncation(raw, where: str) -> tuple[int, ...]:
     values = raw if isinstance(raw, list) else [raw]
     if not values:
         raise ConfigError(f"{where} must not be empty")
-    return tuple(_positive_int(v, where) for v in values)
+    return _distinct(tuple(_positive_int(v, where) for v in values), where)
 
 
 def _state(raw, num_types: int, where: str) -> tuple[int, ...]:
@@ -263,7 +270,9 @@ def parse_config(
         num_runs=sim["num_runs"], periods_per_run=sim["periods_per_run"],
     )
     names = _expect_list(figure3["scenarios"], "figure3.scenarios")
-    figure3["scenarios"] = tuple(_scenario_name(name, scenarios, "figure3 scenario") for name in names)
+    figure3["scenarios"] = _distinct(
+        tuple(_scenario_name(name, scenarios, "figure3 scenario") for name in names), "figure3.scenarios"
+    )
     if not names:
         raise ConfigError("figure3.scenarios must not be empty")
     figure3["q_plus_max"] = _truncation(figure3["q_plus_max"], "figure3.q_plus_max")
@@ -417,7 +426,7 @@ def empirical_documents(
         seed = _child_seed(cfg.sim.seed, si)
         sim = SimConfig(cfg.sim.num_runs, cfg.sim.periods_per_run, seed, cfg.sim.initial_state)
         started = time.perf_counter()
-        trajectories = simulate_episodes(region, scenario, strategy, sim, workers=workers)
+        trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
         log.info("simulated scenario %s: %d runs x %d periods in %.1fs",
                  name, sim.num_runs, sim.periods_per_run, time.perf_counter() - started)
         empirical = estimate_empirical_matrix(region, trajectories)
@@ -466,7 +475,7 @@ def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         cfg.model, region, scenario, strategy, proto.q_plus_max, renormalize=True
     )
     sim = SimConfig(proto.episodes, proto.periods, cfg.sim.seed, proto.initial_state)
-    trajectories = simulate_episodes(region, scenario, strategy, sim, workers=workers)
+    trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
     rows = []
     analytical = np.zeros(len(region))
     analytical[start] = 1.0
@@ -516,7 +525,7 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         for di, strategy in enumerate(strategies):
             seed = _child_seed(cfg.sim.seed, si, di)
             sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
-            trajectories = simulate_episodes(region, scenario, strategy, sim, workers=workers)
+            trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
             empirical = estimate_empirical_matrix(region, trajectories)
             for q in proto.q_plus_max:
                 matrix = build_transition_matrix(

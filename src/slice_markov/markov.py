@@ -13,6 +13,7 @@ recorded per row.
 from __future__ import annotations
 
 import itertools
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -33,6 +34,9 @@ ROW_SUM_TOL = 1e-12
 
 # Longest bag brute_force_transition_matrix expands into its Q! orderings.
 BRUTE_FORCE_MAX_QUEUE = 8
+
+# Most request bags one build may enumerate, summed over its rows.
+MAX_BAGS = 500_000
 
 
 @dataclass(eq=False)
@@ -139,13 +143,21 @@ def _ordering_distribution(
 
 
 def _check_build_arguments(region: AdmissibilityRegion, strategy: Strategy, q_plus_max: int) -> None:
-    """The argument checks both builders make."""
+    """The argument checks both builders make. A row in state s has
+    ``(q_plus_max + 1)**N * prod(s_n + 1)`` bags, and a build whose rows
+    hold more than ``MAX_BAGS`` in all is refused before it starts."""
     if len(region) == 0:
         raise ValueError("region is empty")
     if q_plus_max < 1:
         raise ValueError(f"q_plus_max must be >= 1, got {q_plus_max}")
     if strategy.region != region:
         raise InvalidStrategyError("strategy is defined over a different region")
+    releases = sum(math.prod(count + 1 for count in state) for state in region.states)
+    bags = (q_plus_max + 1) ** region.num_types * releases
+    if bags > MAX_BAGS:
+        raise GuardExceededError(
+            f"a build at q_plus_max={q_plus_max} enumerates {bags} request bags, above the cap of {MAX_BAGS}"
+        )
 
 
 def _finish_build(

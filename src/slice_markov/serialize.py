@@ -38,9 +38,11 @@ class TraceRows(list):
     trajectory array of shape (runs, periods + 1), built one at a time.
 
     It subclasses ``list`` only so that the json module encodes it as an
-    array, through ``__iter__``; the list's own storage stays empty. Length,
-    indexing, iteration and equality read the array and give plain Python
-    ints; every other list operation raises ``TypeError``.
+    array, through ``__len__`` and ``__iter__``; the list's own storage
+    stays empty. The view supports ``len`` and iteration only, both read
+    from the array and giving plain Python ints; copy it with ``list()``
+    for anything else. The CSV writer reads ``trajectories`` and ``labels``
+    directly.
     """
 
     def __init__(self, trajectories, labels):
@@ -51,35 +53,11 @@ class TraceRows(list):
     def __len__(self):
         return self.trajectories.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        run, period = divmod(range(len(self))[index], self.trajectories.shape[1])
-        state = int(self.trajectories[run, period])
-        return [run, period, state, self.labels[state]]
-
     def __iter__(self):
         labels = self.labels
         for run, states in enumerate(self.trajectories):
             for period, state in enumerate(states.tolist()):
                 yield [run, period, state, labels[state]]
-
-    def __eq__(self, other):
-        return list(self) == other
-
-    def __ne__(self, other):
-        return not self == other
-
-    def __repr__(self):
-        return f"TraceRows({self.trajectories.shape[0]} runs x {self.trajectories.shape[1]} boundaries)"
-
-    def _unsupported(self, *args, **kwargs):
-        raise TypeError("trace rows are a read-only view; copy them with list() first")
-
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = __add__ = __mul__ = __rmul__ = _unsupported
-    __lt__ = __le__ = __gt__ = __ge__ = __contains__ = __reversed__ = _unsupported
-    append = extend = insert = pop = remove = clear = sort = reverse = copy = index = count = _unsupported
-    __hash__ = None
 
 
 def _write_trace_rows(out, rows: TraceRows) -> None:

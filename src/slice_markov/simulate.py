@@ -34,7 +34,6 @@ import numpy as np
 
 from .arrivals import DemandScenario
 from .domain import AdmissibilityRegion, State, Strategy
-from .errors import InvalidStrategyError
 
 
 @dataclass(frozen=True)
@@ -227,14 +226,14 @@ def _creation_draws(rng: np.random.Generator, rates, periods: int):
 
 
 def run_episode(
-    region: AdmissibilityRegion,
     scenario: DemandScenario,
     strategy: Strategy,
     periods: int,
     rng: np.random.Generator,
     initial_state: State | None = None,
 ) -> np.ndarray:
-    """Simulate one run; returns region indices at each of periods+1 boundaries.
+    """Simulate one run; returns indices into ``strategy.region`` at each of
+    periods+1 boundaries.
 
     All of the run's randomness is drawn up front from ``rng``, in this order:
 
@@ -273,6 +272,7 @@ def run_episode(
     outliving the horizon that disagrees with the final state is a
     bookkeeping bug and aborts.
     """
+    region = strategy.region
     if initial_state is None:
         index = int(rng.integers(len(region)))
     else:
@@ -337,7 +337,7 @@ def run_episode(
 
 
 def _episode_batch(args) -> np.ndarray:
-    region, scenario, strategy, sim, start, stop = args
+    scenario, strategy, sim, start, stop = args
     out = np.empty((stop - start, sim.periods_per_run + 1), dtype=np.int64)
     # One generator serves every run: setting its bit generator's state to
     # that of run_rng(seed, run) costs far less than building a new one.
@@ -345,30 +345,26 @@ def _episode_batch(args) -> np.ndarray:
     rng = np.random.Generator(bits)
     for offset, state in enumerate(_pcg64_states(sim.seed, start, stop)):
         bits.state = state
-        out[offset] = run_episode(
-            region, scenario, strategy, sim.periods_per_run, rng, sim.initial_state
-        )
+        out[offset] = run_episode(scenario, strategy, sim.periods_per_run, rng, sim.initial_state)
     return out
 
 
 def simulate_episodes(
-    region: AdmissibilityRegion,
     scenario: DemandScenario,
     strategy: Strategy,
     sim: SimConfig,
     workers: int | None = None,
 ) -> np.ndarray:
-    """All runs of a protocol; returns an array of shape (num_runs, periods+1).
+    """All runs of a protocol over ``strategy.region``; returns an array of
+    shape (num_runs, periods+1).
 
     Run r always uses the substream (seed, r), so the result is independent
     of execution order and identical across worker counts.
     """
-    if strategy.region != region:
-        raise InvalidStrategyError("strategy is defined over a different region")
     if workers is not None and workers > 1:
         bounds = np.linspace(0, sim.num_runs, min(workers, sim.num_runs) + 1, dtype=int)
         tasks = [
-            (region, scenario, strategy, sim, int(start), int(stop))
+            (scenario, strategy, sim, int(start), int(stop))
             for start, stop in zip(bounds[:-1], bounds[1:])
             if stop > start
         ]
@@ -378,7 +374,7 @@ def simulate_episodes(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return np.vstack(list(pool.map(_episode_batch, tasks)))
-    return _episode_batch((region, scenario, strategy, sim, 0, sim.num_runs))
+    return _episode_batch((scenario, strategy, sim, 0, sim.num_runs))
 
 
 def estimate_empirical_matrix(region: AdmissibilityRegion, trajectories: np.ndarray) -> EmpiricalMatrix:

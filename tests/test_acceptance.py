@@ -149,7 +149,7 @@ def test_ac5_unconstrained_occupancy(acceptance_report):
     analytical = float(occupancy_mean(region, stationary_distribution(matrix))[0])
 
     sim = SimConfig(num_runs=200, periods_per_run=500, seed=42)
-    runs = simulate_episodes(region, scenario, strategy, sim)
+    runs = simulate_episodes(scenario, strategy, sim)
     burn_in = 50
     states = np.array(region.states)[:, 0]
     simulated = float(states[runs[:, burn_in:]].mean())
@@ -213,7 +213,7 @@ def test_ac7_markov_property(acceptance_report):
     pvalues = {}
     for name in ("A", "B", "C"):
         sim = SimConfig(num_runs=1, periods_per_run=100_000, seed=42)
-        runs = simulate_episodes(region, cfg.scenarios[name], strategy, sim)
+        runs = simulate_episodes(cfg.scenarios[name], strategy, sim)
         _, dof, pvalue = markov_order_test(runs, len(region))
         assert dof > 0
         pvalues[name] = pvalue

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -319,6 +320,19 @@ class TestExitCodes:
         path = write_config(tmp_path, body)
         assert main(["strategies", "--config", path, "--quiet"]) == 4
 
+    def test_bag_guard_stops_a_build_before_it_starts(self, tmp_path):
+        # 1,972,593 request bags per build of the N=3 model at q=20, a
+        # build that had not finished after 40 s when it was let run.
+        config = os.path.join(os.path.dirname(__file__), "..", "perfbench", "configs", "n3_matrix.json")
+        with open(config, encoding="utf-8") as handle:
+            body = json.load(handle)
+        body["truncation"] = [20]
+        path = write_config(tmp_path, body)
+        started = time.perf_counter()
+        assert main(["matrix", "--config", path, "--out", str(tmp_path / "out"), "--quiet"]) == 4
+        assert time.perf_counter() - started < 2.0
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["region", "matrix", "simulate"])
     def test_region_guard(self, tmp_path, command):
         # About 5e7 admissible states: enumeration stops at the region cap.
@@ -346,13 +360,20 @@ class TestExitCodes:
         ("matrix", lambda body: body.update(renormalize=1)),
         ("figure3", lambda body: body["figure3"].update(scenarios=[])),
         ("region", lambda body: body["output"].update(dir="")),
+        ("matrix", lambda body: body.update(truncation=[2, 1, 2])),
+        ("figure3", lambda body: body["figure3"].update(q_plus_max=[2, 2])),
+        ("figure3", lambda body: body["figure3"].update(scenarios=["C", "A", "C"])),
     ], ids=["figure2-scenario-array", "figure3-scenario-object", "slash-in-name", "start-outside-region",
             "number-for-array", "string-for-number", "overflowing-number", "strategy-true",
             "strategy-float", "empty-truncation", "negative-pool", "no-scenarios", "renormalize-int",
-            "figure3-no-scenarios", "empty-output-dir"])
+            "figure3-no-scenarios", "empty-output-dir", "repeated-truncation", "repeated-figure3-depth",
+            "repeated-figure3-scenario"])
     def test_outside_input_is_a_configuration_error(self, tmp_path, command, edit):
         # The first four used to escape as a TypeError, FileNotFoundError or
-        # ValueError traceback instead of a configuration error.
+        # ValueError traceback instead of a configuration error. The last
+        # three were accepted: a repeated depth merged two summary rows'
+        # errors and wrote the row twice, a repeated scenario or truncation
+        # duplicated output.
         body = config_dict(str(tmp_path / "out"))
         edit(body)
         with pytest.raises(ConfigError):
@@ -493,7 +514,7 @@ def test_serial_simulation_loads_no_process_pool():
         "from slice_markov import *\n"
         "model = ResourceModel((1.0,), ((0.3,),))\n"
         "region = enumerate_region(model)\n"
-        "runs = simulate_episodes(region, DemandScenario((0.5,), (4.0,)),"
+        "runs = simulate_episodes(DemandScenario((0.5,), (4.0,)),"
         " always_accept_strategy(region), SimConfig(3, 5, 7))\n"
         "assert runs.shape == (3, 6)\n"
         "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing')"

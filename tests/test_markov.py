@@ -28,7 +28,8 @@ from slice_markov import (
     strategy_from_table,
     truncation_tail_bound,
 )
-from slice_markov.markov import _closed_classes
+from slice_markov import markov
+from slice_markov.markov import _check_build_arguments, _closed_classes
 
 RELEASE_P_MU4 = 0.22119921692859512  # 1 - exp(-1/4)
 BINOM_2_1_MU4 = 0.3445402467175429  # C(2,1) p (1-p)
@@ -305,6 +306,32 @@ class TestBruteForceAgreement:
             brute_force_transition_matrix(
                 model, region, scenario_c, accept_all, q_plus_max=9
             )
+
+
+class TestBagGuard:
+    # The N=3 ladder model of the benchmark: 34 states whose release
+    # ranges hold 213 bags in all, times (q+1)**3 creation bags.
+    N3_MODEL = ResourceModel(resource_pool=(2.0,), cost_matrix=((0.3, 0.5, 0.7),))
+    N3_SCENARIO = DemandScenario(creation_rates=(0.6, 0.4, 0.3), mean_lifetimes=(4.0, 4.0, 4.0))
+
+    def test_oversized_builds_refused(self):
+        region = enumerate_region(self.N3_MODEL)
+        strategy = always_accept_strategy(region)
+        for builder in (build_transition_matrix, brute_force_transition_matrix):
+            with pytest.raises(GuardExceededError, match="1972593 request bags, above the cap of 500000"):
+                builder(self.N3_MODEL, region, self.N3_SCENARIO, strategy, 20)
+
+    def test_depth_ten_is_under_the_cap(self):
+        region = enumerate_region(self.N3_MODEL)
+        _check_build_arguments(region, always_accept_strategy(region), 10)  # 283,503 bags
+
+    def test_cap_counts_every_bag(self, monkeypatch, model, region, scenario_c, accept_all):
+        # Four states with 1..4 release bags, times 3 creation bags at q=2.
+        monkeypatch.setattr(markov, "MAX_BAGS", 30)
+        build_transition_matrix(model, region, scenario_c, accept_all, 2)
+        monkeypatch.setattr(markov, "MAX_BAGS", 29)
+        with pytest.raises(GuardExceededError, match="30 request bags"):
+            build_transition_matrix(model, region, scenario_c, accept_all, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import pytest
 from slice_markov import (
     DemandScenario,
     EmpiricalMatrix,
-    InvalidStrategyError,
     ResourceModel,
     SimConfig,
     always_accept_strategy,
@@ -24,7 +23,6 @@ from slice_markov import (
     run_episode,
     run_rng,
     simulate_episodes,
-    strategy_from_table,
 )
 from slice_markov.simulate import _creation_draws, _pcg64_states
 
@@ -96,44 +94,36 @@ class TestBulkStreams:
 
 
 class TestRunEpisode:
-    def test_decline_all_from_empty_stays_empty(self, region, scenario_c, decline_all):
-        trajectory = run_episode(
-            region, scenario_c, decline_all, 50, run_rng(7, 0), initial_state=(0,)
-        )
+    def test_decline_all_from_empty_stays_empty(self, scenario_c, decline_all):
+        trajectory = run_episode(scenario_c, decline_all, 50, run_rng(7, 0), initial_state=(0,))
         np.testing.assert_array_equal(trajectory, np.zeros(51, dtype=np.int64))
 
     def test_trajectory_length_and_start(self, region, scenario_c, accept_all):
-        trajectory = run_episode(
-            region, scenario_c, accept_all, 30, run_rng(8, 0), initial_state=(2,)
-        )
+        trajectory = run_episode(scenario_c, accept_all, 30, run_rng(8, 0), initial_state=(2,))
         assert trajectory.shape == (31,)
         assert trajectory[0] == region.index_of[(2,)]
 
     def test_indices_stay_in_region(self, region, scenario_a, accept_all):
-        trajectory = run_episode(region, scenario_a, accept_all, 500, run_rng(9, 0))
+        trajectory = run_episode(scenario_a, accept_all, 500, run_rng(9, 0))
         assert trajectory.min() >= 0
         assert trajectory.max() < len(region)
 
-    def test_initial_state_outside_region_rejected(self, region, scenario_c, accept_all):
+    def test_initial_state_outside_region_rejected(self, scenario_c, accept_all):
         with pytest.raises(ValueError):
-            run_episode(
-                region, scenario_c, accept_all, 5, run_rng(10, 0), initial_state=(9,)
-            )
+            run_episode(scenario_c, accept_all, 5, run_rng(10, 0), initial_state=(9,))
 
-    def test_reproducible_via_seed(self, region, scenario_b, accept_all):
-        a = run_episode(region, scenario_b, accept_all, 100, run_rng(11, 4))
-        b = run_episode(region, scenario_b, accept_all, 100, run_rng(11, 4))
+    def test_reproducible_via_seed(self, scenario_b, accept_all):
+        a = run_episode(scenario_b, accept_all, 100, run_rng(11, 4))
+        b = run_episode(scenario_b, accept_all, 100, run_rng(11, 4))
         np.testing.assert_array_equal(a, b)
 
-    def test_all_states_reached_under_accept_all(self, region, scenario_a, accept_all):
-        trajectory = run_episode(
-            region, scenario_a, accept_all, 2000, run_rng(12, 0), initial_state=(0,)
-        )
+    def test_all_states_reached_under_accept_all(self, scenario_a, accept_all):
+        trajectory = run_episode(scenario_a, accept_all, 2000, run_rng(12, 0), initial_state=(0,))
         assert set(np.unique(trajectory)) == {0, 1, 2, 3}
 
     def test_uniform_start_is_the_first_draw(self, region, scenario_c, accept_all):
         for run in range(20):
-            trajectory = run_episode(region, scenario_c, accept_all, 5, run_rng(25, run))
+            trajectory = run_episode(scenario_c, accept_all, 5, run_rng(25, run))
             assert trajectory[0] == run_rng(25, run).integers(len(region))
 
     def test_creation_counts_come_from_one_bulk_poisson_draw(self):
@@ -144,9 +134,7 @@ class TestRunEpisode:
         roomy_region = enumerate_region(roomy)
         scenario = DemandScenario(creation_rates=(0.9,), mean_lifetimes=(1e12,))
         strategy = always_accept_strategy(roomy_region)
-        trajectory = run_episode(
-            roomy_region, scenario, strategy, 40, run_rng(26, 0), initial_state=(0,)
-        )
+        trajectory = run_episode(scenario, strategy, 40, run_rng(26, 0), initial_state=(0,))
         counts = run_rng(26, 0).poisson(0.9, (40, 1))[:, 0]
         expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), 12)
         np.testing.assert_array_equal(trajectory, expected)
@@ -160,9 +148,7 @@ class TestRunEpisode:
         cap = roomy_region.states[-1][0]
         scenario = DemandScenario(creation_rates=(12.0,), mean_lifetimes=(1e12,))
         strategy = always_accept_strategy(roomy_region)
-        trajectory = run_episode(
-            roomy_region, scenario, strategy, 40, run_rng(28, 0), initial_state=(0,)
-        )
+        trajectory = run_episode(scenario, strategy, 40, run_rng(28, 0), initial_state=(0,))
         counts = run_rng(28, 0).poisson(12.0, (40, 1))[:, 0]
         expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), cap)
         assert cap == 333 and expected[-1] == cap and expected[10] < cap
@@ -178,7 +164,7 @@ class TestRunEpisode:
         table[3] = (-1, 2)
         strategy.__dict__["next_index"] = tuple(table)
         with pytest.raises(RuntimeError, match="corrupted"):
-            run_episode(region, scenario_a, strategy, 200, run_rng(27, 0), initial_state=(3,))
+            run_episode(scenario_a, strategy, 200, run_rng(27, 0), initial_state=(3,))
 
 
 class TestCreationDraws:
@@ -217,30 +203,28 @@ class TestCreationDraws:
 
 
 class TestSimulateEpisodes:
-    def test_shape(self, region, scenario_c, accept_all):
+    def test_shape(self, scenario_c, accept_all):
         sim = SimConfig(num_runs=20, periods_per_run=10, seed=13)
-        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(scenario_c, accept_all, sim)
         assert runs.shape == (20, 11)
 
-    def test_runs_use_independent_substreams(self, region, scenario_c, accept_all):
+    def test_runs_use_independent_substreams(self, scenario_c, accept_all):
         # Run r depends only on (seed, r): shrinking the run count must not
         # change the runs that remain.
         big = simulate_episodes(
-            region, scenario_c, accept_all,
+            scenario_c, accept_all,
             SimConfig(num_runs=6, periods_per_run=20, seed=14),
         )
         small = simulate_episodes(
-            region, scenario_c, accept_all,
+            scenario_c, accept_all,
             SimConfig(num_runs=3, periods_per_run=20, seed=14),
         )
         np.testing.assert_array_equal(big[:3], small)
 
-    def test_parallel_matches_serial(self, region, scenario_b, accept_all):
+    def test_parallel_matches_serial(self, scenario_b, accept_all):
         sim = SimConfig(num_runs=12, periods_per_run=25, seed=15)
-        serial = simulate_episodes(region, scenario_b, accept_all, sim)
-        parallel = simulate_episodes(
-            region, scenario_b, accept_all, sim, workers=3
-        )
+        serial = simulate_episodes(scenario_b, accept_all, sim)
+        parallel = simulate_episodes(scenario_b, accept_all, sim, workers=3)
         np.testing.assert_array_equal(serial, parallel)
 
     @pytest.mark.parametrize("two_types", [False, True])
@@ -260,15 +244,15 @@ class TestSimulateEpisodes:
         start = region.states[1] if fixed_start else None
         sim = SimConfig(num_runs=9, periods_per_run=12, seed=2**63 + 5, initial_state=start)
         expected = np.array([
-            run_episode(region, scenario, strategy, sim.periods_per_run, run_rng(sim.seed, r), start)
+            run_episode(scenario, strategy, sim.periods_per_run, run_rng(sim.seed, r), start)
             for r in range(sim.num_runs)
         ])
-        runs = simulate_episodes(region, scenario, strategy, sim, workers=workers)
+        runs = simulate_episodes(scenario, strategy, sim, workers=workers)
         np.testing.assert_array_equal(runs, expected)
 
-    def test_uniform_initialization_covers_region(self, region, scenario_c, accept_all):
+    def test_uniform_initialization_covers_region(self, scenario_c, accept_all):
         sim = SimConfig(num_runs=400, periods_per_run=1, seed=16)
-        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(scenario_c, accept_all, sim)
         starts = np.bincount(runs[:, 0], minlength=4)
         assert np.all(starts > 0)
         # Uniform draw: each state expects 100 +- 3 sigma ~ 26 starts.
@@ -276,15 +260,9 @@ class TestSimulateEpisodes:
 
     def test_fixed_initialization(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=10, periods_per_run=1, seed=17, initial_state=(3,))
-        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(scenario_c, accept_all, sim)
         assert np.all(runs[:, 0] == region.index_of[(3,)])
 
-    def test_invalid_strategy_rejected(self, region, scenario_c):
-        other = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.5,),)))
-        foreign = strategy_from_table(other, ((False,),) * len(other))
-        sim = SimConfig(num_runs=1, periods_per_run=1, seed=18)
-        with pytest.raises(InvalidStrategyError, match="different region"):
-            simulate_episodes(region, scenario_c, foreign, sim)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +294,7 @@ class TestAgainstExactBuilderRows:
         exact = build_transition_matrix(model, region, scenario_c, decline_all, q_plus_max=8)
         sim = SimConfig(num_runs=20_000, periods_per_run=3, seed=28, initial_state=(3,))
         est = estimate_empirical_matrix(
-            region, simulate_episodes(region, scenario_c, decline_all, sim)
+            region, simulate_episodes(scenario_c, decline_all, sim)
         )
         assert est.zero_visit_rows == ()
         assert _max_z_against_exact(exact.probs, est, range(len(region))) <= 4.0
@@ -326,7 +304,7 @@ class TestAgainstExactBuilderRows:
         exact = build_transition_matrix(model, region, scenario_c, accept_all, q_plus_max=8)
         sim = SimConfig(num_runs=20_000, periods_per_run=1, seed=29, initial_state=(0,))
         est = estimate_empirical_matrix(
-            region, simulate_episodes(region, scenario_c, accept_all, sim)
+            region, simulate_episodes(scenario_c, accept_all, sim)
         )
         assert est.visits[0] == 20_000
         assert _max_z_against_exact(exact.probs, est, [0]) <= 4.0
@@ -388,7 +366,7 @@ class TestAgainstReferenceSimulator:
         runs, periods = 2000, 100
         sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=30)
         bulk = estimate_empirical_matrix(
-            region, simulate_episodes(region, self.SCENARIO, strategy, sim)
+            region, simulate_episodes(self.SCENARIO, strategy, sim)
         )
         reference = estimate_empirical_matrix(
             region,
@@ -426,13 +404,13 @@ class TestEstimateEmpiricalMatrix:
 
     def test_counts_total_equals_observed_transitions(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=50, periods_per_run=40, seed=19)
-        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(scenario_c, accept_all, sim)
         est = estimate_empirical_matrix(region, runs)
         assert est.counts.sum() == 50 * 40
 
     def test_visited_rows_normalize(self, region, scenario_a, accept_all):
         sim = SimConfig(num_runs=30, periods_per_run=30, seed=20)
-        runs = simulate_episodes(region, scenario_a, accept_all, sim)
+        runs = simulate_episodes(scenario_a, accept_all, sim)
         est = estimate_empirical_matrix(region, runs)
         for i in range(4):
             if est.visits[i]:
@@ -443,7 +421,7 @@ class TestEstimateEmpiricalMatrix:
     def test_full_coverage_under_reference_protocol(self, region, scenario_c, accept_all):
         # 1000 uniformly initialized runs of 100 periods visit every row.
         sim = SimConfig(num_runs=1000, periods_per_run=100, seed=42)
-        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(scenario_c, accept_all, sim)
         est = estimate_empirical_matrix(region, runs)
         assert est.zero_visit_rows == ()
 
@@ -514,7 +492,7 @@ class TestRmse:
         errors = []
         for runs in (50, 1000):
             sim = SimConfig(num_runs=runs, periods_per_run=100, seed=21)
-            sims = simulate_episodes(region, scenario_c, accept_all, sim)
+            sims = simulate_episodes(scenario_c, accept_all, sim)
             errors.append(rmse(matrix.probs, estimate_empirical_matrix(region, sims)))
         assert errors[1] < errors[0]
 
@@ -527,7 +505,7 @@ class TestRmse:
 class TestMarkovOrderTest:
     def test_simulated_chain_not_rejected(self, region, scenario_c, accept_all):
         sim = SimConfig(num_runs=50, periods_per_run=200, seed=22)
-        runs = simulate_episodes(region, scenario_c, accept_all, sim)
+        runs = simulate_episodes(scenario_c, accept_all, sim)
         _, dof, pvalue = markov_order_test(runs, len(region))
         assert dof > 0
         assert pvalue >= 0.01
