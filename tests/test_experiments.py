@@ -382,6 +382,40 @@ class TestGoldenOutputs:
         digests = self.figure_digests(tmp_path, "figure2", out_format)
         assert digests == self.FIGURE_GOLDEN["figure2", out_format]
 
+    # The same for the `matrix` files of the perfbench N=3 model (|R|=34)
+    # under a mixed strategy id. The depths run deepest first, so q=1 is
+    # read from the ordering table built for q=2; both must keep these bytes
+    # through any change to how the matrices are built.
+    MATRIX_GOLDEN = {
+        "csv": {
+            "matrix_A_q1.csv": "d10858fa178f6565e5848a3c010ef57a593c3f09f2f768692d71bbaf302fc03e",
+            "matrix_A_q2.csv": "43cb2b5bc24b73958ca3bfcfd1773c76909d5ebffba8959d83350ac31051a321",
+            "matrix_C_q1.csv": "7ab39effab367996f3e371d64ee7217e1c6469634494be29868fd9fab58d34eb",
+            "matrix_C_q2.csv": "1b0d84e293715c0aa04cc6a6ab8b9253d8b05dedfe4ee3b6dc81c02d78094c23",
+        },
+        "json": {
+            "matrix_A_q1.json": "15c242071ce82897e375abd7c6851986723a61a525b6b059b66e5e281f2c9b5e",
+            "matrix_A_q2.json": "497157a72678074301b3d0e8ed3a1046066add9999c38c081ed494c9194488af",
+            "matrix_C_q1.json": "cd4f1a95a092ef1f36ef969a9b8dfb6d3a2ec3897f0f88251418fc7727414258",
+            "matrix_C_q2.json": "c85774b2ad147c77589951eadb92d6e14b20badb76ba4bdf8d8d826e206aea07",
+        },
+    }
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    def test_n3_matrix_bytes(self, tmp_path, out_format):
+        with open(PERFBENCH_CONFIGS / "n3_matrix.json", encoding="utf-8") as handle:
+            raw = json.load(handle)
+        raw.update(strategy=0x5A5A5A5A5A5A5A, truncation=[2, 1])
+        config = tmp_path / "n3_matrix.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["matrix", "--config", str(config), "--quiet", "--out", str(out),
+                "--format", out_format]
+        assert main(argv) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == self.MATRIX_GOLDEN[out_format]
+
     # The same for the region and the 128 valid strategies of the two-type
     # model, which pin the enumeration order and the strategy bits.
     ENUMERATION_GOLDEN = {
