@@ -390,10 +390,14 @@ def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
     labels = [state_label(s) for s in region.states]
     docs = []
     for name, scenario in cfg.scenarios.items():
+        # Deepest first, so the strategy's ordering table is built once and
+        # every shallower depth is read from it.
+        matrices = {
+            q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
+            for q in sorted(cfg.truncation, reverse=True)
+        }
         for q in cfg.truncation:
-            matrix = build_transition_matrix(
-                cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize
-            )
+            matrix = matrices[q]
             docs.append(_document(
                 "matrix", cfg,
                 scenario=name,
@@ -523,15 +527,19 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         errors = {q: [] for q in proto.q_plus_max}
         started = time.perf_counter()
         for di, strategy in enumerate(strategies):
+            # Builds draw no randomness; making them first lets a depth over
+            # the bag cap fail before any simulation runs, and deepest first
+            # builds the strategy's ordering table once.
+            matrices = {
+                q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
+                for q in sorted(proto.q_plus_max, reverse=True)
+            }
             seed = _child_seed(cfg.sim.seed, si, di)
             sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
             trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
             empirical = estimate_empirical_matrix(region, trajectories)
             for q in proto.q_plus_max:
-                matrix = build_transition_matrix(
-                    cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize
-                )
-                epsilon = rmse(matrix.probs, empirical)
+                epsilon = rmse(matrices[q].probs, empirical)
                 rows.append([name, f"D{di}", strategy.bits, q, epsilon, len(empirical.zero_visit_rows)])
                 errors[q].append(epsilon)
         for q in proto.q_plus_max:

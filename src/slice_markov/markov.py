@@ -8,12 +8,23 @@ creation multiplicities; release multiplicities are naturally bounded by the
 row state. Each row therefore sums to slightly less than one before
 renormalization, and the shortfall (the truncated Poisson tail mass) is
 recorded per row.
+
+How a bag's orderings split its mass does not depend on the row or the
+demand, only on the bag, the state it starts in and the strategy. Each
+strategy therefore keeps one ordering table, a float64 array with a row per
+(bag, start state) key, filled level by level in bag size with numpy and
+kept at the deepest truncation depth built so far; a shallower depth reads
+its keys out of it. A matrix row sums the table rows of its bags, weighted
+by the bags' masses, one bag after another.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import logging
 import math
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -29,6 +40,8 @@ from .domain import (
     state_label,
 )
 from .errors import ConfigError, GuardExceededError, InvalidStrategyError, ReducibleChainError
+
+log = logging.getLogger("slice_markov")
 
 ROW_SUM_TOL = 1e-12
 
@@ -94,52 +107,110 @@ def _iter_request_bags(state: State, q_plus_max: int, num_types: int):
         yield counts
 
 
-# One ordering memo per strategy, shared by every row, scenario and depth of
-# every build with that strategy; it goes when the strategy does.
-_ORDERING_MEMOS: weakref.WeakKeyDictionary[Strategy, dict] = weakref.WeakKeyDictionary()
+# One ordering table per strategy, at the deepest q_plus_max built with it
+# so far, shared by every row, scenario and shallower depth of every build
+# with that strategy; it goes when the strategy does.
+_ORDERING_TABLES: weakref.WeakKeyDictionary[Strategy, tuple[int, "_KeyBoxes", np.ndarray]] = (
+    weakref.WeakKeyDictionary()
+)
+
+# Keys whose ordering distributions are summed in one numpy step.
+_CHUNK_KEYS = 2048
 
 
-def _ordering_distribution(
-    counts: tuple[int, ...],
-    state_index: int,
-    next_index: tuple[tuple[int, ...], ...],
-    memo: dict,
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Distribution of final state indices over the equally likely bag orderings.
+@dataclass(frozen=True)
+class _KeyBoxes:
+    """Where each (bag, state) key of one region and depth sits in its table.
 
-    ``counts`` is aligned with ``request_kinds`` and ``next_index`` is the
-    strategy's compiled table. Removes one request at a time, each remaining
-    request equally likely to be next (probability proportional to its
-    kind's remaining multiplicity), moves to the decided successor, and
-    recurses on the reduced bag. The result is a pair of equal-length tuples
-    (final indices, weights). The memo key is (remaining bag, current state
-    index); it does not depend on the row the bag came from or on the
-    demand, so one memo serves every build with the same strategy.
+    State ``i`` owns the C-ordered box of count tuples with creation counts
+    in ``0..q_plus_max`` and release counts in ``0..states[i][n]``: rows
+    ``offsets[i]`` to ``offsets[i] + sizes[i]``, at ``strides[i]`` per
+    count, in ``_iter_request_bags`` order.
     """
-    key = (counts, state_index)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    total = sum(counts)
-    if total == 0:
-        result = ((state_index,), (1.0,))
-        memo[key] = result
-        return result
-    # A bag never releases more slices of a type than are active, so no
-    # successor read here is the table's -1.
-    successors = next_index[state_index]
-    weights: dict[int, float] = {}
-    for i, k in enumerate(counts):
-        if not k:
-            continue
-        pick = k / total
-        reduced = counts[:i] + (k - 1,) + counts[i + 1:]
-        finals, final_weights = _ordering_distribution(reduced, successors[i], next_index, memo)
-        for final, weight in zip(finals, final_weights):
-            weights[final] = weights.get(final, 0.0) + pick * weight
-    result = (tuple(weights), tuple(weights.values()))
-    memo[key] = result
-    return result
+
+    dims: np.ndarray
+    strides: np.ndarray
+    offsets: np.ndarray
+    sizes: np.ndarray
+
+    @classmethod
+    def of(cls, region: AdmissibilityRegion, q_plus_max: int) -> "_KeyBoxes":
+        states = np.array(region.states, dtype=np.int64)
+        dims = np.concatenate([np.full_like(states, q_plus_max + 1), states + 1], axis=1)
+        strides = np.ones_like(dims)
+        strides[:, :-1] = np.cumprod(dims[:, :0:-1], axis=1)[:, ::-1]
+        sizes = dims.prod(axis=1)
+        offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        return cls(dims, strides, offsets, sizes)
+
+    def rows(self, state_index: int, dims) -> np.ndarray:
+        """Table rows of state ``state_index``'s keys whose counts lie in the
+        sub-box ``dims``, in C order."""
+        index = np.array(self.offsets[state_index])
+        for dim, stride in zip(dims, self.strides[state_index]):
+            index = np.add.outer(index, np.arange(dim) * stride)
+        return index.ravel()
+
+
+def _ordering_table(strategy: Strategy, q_plus_max: int) -> tuple[_KeyBoxes, np.ndarray]:
+    """Distribution of final state indices over the equally likely orderings
+    of every bag, from every state, for bags with at most ``q_plus_max``
+    creations of each type.
+
+    Row ``k`` of the table (a float64 array of shape (keys, |R|)) belongs to
+    key ``k``: a bag's per-kind counts, aligned with ``request_kinds``, and
+    the state it starts in. A bag never releases more slices of a type than
+    its start state holds, and neither does any bag left after deciding some
+    of its requests, so the keys are exactly the bags the builders enumerate.
+    The empty bag ends where it starts. A bag of ``T`` requests picks its
+    first request with probability proportional to its kind's multiplicity,
+    moves to that request's decided successor and goes on with the bag left,
+    so ``F[key] = sum_k (count_k / T) * F[child_k]`` with ``child_k`` the
+    bag less one kind-``k`` request in state ``next_index[s][k]``. The table
+    is filled level by level in ``T``, each sum accumulated from 0.0 in
+    ``request_kinds`` order; a kind absent from the bag adds ``0.0 * F``,
+    which changes no bit.
+
+    The table holds keys x |R| doubles, and ``MAX_BAGS`` caps the keys: at
+    q_plus_max=4 the N=3 models of pools 2.0 and 4.0 give 7 MB (|R|=34, 27k
+    keys) and 598 MB (|R|=174, 430k keys).
+    """
+    started = time.perf_counter()
+    region = strategy.region
+    size = len(region)
+    boxes = _KeyBoxes.of(region, q_plus_max)
+    keys = int(boxes.sizes.sum())
+    owner = np.repeat(np.arange(size), boxes.sizes)
+    local = np.arange(keys) - boxes.offsets[owner]
+    counts = local[:, None] // boxes.strides[owner] % boxes.dims[owner]
+    levels = counts.sum(axis=1)
+    order = np.argsort(levels, kind="stable")
+    bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
+    next_index = np.array(strategy.next_index, dtype=np.int64)
+
+    table = np.zeros((keys, size))
+    empty = order[:bounds[1]]
+    table[empty, owner[empty]] = 1.0
+    for level in range(1, len(bounds) - 1):
+        for lo in range(bounds[level], bounds[level + 1], _CHUNK_KEYS):
+            chunk = order[lo:min(lo + _CHUNK_KEYS, bounds[level + 1])]
+            chunk_counts = counts[chunk]
+            chunk_owner = owner[chunk]
+            acc = np.zeros((len(chunk), size))
+            term = np.empty_like(acc)
+            for kind in range(counts.shape[1]):
+                present = chunk_counts[:, kind] > 0
+                target = np.where(present, next_index[chunk_owner, kind], 0)
+                strides = boxes.strides[target]
+                child = boxes.offsets[target] + (chunk_counts * strides).sum(axis=1) - strides[:, kind]
+                child[~present] = 0
+                pick = chunk_counts[:, kind] / level
+                np.multiply(table[child], pick[:, None], out=term)
+                acc += term
+            table[chunk] = acc
+    log.info("ordering table: %d keys x %d states, %.1f MB, %.2fs",
+             keys, size, table.nbytes / 1e6, time.perf_counter() - started)
+    return boxes, table
 
 
 def _check_build_arguments(region: AdmissibilityRegion, strategy: Strategy, q_plus_max: int) -> None:
@@ -203,35 +274,46 @@ def build_transition_matrix(
 
     Each bag's joint mass is the product of its per-kind masses, taken left
     to right in ``request_kinds`` order from 1.0 as ``multiset_prob`` does.
-    The ordering distributions come from the strategy's shared memo, so a
-    later build with the same strategy reuses every sub-bag already solved.
+    The ordering distributions come from the strategy's shared table (see
+    ``_ordering_table``), so a later build with the same strategy at the same
+    or a shallower depth builds none. A row is the sum over its bags, in
+    ``_iter_request_bags`` order, of each bag's mass times its row of the
+    table, added one bag after another from 0.0 as ``np.bincount`` adds its
+    weights; a matrix product would add them in another order.
     """
     _check_build_arguments(region, strategy, q_plus_max)
-    memo = _ORDERING_MEMOS.get(strategy)
-    if memo is None:
-        memo = _ORDERING_MEMOS[strategy] = {}
-    next_index = strategy.next_index
+    boxes, table = _cached_table(strategy, q_plus_max)
     size = len(region)
     creation_pmfs = [
-        [creation_pmf(rate, k) for k in range(q_plus_max + 1)] for rate in scenario.creation_rates
+        np.array([creation_pmf(rate, k) for k in range(q_plus_max + 1)]) for rate in scenario.creation_rates
     ]
-    probs = np.zeros((size, size))
+    most_bags = (q_plus_max + 1) ** region.num_types * max(math.prod(n + 1 for n in s) for s in region.states)
+    columns = np.tile(np.arange(size), most_bags)
+    probs = np.empty((size, size))
     for row_index, state in enumerate(region.states):
         release_pmfs = [
-            [release_pmf(lifetime, active, k) for k in range(active + 1)]
+            np.array([release_pmf(lifetime, active, k) for k in range(active + 1)])
             for lifetime, active in zip(scenario.mean_lifetimes, state)
         ]
-        row = [0.0] * size
-        bags = _iter_request_bags(state, q_plus_max, scenario.num_types)
-        for counts, masses in zip(bags, itertools.product(*creation_pmfs, *release_pmfs)):
-            bag_prob = 1.0
-            for mass in masses:
-                bag_prob *= mass
-            finals, weights = _ordering_distribution(counts, row_index, next_index, memo)
-            for final, weight in zip(finals, weights):
-                row[final] += bag_prob * weight
-        probs[row_index] = row
+        # Chained outer products multiply each bag's masses left to right in
+        # request_kinds order, as multiset_prob does from 1.0.
+        masses = functools.reduce(np.multiply.outer, creation_pmfs + release_pmfs).ravel()
+        dims = [q_plus_max + 1] * region.num_types + [active + 1 for active in state]
+        weights = table[boxes.rows(row_index, dims)] * masses[:, None]
+        probs[row_index] = np.bincount(columns[:weights.size], weights=weights.ravel(), minlength=size)
     return _finish_build(probs, region, q_plus_max, renormalize)
+
+
+def _cached_table(strategy: Strategy, q_plus_max: int) -> tuple[_KeyBoxes, np.ndarray]:
+    """The strategy's ordering table at depth ``q_plus_max`` or deeper,
+    built (replacing a shallower one) when it has none that deep."""
+    cached = _ORDERING_TABLES.get(strategy)
+    if cached is None or cached[0] < q_plus_max:
+        # Let the shallower table go before the deeper one is built.
+        cached = None
+        _ORDERING_TABLES.pop(strategy, None)
+        cached = _ORDERING_TABLES[strategy] = (q_plus_max, *_ordering_table(strategy, q_plus_max))
+    return cached[1], cached[2]
 
 
 def brute_force_transition_matrix(
@@ -248,7 +330,7 @@ def brute_force_transition_matrix(
     (``itertools.permutations`` over the expanded bag, so same-kind swaps are
     counted separately), folds each ordering through the strategy and sums
     its sequence probability into the reached entry. Exponentially slower
-    than the memoized builder; intended as an independent check at small
+    than the table builder; intended as an independent check at small
     truncation depths, and a bag longer than ``BRUTE_FORCE_MAX_QUEUE`` raises.
     ``model`` is not read.
     """

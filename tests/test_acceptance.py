@@ -130,7 +130,7 @@ def test_ac4_builder_equivalence(acceptance_report):
     elapsed = perf_counter() - started
     ok = worst <= 1e-12 and elapsed < 60.0
     acceptance_report(
-        f"AC-4 {_verdict(ok)}: max |memoized - explicit-enumeration| entry "
+        f"AC-4 {_verdict(ok)}: max |table DP - explicit-enumeration| entry "
         f"difference = {worst:.2e} (tolerance 1e-12) over 8 strategies x 3 "
         f"scenarios x depths 1..3, {elapsed:.1f}s (budget 60s)"
     )

@@ -333,6 +333,18 @@ class TestExitCodes:
         assert time.perf_counter() - started < 2.0
         assert not (tmp_path / "out").exists()
 
+    def test_figure3_bag_guard_stops_before_any_simulation(self, tmp_path):
+        # 600,010 bags at q=60000 on the four-state region. One strategy's
+        # simulation at 50,000 runs x 100 periods takes several seconds, so
+        # the cap must be met before the first one starts.
+        body = config_dict(str(tmp_path / "out"))
+        body["figure3"].update(q_plus_max=[1, 60000], num_runs=50_000, periods_per_run=100)
+        path = write_config(tmp_path, body)
+        started = time.perf_counter()
+        assert main(["figure3", "--config", path, "--quiet"]) == 4
+        assert time.perf_counter() - started < 2.0
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["region", "matrix", "simulate"])
     def test_region_guard(self, tmp_path, command):
         # About 5e7 admissible states: enumeration stops at the region cap.

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slice_markov import (
     AdmissibilityRegion,
@@ -16,6 +18,7 @@ from slice_markov import (
     InvalidStrategyError,
     ReducibleChainError,
     ResourceModel,
+    Strategy,
     TransitionMatrix,
     always_accept_strategy,
     brute_force_transition_matrix,
@@ -143,10 +146,10 @@ class TestBuildTransitionMatrix:
             for j in range(i + 1, len(matrices)):
                 assert np.max(np.abs(matrices[i] - matrices[j])) > 1e-6
 
-    def test_shared_memo_changes_no_bits(self, two_type_model, two_type_region):
-        # The ordering memo is shared by every build with an equal strategy.
-        # A memo warmed by another scenario at several depths must give the
-        # same bits as a fresh one.
+    def test_shared_table_changes_no_bits(self, two_type_model, two_type_region):
+        # The ordering table is shared by every build with an equal strategy
+        # and kept at the deepest depth built. A table built for another
+        # scenario at q=4 must give a q=3 build the same bits as a fresh one.
         scenario_a = DemandScenario(creation_rates=(1.0, 0.8), mean_lifetimes=(4.0, 4.0))
         scenario_c = DemandScenario(creation_rates=(0.6, 0.4), mean_lifetimes=(4.0, 2.0))
         fresh = always_accept_strategy(two_type_region)
@@ -154,9 +157,11 @@ class TestBuildTransitionMatrix:
         del fresh
         gc.collect()
         warm = always_accept_strategy(two_type_region)
+        assert warm not in markov._ORDERING_TABLES
         for q in (1, 2, 3, 4):
             build_transition_matrix(two_type_model, two_type_region, scenario_a, warm, q)
         shared = build_transition_matrix(two_type_model, two_type_region, scenario_c, warm, 3)
+        assert markov._ORDERING_TABLES[warm][0] == 4
         np.testing.assert_array_equal(cold.probs, shared.probs)
         np.testing.assert_array_equal(cold.row_deficits, shared.row_deficits)
 
@@ -306,6 +311,55 @@ class TestBruteForceAgreement:
             brute_force_transition_matrix(
                 model, region, scenario_c, accept_all, q_plus_max=9
             )
+
+
+@st.composite
+def small_builds(draw):
+    """A random model of at most two types whose region and bags stay small
+    enough for the brute-force builder: at most four slices in any state,
+    at most six requests in any bag, a random scenario and strategy, and a
+    depth with a deeper one above it."""
+    num_types = draw(st.integers(min_value=1, max_value=2))
+    num_resources = draw(st.integers(min_value=1, max_value=2))
+    pool = tuple(draw(st.floats(min_value=0.0, max_value=2.0)) for _ in range(num_resources))
+    costs = tuple(
+        tuple(draw(st.floats(min_value=0.45, max_value=1.5)) for _ in range(num_types))
+        for _ in range(num_resources)
+    )
+    model = ResourceModel(resource_pool=pool, cost_matrix=costs)
+    region = enumerate_region(model)
+    most_active = max(sum(state) for state in region.states)
+    q = draw(st.integers(min_value=1, max_value=max(1, min(2, (6 - most_active) // num_types))))
+    scenario = DemandScenario(
+        creation_rates=[draw(st.floats(min_value=0.1, max_value=2.0)) for _ in range(num_types)],
+        mean_lifetimes=[draw(st.floats(min_value=0.5, max_value=10.0)) for _ in range(num_types)],
+    )
+    mask = region.creation_mask
+    strategy = Strategy(region, draw(st.integers(min_value=0, max_value=mask)) & mask)
+    return model, region, scenario, strategy, q
+
+
+class TestOrderingTable:
+    @given(build=small_builds())
+    @settings(max_examples=30, deadline=None)
+    def test_equals_brute_force(self, build):
+        model, region, scenario, strategy, q = build
+        assert len(region) <= 20
+        fast = build_transition_matrix(model, region, scenario, strategy, q, renormalize=False)
+        slow = brute_force_transition_matrix(model, region, scenario, strategy, q, renormalize=False)
+        assert np.max(np.abs(fast.probs - slow.probs)) <= 1e-12
+
+    @given(build=small_builds(), deeper=st.integers(min_value=1, max_value=2))
+    @settings(max_examples=30, deadline=None)
+    def test_depth_read_from_deeper_table_is_bit_identical(self, build, deeper):
+        model, region, scenario, strategy, q = build
+        markov._ORDERING_TABLES.pop(strategy, None)
+        cold = build_transition_matrix(model, region, scenario, strategy, q, renormalize=False)
+        build_transition_matrix(model, region, scenario, strategy, q + deeper, renormalize=False)
+        shallow = build_transition_matrix(model, region, scenario, strategy, q, renormalize=False)
+        assert markov._ORDERING_TABLES[strategy][0] == q + deeper
+        np.testing.assert_array_equal(cold.probs, shallow.probs)
+        np.testing.assert_array_equal(cold.row_deficits, shallow.row_deficits)
 
 
 class TestBagGuard:
