@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -360,6 +362,33 @@ class TestOrderingTable:
         assert markov._ORDERING_TABLES[strategy][0] == q + deeper
         np.testing.assert_array_equal(cold.probs, shallow.probs)
         np.testing.assert_array_equal(cold.row_deficits, shallow.row_deficits)
+
+    # SHA-256 of the raw q=4 build's probs and row_deficits bytes on the N=3
+    # ladder rung of pool 3.0 (|R|=86, 126,125 keys), under always-accept
+    # and under a fixed random half of the creation bits.
+    LADDER_MODEL = ResourceModel(resource_pool=(3.0,), cost_matrix=((0.3, 0.5, 0.7),))
+    LADDER_SCENARIO = DemandScenario(creation_rates=(0.6, 0.4, 0.3), mean_lifetimes=(4.0, 4.0, 4.0))
+    LADDER_GOLDENS = {
+        "always-accept": "f8a37d9faeb76e461dc9422c04c4cb8b3418170888a3bce2df5ef665eae3b06b",
+        "random-half": "c7b865dfb64d3138a865982b0dd973b01e545f57ac3510f30fc5b9445dc638e7",
+    }
+
+    @pytest.mark.parametrize("name", sorted(LADDER_GOLDENS))
+    def test_ladder_rung_bytes(self, name):
+        region = enumerate_region(self.LADDER_MODEL)
+        assert len(region) == 86
+        mask = region.creation_mask
+        if name == "always-accept":
+            strategy = always_accept_strategy(region)
+        else:
+            bits = [b for b in range(mask.bit_length()) if mask >> b & 1]
+            chosen = random.Random(1).sample(bits, len(bits) // 2)
+            strategy = Strategy(region, sum(1 << b for b in chosen))
+        raw = build_transition_matrix(
+            self.LADDER_MODEL, region, self.LADDER_SCENARIO, strategy, 4, renormalize=False
+        )
+        digest = hashlib.sha256(raw.probs.tobytes() + raw.row_deficits.tobytes()).hexdigest()
+        assert digest == self.LADDER_GOLDENS[name]
 
 
 class TestBagGuard:
