@@ -11,11 +11,13 @@ recorded per row.
 
 How a bag's orderings split its mass does not depend on the row or the
 demand, only on the bag, the state it starts in and the strategy. Each
-strategy therefore keeps one ordering table, a float64 array with a row per
-(bag, start state) key, filled level by level in bag size with numpy and
-kept at the deepest truncation depth built so far; a shallower depth reads
-its keys out of it. A matrix row sums the table rows of its bags, weighted
-by the bags' masses, one bag after another.
+strategy therefore keeps one ordering table with a row per (bag, start
+state) key, filled level by level in bag size with numpy and kept at the
+deepest truncation depth built so far; a shallower depth reads its keys out
+of it. A row holds only the key's nonzero final states, so the table's bytes
+scale with its nonzeros, at most keys x min(|R|, prod(c_n + 1)) for a bag of
+c_n creations of type n, not with keys x |R|. A matrix row sums the table
+rows of its bags, weighted by the bags' masses, one bag after another.
 """
 
 from __future__ import annotations
@@ -48,7 +50,9 @@ ROW_SUM_TOL = 1e-12
 # Longest bag brute_force_transition_matrix expands into its Q! orderings.
 BRUTE_FORCE_MAX_QUEUE = 8
 
-# Most request bags one build may enumerate, summed over its rows.
+# Most request bags one build may enumerate, summed over its rows. It is
+# also the ordering table's key count, and the table's bytes scale with its
+# nonzeros, at most keys x min(|R|, prod(c_n + 1)).
 MAX_BAGS = 500_000
 
 
@@ -110,12 +114,13 @@ def _iter_request_bags(state: State, q_plus_max: int, num_types: int):
 # One ordering table per strategy, at the deepest q_plus_max built with it
 # so far, shared by every row, scenario and shallower depth of every build
 # with that strategy; it goes when the strategy does.
-_ORDERING_TABLES: weakref.WeakKeyDictionary[Strategy, tuple[int, "_KeyBoxes", np.ndarray]] = (
+_ORDERING_TABLES: weakref.WeakKeyDictionary[Strategy, tuple[int, "_KeyBoxes", "_OrderingTable"]] = (
     weakref.WeakKeyDictionary()
 )
 
-# Keys whose ordering distributions are summed in one numpy step.
-_CHUNK_KEYS = 2048
+# Bins of the np.bincount that sums one chunk of a level's keys: chunk keys
+# x |R| doubles, 2 MB.
+_CHUNK_BINS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -123,7 +128,7 @@ class _KeyBoxes:
     """Where each (bag, state) key of one region and depth sits in its table.
 
     State ``i`` owns the C-ordered box of count tuples with creation counts
-    in ``0..q_plus_max`` and release counts in ``0..states[i][n]``: rows
+    in ``0..q_plus_max`` and release counts in ``0..states[i][n]``: keys
     ``offsets[i]`` to ``offsets[i] + sizes[i]``, at ``strides[i]`` per
     count, in ``_iter_request_bags`` order.
     """
@@ -143,73 +148,147 @@ class _KeyBoxes:
         offsets = np.concatenate([[0], np.cumsum(sizes)[:-1]])
         return cls(dims, strides, offsets, sizes)
 
+    def counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every key's state index and its count tuple, in key order."""
+        owner = np.repeat(np.arange(len(self.sizes)), self.sizes)
+        local = np.arange(len(owner)) - self.offsets[owner]
+        counts = np.empty((len(owner), self.dims.shape[1]), dtype=np.int32)
+        for n in range(counts.shape[1]):
+            counts[:, n] = local // self.strides[owner, n] % self.dims[owner, n]
+        return owner, counts
+
+    def children(
+        self, counts: np.ndarray, owner: np.ndarray, next_index: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every (present kind, key) pair of the keys with count tuples
+        ``counts`` in states ``owner``, kind after kind: the key's position,
+        its child (the bag less one request of that kind, in the state
+        ``next_index`` decides that request leads to) and the kind's count."""
+        kinds, local_keys = np.nonzero(counts.T)
+        pairs = np.arange(len(kinds))
+        pair_counts = counts[local_keys]
+        target = next_index[owner[local_keys], kinds]
+        strides = self.strides[target]
+        child = self.offsets[target] + (pair_counts * strides).sum(axis=1) - strides[pairs, kinds]
+        return local_keys, child, pair_counts[pairs, kinds]
+
     def rows(self, state_index: int, dims) -> np.ndarray:
-        """Table rows of state ``state_index``'s keys whose counts lie in the
-        sub-box ``dims``, in C order."""
+        """Keys of state ``state_index`` whose counts lie in the sub-box
+        ``dims``, in C order."""
         index = np.array(self.offsets[state_index])
         for dim, stride in zip(dims, self.strides[state_index]):
             index = np.add.outer(index, np.arange(dim) * stride)
         return index.ravel()
 
 
-def _ordering_table(strategy: Strategy, q_plus_max: int) -> tuple[_KeyBoxes, np.ndarray]:
+@dataclass(frozen=True)
+class _OrderingTable:
+    """Each key's nonzero final states, as CSR rows in level order.
+
+    Key ``k`` owns row ``pos[k]``: the final state indices
+    ``cols[indptr[row]:indptr[row + 1]]``, ascending, and their
+    probabilities, the same slice of ``vals``.
+    """
+
+    pos: np.ndarray
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return self.pos.nbytes + self.indptr.nbytes + self.cols.nbytes + self.vals.nbytes
+
+
+def _ragged(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the nonzeros of CSR rows ``rows`` sit, one row after another,
+    and how many each row holds."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    return np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths), lengths
+
+
+def _sum_children(below, local_keys, child_rows, picks, keys: int, size: int):
+    """One chunk of a level: ``F[key] = sum_k pick_k * F[child_k]`` for
+    each of its ``keys`` keys, as per-key nonzero counts, states and values.
+
+    ``below`` is the CSR (indptr, cols, vals) of the level below. Child
+    ``i`` is row ``child_rows[i]`` of it, weighted by ``picks[i]``, and adds
+    to key ``local_keys[i]`` of the chunk. The children come kind after
+    kind, so ``np.bincount`` adds each (key, state) bin's terms from 0.0 in
+    ``request_kinds`` order.
+    """
+    indptr, cols, vals = below
+    index, lengths = _ragged(indptr, child_rows)
+    bins = np.repeat(local_keys * size, lengths) + cols[index]
+    weights = vals[index] * np.repeat(picks, lengths)
+    del index  # let it go before the block is allocated
+    block = np.bincount(bins, weights=weights, minlength=keys * size)
+    # np.flatnonzero reads a boolean mask several times faster than doubles.
+    nonzero = np.flatnonzero(block != 0)
+    return np.bincount(nonzero // size, minlength=keys), (nonzero % size).astype(np.int16), block[nonzero]
+
+
+def _ordering_table(strategy: Strategy, q_plus_max: int) -> tuple[_KeyBoxes, _OrderingTable]:
     """Distribution of final state indices over the equally likely orderings
     of every bag, from every state, for bags with at most ``q_plus_max``
     creations of each type.
 
-    Row ``k`` of the table (a float64 array of shape (keys, |R|)) belongs to
-    key ``k``: a bag's per-kind counts, aligned with ``request_kinds``, and
-    the state it starts in. A bag never releases more slices of a type than
-    its start state holds, and neither does any bag left after deciding some
-    of its requests, so the keys are exactly the bags the builders enumerate.
+    A key is a bag's per-kind counts, aligned with ``request_kinds``, and the
+    state it starts in. A bag never releases more slices of a type than its
+    start state holds, and neither does any bag left after deciding some of
+    its requests, so the keys are exactly the bags the builders enumerate.
     The empty bag ends where it starts. A bag of ``T`` requests picks its
     first request with probability proportional to its kind's multiplicity,
     moves to that request's decided successor and goes on with the bag left,
     so ``F[key] = sum_k (count_k / T) * F[child_k]`` with ``child_k`` the
-    bag less one kind-``k`` request in state ``next_index[s][k]``. The table
-    is filled level by level in ``T``, each sum accumulated from 0.0 in
-    ``request_kinds`` order; a kind absent from the bag adds ``0.0 * F``,
-    which changes no bit.
+    bag less one kind-``k`` request in state ``next_index[s][k]``.
 
-    The table holds keys x |R| doubles, and ``MAX_BAGS`` caps the keys: at
-    q_plus_max=4 the N=3 models of pools 2.0 and 4.0 give 7 MB (|R|=34, 27k
-    keys) and 598 MB (|R|=174, 430k keys).
+    The table is filled level by level in ``T``, each level reading only the
+    one below it. For a chunk of a level's keys, every present kind's
+    weighted child nonzeros are binned by (key, final state), kind after
+    kind, and one ``np.bincount`` adds each bin's terms from 0.0 in
+    ``request_kinds`` order. That is the dense sum less its ``+0.0`` terms,
+    which change no bit of a nonnegative sum, so each entry has the bits of
+    the dense table's.
+
+    Only nonzeros are kept: a bag ends in states it reaches by accepting
+    some of its creations, at most ``min(|R|, prod(c_n + 1))`` of them, and
+    the table's bytes scale with its nonzeros, not with keys x |R|. At
+    q_plus_max=4 the N=3 models of pools 2.0 and 4.0 hold about 6.8 of 34
+    and 14 of 174 states per key.
     """
     started = time.perf_counter()
     region = strategy.region
     size = len(region)
     boxes = _KeyBoxes.of(region, q_plus_max)
-    keys = int(boxes.sizes.sum())
-    owner = np.repeat(np.arange(size), boxes.sizes)
-    local = np.arange(keys) - boxes.offsets[owner]
-    counts = local[:, None] // boxes.strides[owner] % boxes.dims[owner]
+    owner, counts = boxes.counts()
+    keys = len(owner)
     levels = counts.sum(axis=1)
     order = np.argsort(levels, kind="stable")
     bounds = np.searchsorted(levels[order], np.arange(levels.max() + 2))
+    pos = np.empty(keys, dtype=np.int64)
+    pos[order] = np.arange(keys)
     next_index = np.array(strategy.next_index, dtype=np.int64)
+    chunk_keys = max(1, _CHUNK_BINS // size)
 
-    table = np.zeros((keys, size))
-    empty = order[:bounds[1]]
-    table[empty, owner[empty]] = 1.0
+    # Each level as per-key nonzero counts, states and values. The empty
+    # bags, level 0, end in their own state with mass 1.
+    parts = [(np.ones(bounds[1], dtype=np.int64), owner[order[:bounds[1]]].astype(np.int16), np.ones(bounds[1]))]
     for level in range(1, len(bounds) - 1):
-        for lo in range(bounds[level], bounds[level + 1], _CHUNK_KEYS):
-            chunk = order[lo:min(lo + _CHUNK_KEYS, bounds[level + 1])]
-            chunk_counts = counts[chunk]
-            chunk_owner = owner[chunk]
-            acc = np.zeros((len(chunk), size))
-            term = np.empty_like(acc)
-            for kind in range(counts.shape[1]):
-                present = chunk_counts[:, kind] > 0
-                target = np.where(present, next_index[chunk_owner, kind], 0)
-                strides = boxes.strides[target]
-                child = boxes.offsets[target] + (chunk_counts * strides).sum(axis=1) - strides[:, kind]
-                child[~present] = 0
-                pick = chunk_counts[:, kind] / level
-                np.multiply(table[child], pick[:, None], out=term)
-                acc += term
-            table[chunk] = acc
-    log.info("ordering table: %d keys x %d states, %.1f MB, %.2fs",
-             keys, size, table.nbytes / 1e6, time.perf_counter() - started)
+        below_lengths, below_cols, below_vals = parts[-1]
+        below = (np.concatenate([[0], np.cumsum(below_lengths)]), below_cols, below_vals)
+        chunks = []
+        for lo in range(bounds[level], bounds[level + 1], chunk_keys):
+            chunk = order[lo:min(lo + chunk_keys, bounds[level + 1])]
+            local_keys, child, picked = boxes.children(counts[chunk], owner[chunk], next_index)
+            child_rows = pos[child] - bounds[level - 1]
+            chunks.append(_sum_children(below, local_keys, child_rows, picked / level, len(chunk), size))
+        parts.append(tuple(map(np.concatenate, zip(*chunks))))
+    lengths, cols, vals = map(np.concatenate, zip(*parts))
+    table = _OrderingTable(pos, np.concatenate([[0], np.cumsum(lengths)]), cols, vals)
+    log.info("ordering table: %d keys, %d nonzeros over %d states, %.1f MB, %.2fs",
+             keys, len(table.vals), size, table.nbytes / 1e6, time.perf_counter() - started)
     return boxes, table
 
 
@@ -279,7 +358,9 @@ def build_transition_matrix(
     or a shallower depth builds none. A row is the sum over its bags, in
     ``_iter_request_bags`` order, of each bag's mass times its row of the
     table, added one bag after another from 0.0 as ``np.bincount`` adds its
-    weights; a matrix product would add them in another order.
+    weights; a matrix product would add them in another order. A table row
+    holds only its nonzeros, and the zeros it leaves out would add ``+0.0``,
+    which changes no bit.
     """
     _check_build_arguments(region, strategy, q_plus_max)
     boxes, table = _cached_table(strategy, q_plus_max)
@@ -287,8 +368,6 @@ def build_transition_matrix(
     creation_pmfs = [
         np.array([creation_pmf(rate, k) for k in range(q_plus_max + 1)]) for rate in scenario.creation_rates
     ]
-    most_bags = (q_plus_max + 1) ** region.num_types * max(math.prod(n + 1 for n in s) for s in region.states)
-    columns = np.tile(np.arange(size), most_bags)
     probs = np.empty((size, size))
     for row_index, state in enumerate(region.states):
         release_pmfs = [
@@ -299,12 +378,13 @@ def build_transition_matrix(
         # request_kinds order, as multiset_prob does from 1.0.
         masses = functools.reduce(np.multiply.outer, creation_pmfs + release_pmfs).ravel()
         dims = [q_plus_max + 1] * region.num_types + [active + 1 for active in state]
-        weights = table[boxes.rows(row_index, dims)] * masses[:, None]
-        probs[row_index] = np.bincount(columns[:weights.size], weights=weights.ravel(), minlength=size)
+        index, lengths = _ragged(table.indptr, table.pos[boxes.rows(row_index, dims)])
+        weights = table.vals[index] * np.repeat(masses, lengths)
+        probs[row_index] = np.bincount(table.cols[index], weights=weights, minlength=size)
     return _finish_build(probs, region, q_plus_max, renormalize)
 
 
-def _cached_table(strategy: Strategy, q_plus_max: int) -> tuple[_KeyBoxes, np.ndarray]:
+def _cached_table(strategy: Strategy, q_plus_max: int) -> tuple[_KeyBoxes, _OrderingTable]:
     """The strategy's ordering table at depth ``q_plus_max`` or deeper,
     built (replacing a shallower one) when it has none that deep."""
     cached = _ORDERING_TABLES.get(strategy)

@@ -6,6 +6,7 @@ import copy
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -514,6 +515,22 @@ def test_benchmark_job_runs_traced(tmp_path):
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert result["exit_code"] == 0
     assert result["counts"]["markov.builds"] == 8
+
+
+def test_table_log_line_is_silenced_by_quiet(workspace):
+    # Each ordering table built writes one INFO line on stderr: keys,
+    # nonzeros, |R|, MB and seconds. The region holds 4 states, and q=2
+    # gives 3 * (1 + 2 + 3 + 4) keys.
+    config_path, _ = workspace
+    src = os.path.dirname(os.path.dirname(slice_markov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    command = [sys.executable, "-m", "slice_markov.cli", "matrix", "--config", str(config_path)]
+    loud = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+    lines = [line for line in loud.stderr.splitlines() if "ordering table" in line]
+    assert len(lines) == 1
+    assert re.fullmatch(r"INFO ordering table: 30 keys, 40 nonzeros over 4 states, \d+\.\d MB, \d+\.\d\ds", lines[0])
+    quiet = subprocess.run(command + ["--quiet"], env=env, capture_output=True, text=True, check=True)
+    assert quiet.stderr == ""
 
 
 def test_serial_simulation_loads_no_process_pool():

@@ -390,6 +390,24 @@ class TestOrderingTable:
         digest = hashlib.sha256(raw.probs.tobytes() + raw.row_deficits.tobytes()).hexdigest()
         assert digest == self.LADDER_GOLDENS[name]
 
+    def test_table_bytes_scale_with_nonzeros(self):
+        # A one-type region of 300 states stays under the bag cap at q=1
+        # with 90,300 keys; a dense keys x |R| table would take 217 MB.
+        # Under always-accept a bag's one creation is declined only at the
+        # pool, so no key reaches more than 2 final states.
+        model = ResourceModel(resource_pool=(299.0,), cost_matrix=((1.0,),))
+        region = enumerate_region(model)
+        assert len(region) == 300
+        strategy = always_accept_strategy(region)
+        scenario = DemandScenario(creation_rates=(0.6,), mean_lifetimes=(4.0,))
+        matrix = build_transition_matrix(model, region, scenario, strategy, 1)
+        assert matrix.size == 300
+        depth, _, table = markov._ORDERING_TABLES[strategy]
+        keys = len(table.pos)
+        assert (depth, keys) == (1, 90_300)
+        assert np.max(np.diff(table.indptr)) <= 2
+        assert table.nbytes < 32 * keys
+
 
 class TestBagGuard:
     # The N=3 ladder model of the benchmark: 34 states whose release
