@@ -377,6 +377,23 @@ class TestGoldenOutputs:
         digests = self.figure_digests(tmp_path, "figure3", out_format)
         assert digests == self.FIGURE_GOLDEN["figure3", out_format]
 
+    # The same for the figure3 files of the bundled baseline.json read
+    # unchanged (seed 42, 1000 runs x 100 periods): the document a user
+    # gets from `slice-markov figure3` with no flags.
+    FULL_FIGURE3_GOLDEN = {
+        "figure3.csv": "0c21e396c5cd24d91fb7075333c9dc83c5253c12d3ac52401d93922f620c5b27",
+        "figure3_summary.csv": "442996d9cd62bb13c2c60f0986fc3369b2f5a4dd61e2150c554b77b1e70cc48a",
+    }
+
+    def test_full_size_figure3_bytes(self, tmp_path):
+        out = tmp_path / "out"
+        argv = ["figure3", "--config", str(default_config_path()), "--quiet", "--out", str(out),
+                "--format", "csv"]
+        assert main(argv) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == self.FULL_FIGURE3_GOLDEN
+
     @pytest.mark.parametrize("out_format", ["csv", "json"])
     def test_figure2_bytes(self, tmp_path, out_format):
         digests = self.figure_digests(tmp_path, "figure2", out_format)
