@@ -368,15 +368,21 @@ def build_transition_matrix(
     creation_pmfs = [
         np.array([creation_pmf(rate, k) for k in range(q_plus_max + 1)]) for rate in scenario.creation_rates
     ]
+    # Each type's release pmf for every active count that occurs, computed
+    # once per build and shared by the rows with that count.
+    release_pmfs = [
+        {
+            active: np.array([release_pmf(lifetime, active, k) for k in range(active + 1)])
+            for active in {state[n] for state in region.states}
+        }
+        for n, lifetime in enumerate(scenario.mean_lifetimes)
+    ]
     probs = np.empty((size, size))
     for row_index, state in enumerate(region.states):
-        release_pmfs = [
-            np.array([release_pmf(lifetime, active, k) for k in range(active + 1)])
-            for lifetime, active in zip(scenario.mean_lifetimes, state)
-        ]
+        row_pmfs = [pmfs[active] for pmfs, active in zip(release_pmfs, state)]
         # Chained outer products multiply each bag's masses left to right in
         # request_kinds order, as multiset_prob does from 1.0.
-        masses = functools.reduce(np.multiply.outer, creation_pmfs + release_pmfs).ravel()
+        masses = functools.reduce(np.multiply.outer, creation_pmfs + row_pmfs).ravel()
         dims = [q_plus_max + 1] * region.num_types + [active + 1 for active in state]
         index, lengths = _ragged(table.indptr, table.pos[boxes.rows(row_index, dims)])
         weights = table.vals[index] * np.repeat(masses, lengths)

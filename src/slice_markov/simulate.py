@@ -167,19 +167,29 @@ def _creation_draws(rng: np.random.Generator, rates, periods: int):
     (period, type) order, the number of creations up to the end of each
     period, and each creation's timestamp.
 
-    numpy draws a Poisson count below rate 10 by multiplying uniforms
-    (``next_double``) until the product is at most ``exp(-rate)``, and
-    ``Generator.random`` reads the same ``next_double`` stream, so the counts
-    of ``poisson(rates, (periods, N))`` and the stamps of the following
-    ``random(total)`` are one run of uniforms. This replays the
-    multiplication on that run, drawn in chunks that never pass the uniforms
-    certainly needed: all cells still to decode take at least one more, and
-    every creation found needs a stamp. The generator is left exactly where
-    the two numpy calls leave it, and no per-call validation of an array of
-    rates is paid. From rate 10 up numpy switches to Hörmann's PTRS, so any
-    such rate makes the run use numpy's own calls.
+    With one slice type the counts are numpy's own ``poisson(rate,
+    periods)``: the same sampler reading the same stream as
+    ``poisson(rates, (periods, 1))``, so the same variates, and with a
+    scalar rate numpy checks one number instead of an array, so 100 counts
+    cost about 4-5 µs, less than decoding them here.
+
+    With more types, numpy draws a Poisson count below rate 10 by
+    multiplying uniforms (``next_double``) until the product is at most
+    ``exp(-rate)``, and ``Generator.random`` reads the same ``next_double``
+    stream, so the counts of ``poisson(rates, (periods, N))`` and the stamps
+    of the following ``random(total)`` are one run of uniforms. This replays
+    the multiplication on that run, drawn in chunks that never pass the
+    uniforms certainly needed: all cells still to decode take at least one
+    more, and every creation found needs a stamp. No per-call validation of
+    an array of rates is paid. From rate 10 up numpy switches to Hörmann's
+    PTRS, so any such rate makes the run use numpy's own calls. On every
+    path the generator is left exactly where the two numpy calls leave it.
     """
     num_types = len(rates)
+    if num_types == 1:
+        ends = rng.poisson(rates[0], periods).cumsum().tolist()
+        total = ends[-1]
+        return [0] * total, ends, rng.random(total).tolist()
     cells = periods * num_types
     if max(rates) >= 10.0:
         counts = rng.poisson(rates, (periods, num_types))

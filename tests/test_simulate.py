@@ -168,16 +168,20 @@ class TestRunEpisode:
 
 
 class TestCreationDraws:
-    """``_creation_draws`` replays numpy's Poisson sampler on the uniform
-    stream; it must give the counts of ``poisson(rates, (periods, N))``, the
-    stamps of the ``random(total)`` after it, and leave the generator where
-    those two calls leave it."""
+    """``_creation_draws`` calls numpy's scalar-rate sampler for one type,
+    replays numpy's Poisson sampler on the uniform stream for several types
+    below rate 10, and calls numpy from rate 10 up; every path must give the
+    counts of ``poisson(rates, (periods, N))``, the stamps of the
+    ``random(total)`` after it, and leave the generator where those two calls
+    leave it. The rates include the bundled baseline.json's 1.0 and 0.5, and
+    the horizons figure2's 10 and figure3's 100."""
 
     SEEDS = (0, 1, 42, 2**64 - 1)
-    HORIZONS = (1, 7, 100)
+    HORIZONS = (1, 7, 10, 100)
 
     @pytest.mark.parametrize(
-        "rates", [(1e-9,), (0.3,), (0.6, 0.4, 0.3), (9.99,), (10.0,), (12.0,), (11.0, 0.4)]
+        "rates",
+        [(1e-9,), (0.3,), (0.5,), (1.0,), (0.6, 0.4, 0.3), (9.99,), (10.0,), (12.0,), (11.0, 0.4)],
     )
     @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
     def test_replays_poisson_then_random(self, rates, bit_generator):
