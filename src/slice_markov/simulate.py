@@ -9,10 +9,12 @@ period boundary. Creation counts are never truncated here.
 Each run makes all of its random draws before the first period (the order
 is given in :func:`run_episode`) and then runs a plain loop over the
 pre-drawn numbers, so the per-period cost is a handful of list and table
-lookups rather than several generator calls. The creation counts and
+lookups rather than several generator calls. With one slice type the
+creation counts are numpy's own Poisson draws at a scalar rate, which numpy
+validates once rather than per element. With several types the counts and
 timestamps come from one stream of uniforms, decoded the way numpy's
 Poisson sampler reads it (:func:`_creation_draws`), so the variates are
-those of numpy's own calls without the cost of its per-call checks.
+those of numpy's own calls without the cost of checking an array of rates.
 
 Within-period mechanics: a slice admitted during period t becomes active at
 the t+1 boundary and its lifetime starts counting there, matching the
@@ -169,9 +171,10 @@ def _creation_draws(rng: np.random.Generator, rates, periods: int):
 
     With one slice type the counts are numpy's own ``poisson(rate,
     periods)``: the same sampler reading the same stream as
-    ``poisson(rates, (periods, 1))``, so the same variates, and with a
-    scalar rate numpy checks one number instead of an array, so 100 counts
-    cost about 4-5 µs, less than decoding them here.
+    ``poisson(rates, (periods, 1))``, so the same variates. With a scalar
+    rate numpy checks one number instead of an array and then runs its C
+    loop, which costs less than decoding the counts here; the README's
+    performance notes give the times.
 
     With more types, numpy draws a Poisson count below rate 10 by
     multiplying uniforms (``next_double``) until the product is at most
@@ -257,10 +260,14 @@ def run_episode(
     5. ``standard_exponential(total)``: a fresh unit lifetime for every
        creation, scaled by its type's mean and used only if it is accepted.
 
-    Below rate 10 draws 3 and 4 are one stream of uniforms, decoded by
-    :func:`_creation_draws` the way numpy's Poisson sampler consumes it;
-    from rate 10 up they are numpy's own two calls. Either way the variates
-    and the generator's final state are those of the two calls. After these
+    With one slice type, draw 3 is numpy's ``poisson(rate, periods)`` with a
+    scalar rate: the same sampler on the same stream, and numpy checks one
+    rate instead of an array of them, which costs less than decoding the
+    counts in Python. With several types below rate 10, draws 3 and 4 are
+    one stream of uniforms, decoded by :func:`_creation_draws` the way
+    numpy's Poisson sampler consumes it; from rate 10 up they are numpy's
+    own two calls. Every way, the variates and the generator's final state
+    are those of the two calls. After these
     draws the run makes no further generator calls. Initial slices get fresh
     exponential lifetimes: the residual lifetime of an exponential in steady
     state is again exponential, so no aging needs to be modeled. The horizon
