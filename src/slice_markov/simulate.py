@@ -7,24 +7,30 @@ successor table (``Strategy.next_index``), and records the state at every
 period boundary. Creation counts are never truncated here.
 
 Each run makes all of its random draws before the first period (the order
-is given in :func:`run_episode`) and then runs a plain loop over the
-pre-drawn numbers, so the per-period cost is a handful of list and table
-lookups rather than several generator calls. With one slice type the
-creation counts are numpy's own Poisson draws at a scalar rate, which numpy
-validates once rather than per element. With several types the counts and
-timestamps come from one stream of uniforms, decoded the way numpy's
-Poisson sampler reads it (:func:`_creation_draws`), so the variates are
-those of numpy's own calls without the cost of checking an array of rates.
+is given in :func:`run_episode`). With one slice type the creation counts
+are numpy's own Poisson draws at a scalar rate, which numpy validates once
+rather than per element. With several types the counts and timestamps come
+from one stream of uniforms, decoded the way numpy's Poisson sampler reads
+it (:func:`_creation_draws`), so the variates are those of numpy's own calls
+without the cost of checking an array of rates.
+
+A fresh lifetime is drawn for every creation, accepted or not, so the
+period and offset of every potential release are known before any request
+is decided. Runs are therefore folded a block at a time in numpy
+(:func:`_fold_block`): the block's creations, initial releases and potential
+releases are sorted once and scanned with all of its runs in lockstep, one
+event per step; a potential release stays a no-op unless its creation is
+accepted. Blocks hold about ``_BLOCK_DRAWS`` draws, and no result depends on
+how runs are split into blocks or workers.
 
 Within-period mechanics: a slice admitted during period t becomes active at
 the t+1 boundary and its lifetime starts counting there, matching the
 synchronous model where decisions take effect at period ends. A slice active
 at a boundary with remaining lifetime below one period emits a release event
 inside the period at an offset equal to that remaining lifetime; survivors
-carry their lifetime forward reduced by one period, so each slice's release
-period and offset are known when it becomes active, and its release is
-filed under that period at once. Equal timestamps (a measure-zero event)
-put creations before releases, lower types first, then draw order.
+carry their lifetime forward reduced by one period. Equal timestamps (a
+measure-zero event) put creations before releases, lower types first, then
+draw order.
 """
 
 from __future__ import annotations
@@ -162,12 +168,19 @@ def _pcg64_states(seed: int, start: int, stop: int):
                    "has_uint32": 0, "uinteger": 0}
 
 
+# Draws a block of runs may hold before it is folded: period-type cells,
+# lifetimes and timestamps. The fold's working set (sort keys, step grid,
+# states after each step) grows with the block; its per-step cost is paid
+# once for every run of the block.
+_BLOCK_DRAWS = 1 << 14
+
+
 def _creation_draws(rng: np.random.Generator, rates, periods: int):
     """Draws 3 and 4 of :func:`run_episode`: the creations of every period.
 
-    Returns ``(kinds, ends, stamps)``: the type index of each creation in
-    (period, type) order, the number of creations up to the end of each
-    period, and each creation's timestamp.
+    Returns ``(counts, stamps)``: the number of creations of every (period,
+    type) cell as an int array of shape (periods, N), and each creation's
+    timestamp, in (period, type) order.
 
     With one slice type the counts are numpy's own ``poisson(rate,
     periods)``: the same sampler reading the same stream as
@@ -190,52 +203,253 @@ def _creation_draws(rng: np.random.Generator, rates, periods: int):
     """
     num_types = len(rates)
     if num_types == 1:
-        ends = rng.poisson(rates[0], periods).cumsum().tolist()
-        total = ends[-1]
-        return [0] * total, ends, rng.random(total).tolist()
+        counts = rng.poisson(rates[0], periods)
+        return counts.reshape(periods, 1), rng.random(int(counts.sum()))
     cells = periods * num_types
     if max(rates) >= 10.0:
         counts = rng.poisson(rates, (periods, num_types))
-        kinds = np.repeat(np.tile(np.arange(num_types), periods), counts.ravel()).tolist()
-        ends = np.cumsum(counts.sum(axis=1)).tolist()
-        return kinds, ends, rng.random(len(kinds)).tolist()
+        return counts, rng.random(int(counts.sum()))
     limits = [math.exp(-rate) for rate in rates]
-    kinds = []
-    ends = []
-    add = kinds.append
-    n = 0
+    counts = []
+    add = counts.append
+    count = 0
+    total = 0
     limit = limits[0]
     product = 1.0
     drawn = cells
-    chunk = rng.random(cells).tolist()
+    chunk = rng.random(cells)
     while True:
-        for uniform in chunk:
+        for uniform in chunk.tolist():
             product *= uniform
             if product > limit:
-                add(n)
+                count += 1
                 continue
+            add(count)
+            total += count
+            if len(counts) == cells:
+                break
+            count = 0
             product = 1.0
-            n += 1
-            if n == num_types:
-                n = 0
-                ends.append(len(kinds))
-                if len(ends) == periods:
-                    break
-            limit = limits[n]
-        if len(ends) == periods:
+            limit = limits[len(counts) % num_types]
+        if len(counts) == cells:
             break
         # Every uniform drawn went to the counts: each undecoded cell needs
         # one more, and each creation found so far a stamp.
-        need = cells - len(ends) * num_types - n + len(kinds)
+        need = cells - len(counts) + total + count
         drawn += need
-        chunk = rng.random(need).tolist()
+        chunk = rng.random(need)
     # Each uniform either ends a cell or adds a creation; the rest of the
     # last chunk are the first stamps.
-    total = len(kinds)
     stamps = chunk[len(chunk) - (drawn - cells - total):]
     if len(stamps) < total:
-        stamps += rng.random(total - len(stamps)).tolist()
-    return kinds, ends, stamps
+        stamps = np.concatenate((stamps, rng.random(total - len(stamps))))
+    return np.array(counts).reshape(periods, num_types), stamps
+
+
+def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
+    index = region.index_of.get(tuple(initial_state))
+    if index is None:
+        raise ValueError(f"initial state {tuple(initial_state)} not in region")
+    return index
+
+
+def _draw_run(scenario: DemandScenario, region: AdmissibilityRegion, periods: int,
+              rng: np.random.Generator, start: int | None) -> tuple:
+    """Every draw of one run, in the order :func:`run_episode` gives:
+    ``(start index, initial unit lifetimes, counts, stamps, fresh unit
+    lifetimes)``. ``start=None`` draws the start index uniformly."""
+    if start is None:
+        start = int(rng.integers(len(region)))
+    initial = rng.standard_exponential(sum(region.states[start]))
+    counts, stamps = _creation_draws(rng, scenario.creation_rates, periods)
+    return start, initial, counts, stamps, rng.standard_exponential(len(stamps))
+
+
+def _fold_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``strategy.next_index`` as the flat tables of the block fold, and
+    the slice counts of every state.
+
+    States are stored premultiplied by the row width ``2N + 1``, so a step
+    looks up entry ``state + column``. Column ``2N`` is a no-op, and an
+    extra last row, the sink, takes the place of every ``-1`` and maps
+    every column to itself, so a run that meets a ``-1`` stays there until
+    the block's check. The first table holds the successor; the second the
+    column that the step switches on in its creation's release cell:
+    ``N + n`` where a type-n creation is accepted (the successor differs
+    from the state), the no-op everywhere else. The slice counts have a row
+    of -1 for the sink.
+    """
+    size = len(strategy.region)
+    num_types = strategy.region.num_types
+    width = 2 * num_types + 1
+    successor = np.empty((size + 1, width), dtype=np.int32)
+    decided = np.array(strategy.next_index, dtype=np.int32).reshape(size, width - 1)
+    successor[:size, :-1] = np.where(decided < 0, size, decided)
+    successor[:size, -1] = np.arange(size)
+    successor[size] = size
+    release = np.full((size + 1, width), width - 1, dtype=np.intp)
+    accepted = successor[:size, :num_types] != np.arange(size)[:, None]
+    release[:size, :num_types] = np.where(accepted, num_types + np.arange(num_types), width - 1)
+    states = np.array(strategy.region.states + ((-1,) * num_types,), dtype=np.int64)
+    return (successor * width).ravel(), release.ravel(), states
+
+
+def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: tuple, periods: int,
+                runs: list, out: np.ndarray) -> None:
+    """Fold the draws of a block of runs (:func:`_draw_run` tuples) through
+    ``tables`` (:func:`_fold_tables`), writing their trajectories to ``out``.
+
+    The events of run r in period t form group ``r * periods + t``: its
+    creations, the releases of initial slices whose lifetimes end in t, and
+    the potential release of every creation, that is the release it has if
+    accepted, in the period and at the offset its fresh lifetime gives. All
+    are sorted once, by group, then offset, then column, then creation id,
+    and scanned with every run of the block in lockstep, one event per step.
+    A potential release sits in the step grid as a no-op until its creation
+    is accepted, when the successor differs from the state, and the
+    creation writes the release column into the release's cell.
+    """
+    successor, release, states = tables
+    num_types = scenario.num_types
+    width = 2 * num_types + 1
+    noop = width - 1
+    count = len(runs)
+    groups = count * periods
+    size = len(region)
+    means = np.array(scenario.mean_lifetimes)
+    starts = np.array([run[0] for run in runs])
+    initial_counts = states[starts]
+
+    # Creations in draw order, each with its group and type.
+    counts = np.concatenate([run[2] for run in runs]).ravel()
+    per_group = counts.reshape(groups, num_types).sum(axis=1)
+    group, kind = np.divmod(np.repeat(np.arange(groups * num_types, dtype=np.int32), counts), num_types)
+    creations = len(group)
+    # A slice accepted in period t becomes active at boundary t+1 and is
+    # released floor(x) periods later at offset x - floor(x), x its
+    # lifetime; x is tested against the horizon before flooring, since an
+    # inf or huge lifetime has no int.
+    with np.errstate(over="ignore"):
+        life = means[kind] * np.concatenate([run[4] for run in runs])
+    inside = life < (periods - 1) - group % periods
+    released = np.flatnonzero(inside)
+    held = np.flatnonzero(~inside)
+    # The (run, type) code of each creation whose slice would be held.
+    held_code = group[held] // periods * num_types + kind[held]
+    del inside
+    life = life[released]
+    releases = len(released)
+    # Initial slices, type by type within each run, are released the same
+    # way from boundary 0.
+    initial_kind = np.repeat(np.tile(np.arange(num_types), count), initial_counts.ravel())
+    initial_run = np.repeat(np.arange(count), initial_counts.sum(axis=1))
+    with np.errstate(over="ignore"):
+        initial_life = means[initial_kind] * np.concatenate([run[1] for run in runs])
+    ending = np.flatnonzero(initial_life < periods)
+    initial_life = initial_life[ending]
+    initial_kind = initial_kind[ending]
+    initial_run = initial_run[ending]
+
+    # Every event's group and offset: creations, potential releases, then
+    # initial releases.
+    events = creations + releases + len(ending)
+    times = np.empty(events)
+    np.concatenate([run[3] for run in runs], out=times[:creations])
+    at = np.empty(events, dtype=np.int32)
+    at[:creations] = group
+    for lives, first, stop, base in (
+        (life, creations, creations + releases, group[released] + 1),
+        (initial_life, creations + releases, events, initial_run * periods),
+    ):
+        whole = np.floor(lives)
+        np.subtract(lives, whole, out=times[first:stop])
+        at[first:stop] = whole
+        at[first:stop] += base
+    del group, life, initial_life, whole, base
+    per_group += np.bincount(at[creations:], minlength=groups)
+
+    # Rounding is monotone, so the float key group + offset orders distinct
+    # keys exactly; equal keys fall back to the full (group, offset, column,
+    # creation id) order, where a release's id is -1.
+    key = at + times
+    order = np.argsort(key)
+    ranked = key[order]
+    del key
+    if np.any(ranked[1:] == ranked[:-1]):
+        ids = np.full(events, -1)
+        ids[:creations] = np.arange(creations)
+        order = np.lexsort((
+            ids, np.concatenate((kind, num_types + kind[released], num_types + initial_kind)), times, at
+        ))
+    del ranked, times, at
+
+    # Sorted, each run's events are contiguous, and its k-th event goes to
+    # cell 1 + k * count + r of the step grid. Cell 0 takes the writes of
+    # declined creations, and cells past the grid stand for the releases
+    # that fall beyond the horizon.
+    ends = per_group.reshape(count, periods).cumsum(axis=1)
+    sizes = ends[:, -1]
+    steps = int(sizes.max())
+    cells = 1 + steps * count
+    placed = np.arange(events)
+    placed *= count
+    placed += np.repeat(1 + np.arange(count) - (np.cumsum(sizes) - sizes) * count, sizes)
+    cell_of = np.empty(events, dtype=np.intp)
+    cell_of[order] = placed
+    del order, placed
+    grid = np.full(cells + len(held), noop, dtype=np.intp)
+    grid[cell_of[:creations]] = kind
+    grid[cell_of[creations + releases:]] = num_types + initial_kind
+    # Each step writes the column its event switches on into the cell named
+    # here: a creation's release cell, or the scratch cell 0.
+    switch = np.zeros(cells, dtype=np.intp)
+    switch[cell_of[released]] = cell_of[creations:creations + releases]
+    switch[cell_of[held]] = np.arange(cells, cells + len(held))
+    del cell_of, kind, released, held
+
+    # visited[k] holds each run's state after k events. The grid, its
+    # switches and the lookups are intp, the index type of take and put, so
+    # that a step converts as little as it can.
+    visited = np.empty((steps + 1, count), dtype=np.int32)
+    visited[0] = starts * width
+    lookup = np.empty(count, dtype=np.intp)
+    value = np.empty(count, dtype=np.intp)
+    now = visited[0]
+    columns = grid[1:cells].reshape(steps, count)
+    for after, column, cell in zip(visited[1:], columns, switch[1:].reshape(steps, count)):
+        np.add(now, column, out=lookup)
+        successor.take(lookup, out=after, mode="clip")
+        release.take(lookup, out=value, mode="clip")
+        grid.put(cell, value)
+        now = after
+    del switch
+
+    final = visited[steps] // width
+    # Slices outliving the horizon: initial ones, and accepted creations
+    # whose release the grid's tail cells stand for.
+    outliving = initial_counts - np.bincount(
+        initial_run * num_types + initial_kind, minlength=count * num_types
+    ).reshape(count, num_types)
+    outliving += np.bincount(
+        held_code[grid[cells:] != noop], minlength=count * num_types
+    ).reshape(count, num_types)
+    bad = np.flatnonzero((final == size) | np.any(states[final] != outliving, axis=1))
+    if len(bad):
+        run = int(bad[0])
+        if final[run] == size:
+            step = int(np.argmax(visited[1:, run] == size * width))
+            column = int(grid[1 + step * count + run])
+            raise RuntimeError(
+                f"request kind column {column} has no successor from state "
+                f"{region.states[visited[step, run] // width]}: a release with no active slice, "
+                "or a corrupted table"
+            )
+        raise RuntimeError(
+            f"lifetime bookkeeping holds {tuple(outliving[run].tolist())} slices, "
+            f"final state is {region.states[final[run]]}"
+        )
+    out[:, 0] = starts
+    out[:, 1:] = visited[ends, np.arange(count)[:, None]] // width
 
 
 def run_episode(
@@ -262,12 +476,11 @@ def run_episode(
 
     With one slice type, draw 3 is numpy's ``poisson(rate, periods)`` with a
     scalar rate: the same sampler on the same stream, and numpy checks one
-    rate instead of an array of them, which costs less than decoding the
-    counts in Python. With several types below rate 10, draws 3 and 4 are
-    one stream of uniforms, decoded by :func:`_creation_draws` the way
-    numpy's Poisson sampler consumes it; from rate 10 up they are numpy's
-    own two calls. Every way, the variates and the generator's final state
-    are those of the two calls. After these
+    rate instead of an array of them. With several types below rate 10,
+    draws 3 and 4 are one stream of uniforms, decoded by
+    :func:`_creation_draws` the way numpy's Poisson sampler consumes it;
+    from rate 10 up they are numpy's own two calls. Every way, the variates
+    and the generator's final state are those of the two calls. After these
     draws the run makes no further generator calls. Initial slices get fresh
     exponential lifetimes: the residual lifetime of an exponential in steady
     state is again exponential, so no aging needs to be modeled. The horizon
@@ -276,13 +489,15 @@ def run_episode(
     same substream ``(seed, r)``. A run still depends only on that substream
     and its arguments.
 
-    A slice with remaining lifetime ``x`` at the boundary b where it becomes
-    active is released in the period that starts at boundary ``b + int(x)``,
-    at offset ``x - int(x)``, the value that subtracting one period at a
-    time reaches (exactly, below 2**53); its release goes straight into that
-    period's bucket. Each period then folds its creations and its bucket, sorted by
-    timestamp, through ``strategy.next_index``: column ``n`` is a creation
-    of type n+1 and column ``N+n`` its release, the
+    Since draw 5 covers every creation, accepted or not, the period and
+    offset of every potential release are known before the fold: a slice
+    with lifetime ``x`` that becomes active at boundary b is released in the
+    period that starts at boundary ``b + floor(x)``, at offset
+    ``x - floor(x)``, and one outliving the horizon is never released. The
+    run is then the one-run case of the block fold (:func:`_fold_block`):
+    each period's events in timestamp order go through
+    ``strategy.next_index``, where column ``n`` is a creation of type n+1
+    and column ``N+n`` its release, the
     :func:`~slice_markov.arrivals.request_kinds` order. A creation is
     accepted when the index changes. A ``-1`` met in the table (a release
     with no slice to release, or a corrupted table) or a count of slices
@@ -290,79 +505,39 @@ def run_episode(
     bookkeeping bug and aborts.
     """
     region = strategy.region
-    if initial_state is None:
-        index = int(rng.integers(len(region)))
-    else:
-        index = region.index_of.get(tuple(initial_state))
-        if index is None:
-            raise ValueError(f"initial state {tuple(initial_state)} not in region")
-    num_types = scenario.num_types
-    means = scenario.mean_lifetimes
-    start_types = [n for n, count in enumerate(region.states[index]) for _ in range(count)]
-    initial = rng.standard_exponential(len(start_types)).tolist()
-    kinds, ends, stamps = _creation_draws(rng, scenario.creation_rates, periods)
-    total = len(kinds)
-    fresh = rng.standard_exponential(total).tolist()
-    creations = list(zip(stamps, kinds, range(total)))
-
-    table = strategy.next_index
-    # releases[t]: the (offset, release column, -1) events of period t;
-    # held[n]: the type-n slices still active after the last period.
-    releases = [[] for _ in range(periods)]
-    held = [0] * num_types
-    for n, life in zip(start_types, initial):
-        remaining = means[n] * life
-        period = int(remaining)
-        if period < periods:
-            releases[period].append((remaining - period, num_types + n, -1))
-        else:
-            held[n] += 1
-    trajectory = [index]
-    start = 0
-    for t, end in enumerate(ends):
-        events = creations[start:end]
-        start = end
-        if releases[t]:
-            events += releases[t]
-        if events:
-            events.sort()
-            for _, column, creation_id in events:
-                successor = table[index][column]
-                if successor < 0:
-                    raise RuntimeError(
-                        f"request kind column {column} has no successor from state "
-                        f"{region.states[index]}: a release with no active slice, "
-                        "or a corrupted table"
-                    )
-                if column < num_types and successor != index:
-                    # The admitted slice's lifetime starts at the next boundary.
-                    remaining = means[column] * fresh[creation_id]
-                    period = int(remaining)
-                    if t + 1 + period < periods:
-                        releases[t + 1 + period].append(
-                            (remaining - period, num_types + column, -1)
-                        )
-                    else:
-                        held[column] += 1
-                index = successor
-        trajectory.append(index)
-    if tuple(held) != region.states[index]:
-        raise RuntimeError(
-            f"lifetime bookkeeping holds {tuple(held)} slices, final state is {region.states[index]}"
-        )
-    return np.array(trajectory, dtype=np.int64)
+    start = None if initial_state is None else _start_index(region, initial_state)
+    out = np.empty((1, periods + 1), dtype=np.int64)
+    _fold_block(scenario, region, _fold_tables(strategy), periods,
+                [_draw_run(scenario, region, periods, rng, start)], out)
+    return out[0]
 
 
 def _episode_batch(args) -> np.ndarray:
     scenario, strategy, sim, start, stop = args
-    out = np.empty((stop - start, sim.periods_per_run + 1), dtype=np.int64)
+    region = strategy.region
+    first = None if sim.initial_state is None else _start_index(region, sim.initial_state)
+    periods = sim.periods_per_run
+    tables = _fold_tables(strategy)
+    out = np.empty((stop - start, periods + 1), dtype=np.int64)
     # One generator serves every run: setting its bit generator's state to
     # that of run_rng(seed, run) costs far less than building a new one.
     bits = np.random.PCG64(0)
     rng = np.random.Generator(bits)
-    for offset, state in enumerate(_pcg64_states(sim.seed, start, stop)):
+    block = []
+    load = 0
+    done = 0
+    for state in _pcg64_states(sim.seed, start, stop):
         bits.state = state
-        out[offset] = run_episode(scenario, strategy, sim.periods_per_run, rng, sim.initial_state)
+        draws = _draw_run(scenario, region, periods, rng, first)
+        block.append(draws)
+        load += len(draws[1]) + draws[2].size + 2 * len(draws[3])
+        if load >= _BLOCK_DRAWS:
+            _fold_block(scenario, region, tables, periods, block, out[done:done + len(block)])
+            done += len(block)
+            block = []
+            load = 0
+    if block:
+        _fold_block(scenario, region, tables, periods, block, out[done:])
     return out
 
 

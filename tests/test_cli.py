@@ -435,6 +435,27 @@ class TestExitCodes:
         figure2 = json.loads((tmp_path / "out" / "figure2.json").read_text(encoding="utf-8"))
         assert np.all(np.isfinite([row[3:] for row in figure2["rows"]]))
 
+    def test_huge_mean_lifetime_outlives_the_horizon(self, tmp_path):
+        # A mean of 1e308 times a unit lifetime above about 1.8 overflows to
+        # inf; such a slice outlives the horizon like any other long one. So
+        # from an empty start under always-accept each run follows its
+        # cumulative creation count, capped at the region's 3 slices.
+        body = config_dict(str(tmp_path / "out"))
+        body["scenarios"] = {"A": {"creation_rates": [1.0], "mean_lifetimes": [1e308]}}
+        body["sim"]["initial_state"] = [0]
+        body["figure2"]["scenario"] = "A"
+        body["figure3"]["scenarios"] = ["A"]
+        body["output"]["format"] = "json"
+        path = write_config(tmp_path, body)
+        assert main(["simulate", "--config", path, "--traces", "--quiet"]) == 0
+        for command in ("figure2", "figure3"):
+            assert main([command, "--config", path, "--quiet"]) == 0
+        traces = json.loads((tmp_path / "out" / "traces_A.json").read_text(encoding="utf-8"))
+        states = np.array([row[2] for row in traces["rows"]]).reshape(15, 11)
+        for run in range(15):
+            counts = slice_markov.run_rng(traces["scenario_seed"], run).poisson(1.0, 10)
+            np.testing.assert_array_equal(states[run], np.minimum(np.cumsum([0, *counts]), 3))
+
     def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
         config_path, _ = workspace
         blocker = tmp_path / "not-a-directory"

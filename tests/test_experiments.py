@@ -635,9 +635,9 @@ class TestEmpiricalDocuments:
 
     def test_trace_documents_hold_no_per_row_objects(self):
         # Trace rows are a view over the int64 trajectory arrays. Measured
-        # peaks: about 1.75 times the arrays' bytes with the view (most of
-        # it the simulation's own buffers), about 13 times with one Python
-        # list per boundary.
+        # peaks: about 3.3 times the arrays' bytes with the view (most of
+        # it the simulator's block of draws, sort keys and step grid),
+        # about 13 times with one Python list per boundary.
         cfg = n3_config(3000, 10)
         empirical_documents(cfg)
         array_bytes = len(cfg.scenarios) * cfg.sim.num_runs * (cfg.sim.periods_per_run + 1) * 8

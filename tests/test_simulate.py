@@ -2,29 +2,43 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slice_markov import (
     DemandScenario,
     EmpiricalMatrix,
     ResourceModel,
     SimConfig,
+    Strategy,
     always_accept_strategy,
     apply_request,
     build_transition_matrix,
+    default_config_path,
     enumerate_region,
     enumerate_valid_strategies,
     estimate_empirical_matrix,
+    load_config,
     markov_order_test,
     rmse,
     run_episode,
     run_rng,
     simulate_episodes,
 )
-from slice_markov.simulate import _creation_draws, _pcg64_states
+from slice_markov import simulate
+from slice_markov.simulate import (
+    _creation_draws,
+    _draw_run,
+    _episode_batch,
+    _fold_block,
+    _fold_tables,
+    _pcg64_states,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +180,18 @@ class TestRunEpisode:
         with pytest.raises(RuntimeError, match="corrupted"):
             run_episode(scenario_a, strategy, 200, run_rng(27, 0), initial_state=(3,))
 
+    def test_bookkeeping_mismatch_aborts(self, region):
+        # Corrupt the table so that a creation in s=[1] jumps to s=[3]. With
+        # lifetimes of 1e12 periods no slice is released, so two accepted
+        # creations leave two slices held against a final state of three.
+        scenario = DemandScenario(creation_rates=(0.9,), mean_lifetimes=(1e12,))
+        strategy = always_accept_strategy(region)
+        table = list(strategy.next_index)
+        table[1] = (3, 0)
+        strategy.__dict__["next_index"] = tuple(table)
+        with pytest.raises(RuntimeError, match=r"lifetime bookkeeping holds \(2,\) slices, final state is \(3,\)"):
+            run_episode(scenario, strategy, 40, run_rng(26, 0), initial_state=(0,))
+
 
 class TestCreationDraws:
     """``_creation_draws`` calls numpy's scalar-rate sampler for one type,
@@ -194,12 +220,10 @@ class TestCreationDraws:
                 total = int(counts.sum())
                 stamps = reference.random(total)
                 rng = np.random.Generator(make(seed))
-                kinds, ends = [], []
-                for row in counts.tolist():
-                    for n, count in enumerate(row):
-                        kinds += [n] * count
-                    ends.append(len(kinds))
-                assert _creation_draws(rng, rates, periods) == (kinds, ends, stamps.tolist())
+                drawn_counts, drawn_stamps = _creation_draws(rng, rates, periods)
+                assert drawn_counts.shape == (periods, num_types)
+                np.testing.assert_array_equal(drawn_counts, counts)
+                np.testing.assert_array_equal(drawn_stamps, stamps)
                 np.testing.assert_array_equal(
                     rng.standard_exponential(total + 3),
                     reference.standard_exponential(total + 3),
@@ -267,6 +291,180 @@ class TestSimulateEpisodes:
         runs = simulate_episodes(scenario_c, accept_all, sim)
         assert np.all(runs[:, 0] == region.index_of[(3,)])
 
+
+
+# ---------------------------------------------------------------------------
+# The block fold against the per-period reference fold
+# ---------------------------------------------------------------------------
+
+
+def _reference_fold(scenario, strategy, periods, draws) -> np.ndarray:
+    """The per-period fold the block fold replaced, on the draws of one run
+    (a ``_draw_run`` tuple): a slice's release is filed under its period when
+    the slice becomes active, and each period sorts its creations and
+    releases as (offset, column, creation id) tuples, a release's id being
+    -1, and applies them one by one."""
+    index, initial, counts, stamps, fresh = draws
+    region = strategy.region
+    num_types = scenario.num_types
+    means = scenario.mean_lifetimes
+    start_types = [n for n, count in enumerate(region.states[index]) for _ in range(count)]
+    kinds = [n for row in counts.tolist() for n, count in enumerate(row) for _ in range(count)]
+    ends = np.cumsum(counts.sum(axis=1)).tolist()
+    creations = list(zip(stamps.tolist(), kinds, range(len(kinds))))
+    fresh = fresh.tolist()
+    table = strategy.next_index
+    releases = [[] for _ in range(periods)]
+    held = [0] * num_types
+    for n, life in zip(start_types, initial.tolist()):
+        remaining = means[n] * life
+        period = int(remaining)
+        if period < periods:
+            releases[period].append((remaining - period, num_types + n, -1))
+        else:
+            held[n] += 1
+    trajectory = [index]
+    start = 0
+    for t, end in enumerate(ends):
+        events = creations[start:end] + releases[t]
+        start = end
+        events.sort()
+        for _, column, creation_id in events:
+            successor = table[index][column]
+            assert successor >= 0
+            if column < num_types and successor != index:
+                remaining = means[column] * fresh[creation_id]
+                period = int(remaining)
+                if t + 1 + period < periods:
+                    releases[t + 1 + period].append((remaining - period, num_types + column, -1))
+                else:
+                    held[column] += 1
+            index = successor
+        trajectory.append(index)
+    assert tuple(held) == region.states[index]
+    return np.array(trajectory, dtype=np.int64)
+
+
+@st.composite
+def fold_cases(draw):
+    """A model of up to three types with a random valid strategy, rates from
+    far below 1 to above numpy's switch at 10, lifetimes from 0.01 to 1e12
+    periods, a fixed or uniform start, and a split of the runs into blocks."""
+    num_types = draw(st.integers(min_value=1, max_value=3))
+    costs = tuple(draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(num_types))
+    region = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=(costs,)))
+    strategy = Strategy(region, draw(st.integers(min_value=0, max_value=region.creation_mask)) & region.creation_mask)
+    scenario = DemandScenario(
+        creation_rates=[draw(st.sampled_from((0.05, 0.4, 1.0, 3.0, 9.99, 10.0, 14.0))) for _ in range(num_types)],
+        mean_lifetimes=[10.0 ** draw(st.floats(min_value=-2.0, max_value=12.0)) for _ in range(num_types)],
+    )
+    periods = draw(st.integers(min_value=1, max_value=40))
+    start = draw(st.one_of(st.none(), st.sampled_from(region.states)))
+    runs = draw(st.integers(min_value=1, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
+    cuts = sorted(set(draw(st.lists(st.integers(min_value=1, max_value=runs), max_size=3))))
+    return scenario, strategy, periods, start, runs, seed, cuts
+
+
+def _fold_in_blocks(scenario, strategy, periods, draws, bounds) -> np.ndarray:
+    out = np.empty((len(draws), periods + 1), dtype=np.int64)
+    tables = _fold_tables(strategy)
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        if stop > start:
+            _fold_block(scenario, strategy.region, tables, periods, draws[start:stop], out[start:stop])
+    return out
+
+
+class TestBlockFold:
+    @given(case=fold_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_fold(self, case):
+        scenario, strategy, periods, start, runs, seed, cuts = case
+        region = strategy.region
+        index = None if start is None else region.index_of[start]
+        draws = [_draw_run(scenario, region, periods, run_rng(seed, r), index) for r in range(runs)]
+        expected = np.array([_reference_fold(scenario, strategy, periods, d) for d in draws])
+        sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=seed, initial_state=start)
+        np.testing.assert_array_equal(simulate_episodes(scenario, strategy, sim), expected)
+        for bounds in ([0, runs], list(range(runs + 1)), [0, *cuts, runs]):
+            np.testing.assert_array_equal(
+                _fold_in_blocks(scenario, strategy, periods, draws, bounds), expected
+            )
+        # The split of --workers 2, each part one batch.
+        bounds = np.linspace(0, runs, 3, dtype=int).tolist()
+        batches = [
+            _episode_batch((scenario, strategy, sim, a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
+        ]
+        np.testing.assert_array_equal(np.vstack(batches), expected)
+
+    @pytest.mark.parametrize("budget", [1, 500])
+    def test_block_budget_does_not_change_runs(self, monkeypatch, scenario_a, accept_all, budget):
+        # A budget of one draw folds every run as its own block; 500 draws
+        # hold a couple of 100-period runs.
+        sim = SimConfig(num_runs=7, periods_per_run=100, seed=33)
+        expected = simulate_episodes(scenario_a, accept_all, sim)
+        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", budget)
+        np.testing.assert_array_equal(simulate_episodes(scenario_a, accept_all, sim), expected)
+
+    # Hand-made draws whose keys tie, so the fold falls back to the full
+    # (group, offset, column, creation id) order. Mean lifetimes of 1 make
+    # each unit lifetime a lifetime in periods.
+    ONE_TYPE = DemandScenario(creation_rates=(1.0,), mean_lifetimes=(1.0,))
+    TWO_TYPES = DemandScenario(creation_rates=(1.0, 1.0), mean_lifetimes=(1.0, 1.0))
+
+    def _tie_case(self, monkeypatch, scenario, strategy, draws, expected):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        periods = len(expected) - 1
+        out = _fold_in_blocks(scenario, strategy, periods, [draws], [0, 1])
+        assert calls == [1]
+        np.testing.assert_array_equal(out[0], _reference_fold(scenario, strategy, periods, draws))
+        region = strategy.region
+        assert [region.states[i] for i in out[0]] == expected
+
+    def test_creation_before_release_at_equal_offset(self, monkeypatch, region):
+        # Full at s=[3]: a slice releases at offset 0.5 of period 0, where a
+        # creation arrives. The creation comes first and is declined.
+        draws = (region.index_of[(3,)], np.array([0.5, 5.0, 5.0]), np.array([[1], [0]]),
+                 np.array([0.5]), np.array([0.25]))
+        self._tie_case(monkeypatch, self.ONE_TYPE, always_accept_strategy(region), draws,
+                       [(3,), (2,), (2,)])
+
+    def test_equal_stamps_keep_draw_order(self, monkeypatch, region):
+        # Room for one more slice and two creations at one stamp: the first
+        # drawn is accepted, so its lifetime of 0.5 ends in period 1.
+        draws = (region.index_of[(2,)], np.array([100.0, 100.0]), np.array([[2], [0]]),
+                 np.array([0.5, 0.5]), np.array([0.5, 1e6]))
+        self._tie_case(monkeypatch, self.ONE_TYPE, always_accept_strategy(region), draws,
+                       [(2,), (3,), (2,)])
+
+    def test_releases_of_two_types_at_equal_offset(self, monkeypatch):
+        # From s=[1,1] both slices release at offset 0.5, where a type-2
+        # creation arrives: it comes first and is declined, then the
+        # releases go in type order.
+        two = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),)))
+        draws = (two.index_of[(1, 1)], np.array([0.5, 0.5]), np.array([[0, 1], [0, 0]]),
+                 np.array([0.5]), np.array([0.25]))
+        self._tie_case(monkeypatch, self.TWO_TYPES, always_accept_strategy(two), draws,
+                       [(1, 1), (0, 0), (0, 0)])
+
+    def test_working_set_is_bounded(self):
+        # The fold's sort keys, step grid and states are held for one block
+        # at a time. Measured peaks on the bundled baseline's scenario A at
+        # 1000 runs x 100 periods: about 2.2 times the trajectory array's
+        # bytes, against about 17 times when all 1000 runs are one block.
+        cfg = load_config(default_config_path())
+        strategy = always_accept_strategy(cfg.region())
+        sim = SimConfig(num_runs=1000, periods_per_run=100, seed=42)
+        simulate_episodes(cfg.scenarios["A"], strategy, sim)
+        tracemalloc.start()
+        try:
+            runs = simulate_episodes(cfg.scenarios["A"], strategy, sim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * runs.nbytes
 
 
 # ---------------------------------------------------------------------------
