@@ -340,6 +340,56 @@ class TestGoldenOutputs:
                    for path in sorted(out.iterdir())}
         assert digests == self.GOLDEN[out_format]
 
+    # The same for longer multi-type runs, which pin the creation draws of
+    # several types: the N=3 model's scenario A at 100 periods, and a
+    # two-type scenario with one rate from 10 up, where numpy's Poisson
+    # sampler is PTRS.
+    MULTI_TYPE_GOLDEN = {
+        ("n3-A-100", "csv"): {
+            "empirical_A.csv": "830ad9b844cbc3df10055f80011b564b9491cbdfc7eb5a86efb14564b6fd6e06",
+            "traces_A.csv": "a519f1d4d60e4e98a5adebbb9fa01d456534f5902432b8890abf635a81f34d99",
+        },
+        ("n3-A-100", "json"): {
+            "empirical_A.json": "8f869a8d02c0a832cbe0ad49dbe921d7b4f7b33c6b74d5a4016063653c6733d6",
+            "traces_A.json": "ca7fe92c66314360986812fbc3115fe00575a8d2c5b24dbba955c5fbf044a82a",
+        },
+        ("two-type-rate-11", "csv"): {
+            "empirical_A.csv": "303a64a9b6a692908b735625db1506ed36204bc5e2798d06aa27e01b12a89797",
+            "traces_A.csv": "268a3323b8304ac58d4ec53d0a84d011eb6c8eff306ebd30902189e2011cf517",
+        },
+        ("two-type-rate-11", "json"): {
+            "empirical_A.json": "917c636c61aa302668b1d7491d1a137132c0a60614df28a9fd8fbdaaee656dbb",
+            "traces_A.json": "efd976d8a36f4bc6ff8968ba08a354efe5294daa555ab0a9421d50240993d662",
+        },
+    }
+
+    @staticmethod
+    def multi_type_raw(case: str) -> dict:
+        if case == "n3-A-100":
+            raw = n3_traces_raw(20, 100)
+            raw["scenarios"] = {"A": raw["scenarios"]["A"]}
+            return raw
+        raw = two_type_raw()
+        raw["scenarios"]["A"] = {"creation_rates": [11.0, 0.4], "mean_lifetimes": [0.25, 2.0]}
+        # Always-accept keeps three type-1 slices at every boundary; D102
+        # declines enough that the boundary states vary.
+        raw["strategy"] = 102
+        raw["sim"].update(num_runs=20, periods_per_run=50)
+        return raw
+
+    @pytest.mark.parametrize("out_format", ["csv", "json"])
+    @pytest.mark.parametrize("case", ["n3-A-100", "two-type-rate-11"])
+    def test_multi_type_traces_bytes(self, tmp_path, case, out_format):
+        config = tmp_path / "multi_type.json"
+        config.write_text(json.dumps(self.multi_type_raw(case)), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(config), "--traces", "--quiet",
+                "--out", str(out), "--format", out_format]
+        assert main(argv) == 0
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in sorted(out.iterdir())}
+        assert digests == self.MULTI_TYPE_GOLDEN[case, out_format]
+
     # The same for the one-type baseline.json figures at a reduced protocol;
     # they pin the simulator's single-rate path.
     FIGURE_GOLDEN = {
