@@ -6,13 +6,8 @@ slice lifetimes), folds each period's queue through the strategy's compiled
 successor table (``Strategy.next_index``), and records the state at every
 period boundary. Creation counts are never truncated here.
 
-Each run makes all of its random draws before the first period (the order
-is given in :func:`run_episode`). With one slice type the creation counts
-are numpy's own Poisson draws at a scalar rate, which numpy validates once
-rather than per element. With several types the counts and timestamps come
-from one stream of uniforms, decoded the way numpy's Poisson sampler reads
-it (:func:`_creation_draws`), so the variates are those of numpy's own calls
-without the cost of checking an array of rates.
+Each run makes all of its random draws before the first period, with
+numpy's own samplers (the order is given in :func:`run_episode`).
 
 A fresh lifetime is drawn for every creation, accepted or not, so the
 period and offset of every potential release are known before any request
@@ -35,7 +30,6 @@ draw order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,70 +174,12 @@ def _creation_draws(rng: np.random.Generator, rates, periods: int):
 
     Returns ``(counts, stamps)``: the number of creations of every (period,
     type) cell as an int array of shape (periods, N), and each creation's
-    timestamp, in (period, type) order.
-
-    With one slice type the counts are numpy's own ``poisson(rate,
-    periods)``: the same sampler reading the same stream as
-    ``poisson(rates, (periods, 1))``, so the same variates. With a scalar
-    rate numpy checks one number instead of an array and then runs its C
-    loop, which costs less than decoding the counts here; the README's
-    performance notes give the times.
-
-    With more types, numpy draws a Poisson count below rate 10 by
-    multiplying uniforms (``next_double``) until the product is at most
-    ``exp(-rate)``, and ``Generator.random`` reads the same ``next_double``
-    stream, so the counts of ``poisson(rates, (periods, N))`` and the stamps
-    of the following ``random(total)`` are one run of uniforms. This replays
-    the multiplication on that run, drawn in chunks that never pass the
-    uniforms certainly needed: all cells still to decode take at least one
-    more, and every creation found needs a stamp. No per-call validation of
-    an array of rates is paid. From rate 10 up numpy switches to Hörmann's
-    PTRS, so any such rate makes the run use numpy's own calls. On every
-    path the generator is left exactly where the two numpy calls leave it.
+    timestamp, in (period, type) order. With one slice type numpy is given
+    the rate as a scalar, which it checks once instead of as an array; it
+    draws the same variates as with ``(rate,)``.
     """
-    num_types = len(rates)
-    if num_types == 1:
-        counts = rng.poisson(rates[0], periods)
-        return counts.reshape(periods, 1), rng.random(int(counts.sum()))
-    cells = periods * num_types
-    if max(rates) >= 10.0:
-        counts = rng.poisson(rates, (periods, num_types))
-        return counts, rng.random(int(counts.sum()))
-    limits = [math.exp(-rate) for rate in rates]
-    counts = []
-    add = counts.append
-    count = 0
-    total = 0
-    limit = limits[0]
-    product = 1.0
-    drawn = cells
-    chunk = rng.random(cells)
-    while True:
-        for uniform in chunk.tolist():
-            product *= uniform
-            if product > limit:
-                count += 1
-                continue
-            add(count)
-            total += count
-            if len(counts) == cells:
-                break
-            count = 0
-            product = 1.0
-            limit = limits[len(counts) % num_types]
-        if len(counts) == cells:
-            break
-        # Every uniform drawn went to the counts: each undecoded cell needs
-        # one more, and each creation found so far a stamp.
-        need = cells - len(counts) + total + count
-        drawn += need
-        chunk = rng.random(need)
-    # Each uniform either ends a cell or adds a creation; the rest of the
-    # last chunk are the first stamps.
-    stamps = chunk[len(chunk) - (drawn - cells - total):]
-    if len(stamps) < total:
-        stamps = np.concatenate((stamps, rng.random(total - len(stamps))))
-    return np.array(counts).reshape(periods, num_types), stamps
+    counts = rng.poisson(rates[0] if len(rates) == 1 else rates, (periods, len(rates)))
+    return counts, rng.random(int(counts.sum()))
 
 
 def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
@@ -474,16 +410,11 @@ def run_episode(
     5. ``standard_exponential(total)``: a fresh unit lifetime for every
        creation, scaled by its type's mean and used only if it is accepted.
 
-    With one slice type, draw 3 is numpy's ``poisson(rate, periods)`` with a
-    scalar rate: the same sampler on the same stream, and numpy checks one
-    rate instead of an array of them. With several types below rate 10,
-    draws 3 and 4 are one stream of uniforms, decoded by
-    :func:`_creation_draws` the way numpy's Poisson sampler consumes it;
-    from rate 10 up they are numpy's own two calls. Every way, the variates
-    and the generator's final state are those of the two calls. After these
-    draws the run makes no further generator calls. Initial slices get fresh
-    exponential lifetimes: the residual lifetime of an exponential in steady
-    state is again exponential, so no aging needs to be modeled. The horizon
+    With one slice type, draw 3 passes the rate as a scalar, which draws the
+    same variates (:func:`_creation_draws`). After these draws the run makes
+    no further generator calls. Initial slices get fresh exponential
+    lifetimes: the residual lifetime of an exponential in steady state is
+    again exponential, so no aging needs to be modeled. The horizon
     sets the size of draw 3, so draws 4 and 5 start elsewhere in the stream:
     a run with a shorter horizon is not a prefix of a longer run from the
     same substream ``(seed, r)``. A run still depends only on that substream
@@ -564,7 +495,9 @@ def simulate_episodes(
         # need not load.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Under fork a pool starts all of its processes at once, so it is
+        # no wider than the batches.
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             return np.vstack(list(pool.map(_episode_batch, tasks)))
     return _episode_batch((scenario, strategy, sim, 0, sim.num_runs))
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import tracemalloc
 from operator import itemgetter
 
@@ -154,9 +155,10 @@ class TestRunEpisode:
         np.testing.assert_array_equal(trajectory, expected)
 
     def test_counts_from_rate_ten_up_come_from_numpy_poisson(self):
-        # From rate 10 numpy's Poisson sampler is PTRS, which the simulator
-        # leaves to numpy. Lifetimes of 1e12 periods never end, so
-        # always-accept follows the cumulative counts up to 333 slices.
+        # From rate 10 numpy's Poisson sampler is PTRS, not the
+        # multiplication of uniforms it uses below 10. Lifetimes of 1e12
+        # periods never end, so always-accept follows the cumulative counts
+        # up to 333 slices.
         roomy = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.003,),))
         roomy_region = enumerate_region(roomy)
         cap = roomy_region.states[-1][0]
@@ -194,20 +196,19 @@ class TestRunEpisode:
 
 
 class TestCreationDraws:
-    """``_creation_draws`` calls numpy's scalar-rate sampler for one type,
-    replays numpy's Poisson sampler on the uniform stream for several types
-    below rate 10, and calls numpy from rate 10 up; every path must give the
-    counts of ``poisson(rates, (periods, N))``, the stamps of the
-    ``random(total)`` after it, and leave the generator where those two calls
-    leave it. The rates include the bundled baseline.json's 1.0 and 0.5, and
-    the horizons figure2's 10 and figure3's 100."""
+    """With one slice type ``_creation_draws`` gives numpy the rate as a
+    scalar; that must give the counts of ``poisson((rate,), (periods, 1))``,
+    the stamps of the ``random(total)`` after it, and leave the generator
+    where those two calls leave it. The rates include the bundled
+    baseline.json's 1.0, 0.8 and 0.5, both sides of numpy's switch to PTRS
+    at 10, and the horizons figure2's 10 and figure3's 100."""
 
     SEEDS = (0, 1, 42, 2**64 - 1)
     HORIZONS = (1, 7, 10, 100)
 
     @pytest.mark.parametrize(
         "rates",
-        [(1e-9,), (0.3,), (0.5,), (1.0,), (0.6, 0.4, 0.3), (9.99,), (10.0,), (12.0,), (11.0, 0.4)],
+        [(1e-9,), (0.3,), (0.5,), (1.0,), (0.8,), (9.99,), (10.0,), (12.0,), (1000.0,)],
     )
     @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
     def test_replays_poisson_then_random(self, rates, bit_generator):
@@ -254,6 +255,30 @@ class TestSimulateEpisodes:
         serial = simulate_episodes(scenario_b, accept_all, sim)
         parallel = simulate_episodes(scenario_b, accept_all, sim, workers=3)
         np.testing.assert_array_equal(serial, parallel)
+
+    def test_pool_is_no_wider_than_the_batches(self, monkeypatch, scenario_c, accept_all):
+        # A pool that maps serially in this process and records its width:
+        # 8 workers on 3 runs make 3 batches, so 3 processes would start.
+        widths = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        sim = SimConfig(num_runs=3, periods_per_run=10, seed=16)
+        runs = simulate_episodes(scenario_c, accept_all, sim, workers=8)
+        assert widths == [3]
+        np.testing.assert_array_equal(runs, simulate_episodes(scenario_c, accept_all, sim))
 
     @pytest.mark.parametrize("two_types", [False, True])
     @pytest.mark.parametrize("fixed_start", [False, True])
