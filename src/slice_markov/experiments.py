@@ -36,7 +36,7 @@ from .domain import (
 from .errors import ConfigError
 from .markov import build_transition_matrix, truncation_tail_bound
 from .serialize import TraceRows
-from .simulate import SimConfig, estimate_empirical_matrix, rmse, simulate_episodes
+from .simulate import SimConfig, estimate_empirical_matrix, rmse, simulate_episodes, worker_pool
 
 log = logging.getLogger("slice_markov")
 
@@ -522,31 +522,33 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     proto = cfg.figure3
     rows = []
     summary_rows = []
-    for si, name in enumerate(proto.scenarios):
-        scenario = cfg.scenarios[name]
-        errors = {q: [] for q in proto.q_plus_max}
-        started = time.perf_counter()
-        for di, strategy in enumerate(strategies):
-            # Builds draw no randomness; making them first lets a depth over
-            # the bag cap fail before any simulation runs, and deepest first
-            # builds the strategy's ordering table once.
-            matrices = {
-                q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
-                for q in sorted(proto.q_plus_max, reverse=True)
-            }
-            seed = _child_seed(cfg.sim.seed, si, di)
-            sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
-            trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
-            empirical = estimate_empirical_matrix(region, trajectories)
+    # One process pool serves every (scenario, strategy) simulation.
+    with worker_pool(workers, proto.num_runs) as pool:
+        for si, name in enumerate(proto.scenarios):
+            scenario = cfg.scenarios[name]
+            errors = {q: [] for q in proto.q_plus_max}
+            started = time.perf_counter()
+            for di, strategy in enumerate(strategies):
+                # Builds draw no randomness; making them first lets a depth over
+                # the bag cap fail before any simulation runs, and deepest first
+                # builds the strategy's ordering table once.
+                matrices = {
+                    q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
+                    for q in sorted(proto.q_plus_max, reverse=True)
+                }
+                seed = _child_seed(cfg.sim.seed, si, di)
+                sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
+                trajectories = simulate_episodes(scenario, strategy, sim, workers=workers, pool=pool)
+                empirical = estimate_empirical_matrix(region, trajectories)
+                for q in proto.q_plus_max:
+                    epsilon = rmse(matrices[q].probs, empirical)
+                    rows.append([name, f"D{di}", strategy.bits, q, epsilon, len(empirical.zero_visit_rows)])
+                    errors[q].append(epsilon)
             for q in proto.q_plus_max:
-                epsilon = rmse(matrices[q].probs, empirical)
-                rows.append([name, f"D{di}", strategy.bits, q, epsilon, len(empirical.zero_visit_rows)])
-                errors[q].append(epsilon)
-        for q in proto.q_plus_max:
-            summary_rows.append([name, q, float(np.mean(errors[q])), float(np.var(errors[q]))])
-        log.info("scenario %s: %d strategies x %d depths in %.1fs; mean error %s",
-                 name, len(strategies), len(proto.q_plus_max), time.perf_counter() - started,
-                 " ".join(f"q{q}=%.3e" % float(np.mean(errors[q])) for q in proto.q_plus_max))
+                summary_rows.append([name, q, float(np.mean(errors[q])), float(np.var(errors[q]))])
+            log.info("scenario %s: %d strategies x %d depths in %.1fs; mean error %s",
+                     name, len(strategies), len(proto.q_plus_max), time.perf_counter() - started,
+                     " ".join(f"q{q}=%.3e" % float(np.mean(errors[q])) for q in proto.q_plus_max))
     return _document(
         "figure3", cfg,
         renormalized=cfg.renormalize,

@@ -14,6 +14,8 @@ import io
 import json
 import os
 
+import numpy as np
+
 
 def format_value(value) -> str:
     if isinstance(value, bool):
@@ -60,21 +62,45 @@ class TraceRows(list):
                 yield [run, period, state, labels[state]]
 
 
+# Trace rows written at a time; also the longest horizon whose period
+# strings are made once per table.
+_TRACE_SLICE = 1 << 14
+
+
 def _write_trace_rows(out, rows: TraceRows) -> None:
-    """Write trace rows one run per ``write``: each row is its run, its
-    period and the state's ``index,label`` suffix, which csv.writer encodes
-    once per state so that quoting matches a per-row ``writerow``."""
+    """Write trace rows ``_TRACE_SLICE`` at a time, run after run.
+
+    A row is three strings: its run, its period as ``,period,`` and the
+    state's ``index,label`` suffix, which csv.writer encodes once per state
+    so that quoting matches a per-row ``writerow``. numpy gathers the three
+    strings of every row of a slice, and one ``join`` makes the slice's
+    text. Beyond the trajectories this holds one suffix per state, the
+    period strings of a horizon up to ``_TRACE_SLICE`` boundaries (a longer
+    one makes them slice by slice) and the pieces of one slice, whatever
+    the horizon or the region size.
+    """
     encoded = io.StringIO()
     writer = csv.writer(encoded, lineterminator="\n")
-    suffixes = []
+    suffixes = np.empty(len(rows.labels), dtype=object)
     for state, label in enumerate(rows.labels):
         encoded.seek(0)
         encoded.truncate()
         writer.writerow([state, label])
-        suffixes.append(encoded.getvalue())
-    heads = [f",{period}," for period in range(rows.trajectories.shape[1])]
-    for run, states in enumerate(rows.trajectories):
-        out.write("".join([f"{run}{head}{suffixes[state]}" for head, state in zip(heads, states.tolist())]))
+        suffixes[state] = encoded.getvalue()
+    trajectories = rows.trajectories
+    width = trajectories.shape[1]
+    heads = _period_heads(range(width)) if width <= _TRACE_SLICE else None
+    for first in range(0, trajectories.size, _TRACE_SLICE):
+        run, period = np.divmod(np.arange(first, min(first + _TRACE_SLICE, trajectories.size)), width)
+        pieces = np.empty((len(run), 3), dtype=object)
+        pieces[:, 0] = np.array([str(r) for r in range(run[0], run[-1] + 1)], dtype=object)[run - run[0]]
+        pieces[:, 1] = _period_heads(period.tolist()) if heads is None else heads[period]
+        pieces[:, 2] = suffixes[trajectories[run, period]]
+        out.write("".join(pieces.ravel().tolist()))
+
+
+def _period_heads(periods) -> np.ndarray:
+    return np.array([f",{period}," for period in periods], dtype=object)
 
 
 def _write_table(out, doc: dict, columns, rows) -> None:

@@ -30,6 +30,7 @@ draw order.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,11 +152,13 @@ def _pcg64_states(seed: int, start: int, stop: int):
     A PCG64 seeded with words (s0, s1, i0, i1) starts with
     ``inc = 2 * (i0 << 64 | i1) + 1`` and, after two steps of
     ``pcg_setseq_128_srandom_r``, ``state = ((s0 << 64 | s1) + inc) * M + inc``
-    modulo 2**128.
+    modulo 2**128. The words become Python ints one run at a time, so a
+    chunk holds its array and no list per run.
     """
     for first in range(start, stop, _STATE_BLOCK):
         runs = np.arange(first, min(first + _STATE_BLOCK, stop), dtype=np.uint64)
-        for s0, s1, i0, i1 in _seed_words(seed, runs).tolist():
+        for words in _seed_words(seed, runs):
+            s0, s1, i0, i1 = words.tolist()
             inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
             state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
             yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
@@ -165,8 +168,12 @@ def _pcg64_states(seed: int, start: int, stop: int):
 # Draws a block of runs may hold before it is folded: period-type cells,
 # lifetimes and timestamps. The fold's working set (sort keys, step grid,
 # states after each step) grows with the block; its per-step cost is paid
-# once for every run of the block.
-_BLOCK_DRAWS = 1 << 14
+# once for every run of the block. 40,960 draws hold about 137 of figure3's
+# 100-period runs of scenario A, and keep the fold's working set within
+# about 2.4 times the trajectory array of 1000 such runs.
+_BLOCK_DRAWS = 5 << 13
+# Sorted keys gathered at a time by the tie test.
+_TIE_SLICE = 1 << 13
 
 
 def _creation_draws(rng: np.random.Generator, rates, periods: int):
@@ -230,6 +237,43 @@ def _fold_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (successor * width).ravel(), release.ravel(), states
 
 
+def _has_ties(key: np.ndarray, order: np.ndarray) -> bool:
+    """Whether two neighbours of ``key[order]`` are equal. The sorted keys
+    are gathered ``_TIE_SLICE`` at a time, so that a block holds its keys
+    once."""
+    for first in range(0, len(order), _TIE_SLICE):
+        ranked = key[order[first:first + _TIE_SLICE + 1]]
+        if np.any(ranked[1:] == ranked[:-1]):
+            return True
+        del ranked
+    return False
+
+
+def _lockstep(successor: np.ndarray, release: np.ndarray, grid: np.ndarray, switch: np.ndarray,
+              visited: np.ndarray) -> None:
+    """Scan a block's step grid (:func:`_fold_block`) with all of its runs
+    in lockstep: ``visited[k]`` receives each run's state after k events,
+    from the start states in ``visited[0]``.
+
+    Step k reads its columns from ``grid[1 + k*count:]``, looks up entry
+    state + column of both tables, and puts the release column it switches
+    on into the grid cells that ``switch`` names for the step. The grid,
+    its switches and the lookups are intp, the index type of take and put,
+    so that a step converts as little as it can.
+    """
+    steps, count = len(visited) - 1, visited.shape[1]
+    lookup = np.empty(count, dtype=np.intp)
+    value = np.empty(count, dtype=np.intp)
+    now = visited[0]
+    columns = grid[1:1 + steps * count].reshape(steps, count)
+    for after, column, cell in zip(visited[1:], columns, switch[1:].reshape(steps, count)):
+        np.add(now, column, out=lookup)
+        successor.take(lookup, out=after, mode="clip")
+        release.take(lookup, out=value, mode="clip")
+        grid.put(cell, value)
+        now = after
+
+
 def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: tuple, periods: int,
                 runs: list, out: np.ndarray) -> None:
     """Fold the draws of a block of runs (:func:`_draw_run` tuples) through
@@ -244,6 +288,10 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     A potential release sits in the step grid as a no-op until its creation
     is accepted, when the successor differs from the state, and the
     creation writes the release column into the release's cell.
+
+    ``runs`` is emptied once its draws are gathered. Each array is dropped
+    after its last read and cell numbers are 32-bit where they fit, so that
+    a block holds few bytes per event beyond the scan's own grid.
     """
     successor, release, states = tables
     num_types = scenario.num_types
@@ -253,26 +301,36 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     groups = count * periods
     size = len(region)
     means = np.array(scenario.mean_lifetimes)
-    starts = np.array([run[0] for run in runs])
+    # The block's draws, one array for each draw of :func:`_draw_run`. The
+    # list is emptied and each draw's per-run arrays are dropped once it is
+    # gathered, so that the block holds its draws about once.
+    starts, *draws = zip(*runs)
+    runs.clear()
+    starts = np.array(starts)
+    for field in range(len(draws)):
+        draws[field] = np.concatenate(draws[field])
+    initial_units, counts, stamps, units = draws
+    del draws
     initial_counts = states[starts]
 
     # Creations in draw order, each with its group and type.
-    counts = np.concatenate([run[2] for run in runs]).ravel()
-    per_group = counts.reshape(groups, num_types).sum(axis=1)
-    group, kind = np.divmod(np.repeat(np.arange(groups * num_types, dtype=np.int32), counts), num_types)
+    per_group = counts.sum(axis=1, dtype=np.int32)
+    group, kind = np.divmod(np.repeat(np.arange(groups * num_types, dtype=np.int32), counts.ravel()), num_types)
+    del counts
     creations = len(group)
     # A slice accepted in period t becomes active at boundary t+1 and is
     # released floor(x) periods later at offset x - floor(x), x its
     # lifetime; x is tested against the horizon before flooring, since an
     # inf or huge lifetime has no int.
     with np.errstate(over="ignore"):
-        life = means[kind] * np.concatenate([run[4] for run in runs])
+        life = means[kind] * units
+    del units
     inside = life < (periods - 1) - group % periods
     released = np.flatnonzero(inside)
     held = np.flatnonzero(~inside)
+    del inside
     # The (run, type) code of each creation whose slice would be held.
     held_code = group[held] // periods * num_types + kind[held]
-    del inside
     life = life[released]
     releases = len(released)
     # Initial slices, type by type within each run, are released the same
@@ -280,7 +338,8 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     initial_kind = np.repeat(np.tile(np.arange(num_types), count), initial_counts.ravel())
     initial_run = np.repeat(np.arange(count), initial_counts.sum(axis=1))
     with np.errstate(over="ignore"):
-        initial_life = means[initial_kind] * np.concatenate([run[1] for run in runs])
+        initial_life = means[initial_kind] * initial_units
+    del initial_units
     ending = np.flatnonzero(initial_life < periods)
     initial_life = initial_life[ending]
     initial_kind = initial_kind[ending]
@@ -290,7 +349,8 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     # initial releases.
     events = creations + releases + len(ending)
     times = np.empty(events)
-    np.concatenate([run[3] for run in runs], out=times[:creations])
+    times[:creations] = stamps
+    del stamps
     at = np.empty(events, dtype=np.int32)
     at[:creations] = group
     for lives, first, stop, base in (
@@ -309,55 +369,47 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     # creation id) order, where a release's id is -1.
     key = at + times
     order = np.argsort(key)
-    ranked = key[order]
-    del key
-    if np.any(ranked[1:] == ranked[:-1]):
+    if _has_ties(key, order):
         ids = np.full(events, -1)
         ids[:creations] = np.arange(creations)
         order = np.lexsort((
             ids, np.concatenate((kind, num_types + kind[released], num_types + initial_kind)), times, at
         ))
-    del ranked, times, at
+    del key, times, at
 
-    # Sorted, each run's events are contiguous, and its k-th event goes to
-    # cell 1 + k * count + r of the step grid. Cell 0 takes the writes of
-    # declined creations, and cells past the grid stand for the releases
-    # that fall beyond the horizon.
-    ends = per_group.reshape(count, periods).cumsum(axis=1)
+    # Sorted, each run's events are contiguous, and the k-th event of run r
+    # goes to cell 1 + k * count + r of the step grid. Cell 0 takes the
+    # writes of declined creations, and cells past the grid stand for the
+    # releases that fall beyond the horizon. Cell numbers are 32-bit where
+    # they fit, and no partial sum exceeds them.
+    ends = per_group.reshape(count, periods).cumsum(axis=1, dtype=np.int32)
+    del per_group
     sizes = ends[:, -1]
     steps = int(sizes.max())
     cells = 1 + steps * count
-    placed = np.arange(events)
+    cell_type = np.int32 if cells + len(held) <= np.iinfo(np.int32).max else np.intp
+    placed = np.arange(events, dtype=cell_type)
+    placed -= np.repeat((np.cumsum(sizes) - sizes).astype(cell_type), sizes)
     placed *= count
-    placed += np.repeat(1 + np.arange(count) - (np.cumsum(sizes) - sizes) * count, sizes)
-    cell_of = np.empty(events, dtype=np.intp)
+    placed += np.repeat(np.arange(1, count + 1, dtype=cell_type), sizes)
+    cell_of = np.empty(events, dtype=cell_type)
     cell_of[order] = placed
     del order, placed
     grid = np.full(cells + len(held), noop, dtype=np.intp)
     grid[cell_of[:creations]] = kind
     grid[cell_of[creations + releases:]] = num_types + initial_kind
+    del kind
     # Each step writes the column its event switches on into the cell named
     # here: a creation's release cell, or the scratch cell 0.
     switch = np.zeros(cells, dtype=np.intp)
     switch[cell_of[released]] = cell_of[creations:creations + releases]
+    del released
     switch[cell_of[held]] = np.arange(cells, cells + len(held))
-    del cell_of, kind, released, held
+    del cell_of, held
 
-    # visited[k] holds each run's state after k events. The grid, its
-    # switches and the lookups are intp, the index type of take and put, so
-    # that a step converts as little as it can.
     visited = np.empty((steps + 1, count), dtype=np.int32)
     visited[0] = starts * width
-    lookup = np.empty(count, dtype=np.intp)
-    value = np.empty(count, dtype=np.intp)
-    now = visited[0]
-    columns = grid[1:cells].reshape(steps, count)
-    for after, column, cell in zip(visited[1:], columns, switch[1:].reshape(steps, count)):
-        np.add(now, column, out=lookup)
-        successor.take(lookup, out=after, mode="clip")
-        release.take(lookup, out=value, mode="clip")
-        grid.put(cell, value)
-        now = after
+    _lockstep(successor, release, grid, switch, visited)
     del switch
 
     final = visited[steps] // width
@@ -384,8 +436,9 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
             f"lifetime bookkeeping holds {tuple(outliving[run].tolist())} slices, "
             f"final state is {region.states[final[run]]}"
         )
+    del grid
     out[:, 0] = starts
-    out[:, 1:] = visited[ends, np.arange(count)[:, None]] // width
+    np.floor_divide(visited[ends, np.arange(count)[:, None]], width, out=out[:, 1:])
 
 
 def run_episode(
@@ -463,13 +516,29 @@ def _episode_batch(args) -> np.ndarray:
         block.append(draws)
         load += len(draws[1]) + draws[2].size + 2 * len(draws[3])
         if load >= _BLOCK_DRAWS:
-            _fold_block(scenario, region, tables, periods, block, out[done:done + len(block)])
-            done += len(block)
-            block = []
-            load = 0
+            end = done + len(block)
+            _fold_block(scenario, region, tables, periods, block, out[done:end])
+            done, load = end, 0
     if block:
         _fold_block(scenario, region, tables, periods, block, out[done:])
     return out
+
+
+def worker_pool(workers: int | None, num_runs: int):
+    """A context manager giving the process pool that
+    :func:`simulate_episodes` calls of ``num_runs`` runs with ``workers``
+    share, or None when they run serially.
+
+    Under fork a pool starts all of its processes at once, so it is no
+    wider than the batches of one call.
+    """
+    if workers is None or workers <= 1:
+        return nullcontext()
+    # Imported here: it pulls in multiprocessing, which a serial run need
+    # not load.
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=min(workers, num_runs))
 
 
 def simulate_episodes(
@@ -477,12 +546,16 @@ def simulate_episodes(
     strategy: Strategy,
     sim: SimConfig,
     workers: int | None = None,
+    pool=None,
 ) -> np.ndarray:
     """All runs of a protocol over ``strategy.region``; returns an array of
     shape (num_runs, periods+1).
 
     Run r always uses the substream (seed, r), so the result is independent
-    of execution order and identical across worker counts.
+    of execution order and identical across worker counts. With more than
+    one worker the runs are split into batches that run in ``pool``, a
+    :func:`worker_pool` shared by several calls, or in a pool opened for
+    this call.
     """
     if workers is not None and workers > 1:
         bounds = np.linspace(0, sim.num_runs, min(workers, sim.num_runs) + 1, dtype=int)
@@ -491,14 +564,8 @@ def simulate_episodes(
             for start, stop in zip(bounds[:-1], bounds[1:])
             if stop > start
         ]
-        # Imported here: it pulls in multiprocessing, which a serial run
-        # need not load.
-        from concurrent.futures import ProcessPoolExecutor
-
-        # Under fork a pool starts all of its processes at once, so it is
-        # no wider than the batches.
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
-            return np.vstack(list(pool.map(_episode_batch, tasks)))
+        with nullcontext(pool) if pool is not None else worker_pool(workers, sim.num_runs) as executor:
+            return np.vstack(list(executor.map(_episode_batch, tasks)))
     return _episode_batch((scenario, strategy, sim, 0, sim.num_runs))
 
 

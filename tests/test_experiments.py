@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
+import csv
 import hashlib
 import io
 import json
@@ -32,7 +34,8 @@ from slice_markov.experiments import (
     region_document,
     strategies_document,
 )
-from slice_markov.serialize import TraceRows, _write_table, dump
+from slice_markov import serialize
+from slice_markov.serialize import TraceRows, _write_table, _write_trace_rows, dump
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 BASELINE_HASH = "195938a4b816e0b89e34b5d69aa0be1198d50b45ea77e387e6ff215e90b7a23a"
@@ -685,8 +688,9 @@ class TestEmpiricalDocuments:
 
     def test_trace_documents_hold_no_per_row_objects(self):
         # Trace rows are a view over the int64 trajectory arrays. Measured
-        # peaks: about 3.3 times the arrays' bytes with the view (most of
-        # it the simulator's block of draws, sort keys and step grid),
+        # peaks: about 2.9 times the arrays' bytes with the view (most of
+        # it the simulator's block of draws, sort keys and step grid; 3.2
+        # with the smaller blocks and fuller working set of earlier folds),
         # about 13 times with one Python list per boundary.
         cfg = n3_config(3000, 10)
         empirical_documents(cfg)
@@ -699,6 +703,47 @@ class TestEmpiricalDocuments:
             tracemalloc.stop()
         assert [doc["kind"] for doc in docs] == ["empirical", "traces"] * 2
         assert peak < 4 * array_bytes
+
+
+class TestTraceWriter:
+    """The trace CSV writer gathers each slice of rows from per-state and
+    per-period strings; its text must equal one ``csv.writer.writerow``
+    per row."""
+
+    LABELS = ["s=[1,0]", 'say "2"', "", "a\nb", " lead", "plain", "x,y"]
+
+    @staticmethod
+    def _per_row(trajectories, labels) -> str:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        for run, states in enumerate(trajectories.tolist()):
+            for period, state in enumerate(states):
+                writer.writerow([run, period, state, labels[state]])
+        return out.getvalue()
+
+    # Slices of 5 and 7 rows cut runs of every width here, 11 and 13 hold
+    # whole runs of some widths, and widths above the slice take the path
+    # that makes period strings slice by slice.
+    @pytest.mark.parametrize("rows_per_slice", [5, 7, 11, 13, serialize._TRACE_SLICE])
+    @pytest.mark.parametrize("runs, width", [(1, 1), (3, 2), (4, 11), (2, 30), (9, 6)])
+    def test_equals_per_row_writer(self, monkeypatch, rows_per_slice, runs, width):
+        monkeypatch.setattr(serialize, "_TRACE_SLICE", rows_per_slice)
+        rng = np.random.default_rng(runs * 100 + width)
+        trajectories = rng.integers(0, len(self.LABELS), (runs, width))
+        out = io.StringIO()
+        _write_trace_rows(out, TraceRows(trajectories, self.LABELS))
+        assert out.getvalue() == self._per_row(trajectories, self.LABELS)
+
+    def test_default_slice_boundary(self):
+        # 1,500 runs of 11 boundaries cross the default slice once, one
+        # run straddling it; a 20,000-boundary run is longer than a slice.
+        rng = np.random.default_rng(5)
+        assert 1500 * 11 > serialize._TRACE_SLICE and serialize._TRACE_SLICE % 11
+        for shape in ((1500, 11), (2, 20_000)):
+            trajectories = rng.integers(0, len(self.LABELS), shape)
+            out = io.StringIO()
+            _write_trace_rows(out, TraceRows(trajectories, self.LABELS))
+            assert out.getvalue() == self._per_row(trajectories, self.LABELS)
 
 
 class TestFigure2Document:
@@ -765,6 +810,30 @@ class TestFigure3Document:
             eps = [r[4] for r in doc["rows"] if r[0] == name and r[3] == q]
             assert mean == pytest.approx(np.mean(eps), rel=1e-12)
             assert var == pytest.approx(np.var(eps), rel=1e-9, abs=1e-15)
+
+    def test_workers_share_one_pool(self, monkeypatch):
+        # A pool that maps serially in this process and counts how often
+        # it is opened: the whole sweep, 8 strategies here, opens one.
+        opened = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                opened.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config()
+        doc = figure3_document(cfg, workers=2)
+        assert opened == [2]
+        assert doc == figure3_document(cfg)
 
     def test_depths_share_simulation_per_strategy(self):
         # Zero-visit-row counts come from the shared empirical matrix, so

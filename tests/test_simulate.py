@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import sys
 import tracemalloc
 from operator import itemgetter
 
@@ -101,6 +102,19 @@ class TestBulkStreams:
             assert state == reference.bit_generator.state
             bits.state = state
             np.testing.assert_array_equal(rng.random(8), reference.random(8))
+
+    def test_chunk_holds_no_list_per_run(self):
+        # One chunk of 1024 runs: its seed words and the hash's arrays, about
+        # 100 KB, against about 280 KB with one Python list per run.
+        list(_pcg64_states(42, 0, 1024))
+        tracemalloc.start()
+        try:
+            for _ in _pcg64_states(42, 0, 1024):
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +436,40 @@ class TestBlockFold:
         ]
         np.testing.assert_array_equal(np.vstack(batches), expected)
 
-    @pytest.mark.parametrize("budget", [1, 500])
+    @pytest.mark.parametrize("budget", [1, 500, simulate._BLOCK_DRAWS])
     def test_block_budget_does_not_change_runs(self, monkeypatch, scenario_a, accept_all, budget):
-        # A budget of one draw folds every run as its own block; 500 draws
-        # hold a couple of 100-period runs.
-        sim = SimConfig(num_runs=7, periods_per_run=100, seed=33)
-        expected = simulate_episodes(scenario_a, accept_all, sim)
-        monkeypatch.setattr(simulate, "_BLOCK_DRAWS", budget)
-        np.testing.assert_array_equal(simulate_episodes(scenario_a, accept_all, sim), expected)
+        # A budget of one draw folds every run as its own block, the
+        # reference here; 500 draws hold a couple of 100-period runs, and
+        # the default budget about 137, so 450 runs take at least three
+        # blocks. One block of all 450 runs must agree too.
+        sim = SimConfig(num_runs=450, periods_per_run=100, seed=33)
+        fold = simulate._fold_block
+        blocks = []
+        monkeypatch.setattr(simulate, "_fold_block", lambda *args: blocks.append(len(args[4])) or fold(*args))
+
+        def runs(draws):
+            monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
+            blocks.clear()
+            return simulate_episodes(scenario_a, accept_all, sim)
+
+        expected = runs(1)
+        assert blocks == [1] * 450
+        np.testing.assert_array_equal(runs(budget), expected)
+        assert len(blocks) >= 3
+        np.testing.assert_array_equal(runs(sys.maxsize), expected)
+        assert blocks == [450]
+
+    @pytest.mark.parametrize("keys_per_slice", [1, 2, 3, simulate._TIE_SLICE])
+    def test_ties_are_found_across_slices(self, monkeypatch, keys_per_slice):
+        # The sorted keys are checked a slice at a time; a tie between the
+        # last key of one slice and the first of the next must count.
+        monkeypatch.setattr(simulate, "_TIE_SLICE", keys_per_slice)
+        distinct = np.array([4.5, 0.5, 2.5, 1.5, 3.5, 5.5])
+        assert not simulate._has_ties(distinct, np.argsort(distinct))
+        for rank in range(1, len(distinct)):
+            key = distinct.copy()
+            key[key == rank + 0.5] = rank - 0.5
+            assert simulate._has_ties(key, np.argsort(key)), rank
 
     # Hand-made draws whose keys tie, so the fold falls back to the full
     # (group, offset, column, creation id) order. Mean lifetimes of 1 make
@@ -477,8 +517,10 @@ class TestBlockFold:
     def test_working_set_is_bounded(self):
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
-        # 1000 runs x 100 periods: about 2.2 times the trajectory array's
-        # bytes, against about 17 times when all 1000 runs are one block.
+        # 1000 runs x 100 periods: about 2.4 times the trajectory array's
+        # bytes with blocks of 5 * 2**13 draws (2.2 with the 2**14 draws and
+        # fuller working set of earlier folds), against about 17 times when
+        # all 1000 runs are one block.
         cfg = load_config(default_config_path())
         strategy = always_accept_strategy(cfg.region())
         sim = SimConfig(num_runs=1000, periods_per_run=100, seed=42)
