@@ -311,23 +311,23 @@ class TestGoldenOutputs:
     GOLDEN = {
         "csv": {
             "empirical_A.csv":
-                "9e6b3fc3ef818e6e50c4886a4fbaf3cbf42ae47b1af04282c2e611a4f989207a",
+                "1d9a754af615e21ea7560360efbcc54f12c61b12b515808e35503fe8b3a3482d",
             "empirical_C.csv":
-                "62268490ca5ffd3f2a900bff7c5d304632d950d184391cebf75a305df4753ba7",
+                "04db7b9167f5b9575470518871e6ec4568ebbf5e2586ce071aa2f63f04c54116",
             "traces_A.csv":
-                "cf28db3a9620890407cc82e2ae0b3d1453b9815a955867d1b55bf49ae79032b4",
+                "6c8780c82198935b6e0c5b01391e23410b570d0711076cc133bbe894b1385652",
             "traces_C.csv":
-                "5abd834b0a8ddaf288d5e5fb306b0118eaf6ead1498e61b8cbc01452aaef8daf",
+                "6a31c83f8b1cf023272a7952deab71841c6b3a039bcd81b7c6d1446d5032e8ca",
         },
         "json": {
             "empirical_A.json":
-                "12f9355732ceb913b20e55c5a27f7d80e86e14edfd6c9d795a5212e42cea0d31",
+                "46666c41625b29b0725d6de118b9c139645bfd126415a022c8b16bc1fa9cc68d",
             "empirical_C.json":
-                "fc1c9ed5d5a1c3f692fc53a64c356474add5246e5ff1c9980442bf9e5e30720f",
+                "2e84d202fb406dda8795cd4ae45a8c747cd76dc301f6d302d75ef3fe3dd0a48a",
             "traces_A.json":
-                "2e8b6f57bcdb43f2da3b20acc957a74ce75f937f45b918da6bdde904342d38b8",
+                "947af73eb8f93473c6f5dae97f2c707351def59306dbba9c02bf0e56d6cb7357",
             "traces_C.json":
-                "ad0d8ca5de1bbb0ff9599e70d12641b338bc0d5586f3847e2b2111861ca268a3",
+                "59f6b18c7e39c36efde3573b57f18c8b41dcb8f9262fe12cd522a11ed18a36fa",
         },
     }
 
@@ -344,25 +344,26 @@ class TestGoldenOutputs:
         assert digests == self.GOLDEN[out_format]
 
     # The same for longer multi-type runs, which pin the creation draws of
-    # several types: the N=3 model's scenario A at 100 periods, and a
+    # several types, one scalar-rate Poisson call per type in type order:
+    # the N=3 model's scenario A at 100 periods, and a
     # two-type scenario with one rate from 10 up, where numpy's Poisson
     # sampler is PTRS.
     MULTI_TYPE_GOLDEN = {
         ("n3-A-100", "csv"): {
-            "empirical_A.csv": "830ad9b844cbc3df10055f80011b564b9491cbdfc7eb5a86efb14564b6fd6e06",
-            "traces_A.csv": "a519f1d4d60e4e98a5adebbb9fa01d456534f5902432b8890abf635a81f34d99",
+            "empirical_A.csv": "63b491bf0297f0df999c262d03404bba088e01e399b74771a3beeedf51b40427",
+            "traces_A.csv": "8375716599977c7004347c2283a60f8a279023245f8852d2d3ecbb645b4e2660",
         },
         ("n3-A-100", "json"): {
-            "empirical_A.json": "8f869a8d02c0a832cbe0ad49dbe921d7b4f7b33c6b74d5a4016063653c6733d6",
-            "traces_A.json": "ca7fe92c66314360986812fbc3115fe00575a8d2c5b24dbba955c5fbf044a82a",
+            "empirical_A.json": "eb3df10341da863016442e6f7290fcae0ed6f20122d61a5e25c837f908273a2c",
+            "traces_A.json": "64863033cb6faebe3f75675cd2f258250096a0ab8b3328183e1f5f20d22c5a36",
         },
         ("two-type-rate-11", "csv"): {
-            "empirical_A.csv": "303a64a9b6a692908b735625db1506ed36204bc5e2798d06aa27e01b12a89797",
-            "traces_A.csv": "268a3323b8304ac58d4ec53d0a84d011eb6c8eff306ebd30902189e2011cf517",
+            "empirical_A.csv": "5920a013b0226470fc9518918bb9ffc6530a0932f39f71b360a8a145ecb741f0",
+            "traces_A.csv": "fe1dc82991cff7d0b730c1f85fa58c0f4d0b7b2f3e6618c18e2226fff3eace3f",
         },
         ("two-type-rate-11", "json"): {
-            "empirical_A.json": "917c636c61aa302668b1d7491d1a137132c0a60614df28a9fd8fbdaaee656dbb",
-            "traces_A.json": "efd976d8a36f4bc6ff8968ba08a354efe5294daa555ab0a9421d50240993d662",
+            "empirical_A.json": "3f96e971b05b154d444aa5c4c156bd203b2fbf801c66d77ca2be2a7abc868d23",
+            "traces_A.json": "061d1a6bbcd53f0ba5df0a2907269ba5f05b36937e253d5d8bfa03acfa449c8c",
         },
     }
 

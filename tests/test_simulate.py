@@ -168,6 +168,26 @@ class TestRunEpisode:
         expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), 12)
         np.testing.assert_array_equal(trajectory, expected)
 
+    def test_two_types_draw_their_counts_type_by_type(self):
+        # Each type has a resource of its own, so always-accept admits a
+        # creation of one type whatever the other holds. From an empty start
+        # there are no initial lifetimes, so the first draws are type 1's
+        # counts, then type 2's; with lifetimes of 1e12 periods each type
+        # follows its capped cumulative counts.
+        roomy = ResourceModel(resource_pool=(1.0, 1.0), cost_matrix=((0.08, 0.0), (0.0, 0.125)))
+        roomy_region = enumerate_region(roomy)
+        caps = roomy_region.states[-1]
+        scenario = DemandScenario(creation_rates=(0.9, 0.3), mean_lifetimes=(1e12, 1e12))
+        strategy = always_accept_strategy(roomy_region)
+        trajectory = run_episode(scenario, strategy, 40, run_rng(29, 0), initial_state=(0, 0))
+        reference = run_rng(29, 0)
+        expected = np.column_stack([
+            np.minimum(np.concatenate(([0], np.cumsum(reference.poisson(rate, (40, 1))[:, 0]))), cap)
+            for rate, cap in zip(scenario.creation_rates, caps)
+        ])
+        assert caps == (12, 8) and tuple(expected[-1]) == caps and np.all(expected[10] < caps)
+        np.testing.assert_array_equal(np.array([roomy_region.states[i] for i in trajectory]), expected)
+
     def test_counts_from_rate_ten_up_come_from_numpy_poisson(self):
         # From rate 10 numpy's Poisson sampler is PTRS, not the
         # multiplication of uniforms it uses below 10. Lifetimes of 1e12
@@ -210,19 +230,24 @@ class TestRunEpisode:
 
 
 class TestCreationDraws:
-    """With one slice type ``_creation_draws`` gives numpy the rate as a
-    scalar; that must give the counts of ``poisson((rate,), (periods, 1))``,
-    the stamps of the ``random(total)`` after it, and leave the generator
-    where those two calls leave it. The rates include the bundled
-    baseline.json's 1.0, 0.8 and 0.5, both sides of numpy's switch to PTRS
-    at 10, and the horizons figure2's 10 and figure3's 100."""
+    """``_creation_draws`` draws each type's counts with a scalar-rate
+    ``poisson(rate, (periods, 1))`` call, type by type, then the stamps with
+    ``random(total)``, and must leave the generator where those calls leave
+    it. With one type the reference is the array-of-rates call
+    ``poisson((rate,), (periods, 1))``: one-type streams must equal those of
+    that call. The one-type rates include the bundled baseline.json's 1.0,
+    0.8 and 0.5 and both sides of numpy's switch to PTRS at 10; the
+    multi-type rates are the N=3 perfbench model's, a pair with one rate
+    past that switch and a pair of equal rates. The horizons include
+    figure2's 10 and figure3's 100."""
 
     SEEDS = (0, 1, 42, 2**64 - 1)
     HORIZONS = (1, 7, 10, 100)
 
     @pytest.mark.parametrize(
         "rates",
-        [(1e-9,), (0.3,), (0.5,), (1.0,), (0.8,), (9.99,), (10.0,), (12.0,), (1000.0,)],
+        [(1e-9,), (0.3,), (0.5,), (1.0,), (0.8,), (9.99,), (10.0,), (12.0,), (1000.0,),
+         (0.6, 0.4, 0.3), (11.0, 0.4), (0.8, 0.8)],
     )
     @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
     def test_replays_poisson_then_random(self, rates, bit_generator):
@@ -231,7 +256,10 @@ class TestCreationDraws:
         for seed in self.SEEDS:
             for periods in self.HORIZONS:
                 reference = np.random.Generator(make(seed))
-                counts = reference.poisson(rates, (periods, num_types))
+                if num_types == 1:
+                    counts = reference.poisson(rates, (periods, 1))
+                else:
+                    counts = np.hstack([reference.poisson(rate, (periods, 1)) for rate in rates])
                 total = int(counts.sum())
                 stamps = reference.random(total)
                 rng = np.random.Generator(make(seed))
@@ -813,6 +841,52 @@ class TestMarkovOrderTest:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             markov_order_test(np.array([0, 1]), 2)
+
+    @staticmethod
+    def _dense_reference(trajectories, num_states):
+        """The test with a counter for every one of the num_states**3
+        triples, each stratum's table cut to its occupied rows and columns."""
+        from scipy.stats import chi2, chi2_contingency
+
+        codes = (trajectories[:, :-2] * num_states + trajectories[:, 1:-1]) * num_states + trajectories[:, 2:]
+        triples = np.bincount(codes.ravel(), minlength=num_states**3).reshape((num_states,) * 3)
+        statistic, dof = 0.0, 0
+        for j in range(num_states):
+            table = triples[:, j, :]
+            table = table[np.ix_(table.sum(axis=1) > 0, table.sum(axis=0) > 0)]
+            if min(table.shape) >= 2:
+                result = chi2_contingency(table, correction=False)
+                statistic += float(result.statistic)
+                dof += int(result.dof)
+        return statistic, dof, float(chi2.sf(statistic, dof)) if dof else 1.0
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_dense_counters(self, seed):
+        # Random trajectories over few states, some of which never occur,
+        # so that strata, rows and columns are skipped in every pattern.
+        rng = np.random.default_rng(seed)
+        num_states = int(rng.integers(2, 9))
+        occurring = rng.choice(num_states, size=int(rng.integers(1, num_states + 1)), replace=False)
+        trajectories = rng.choice(occurring, size=(int(rng.integers(1, 5)), int(rng.integers(3, 80))))
+        assert markov_order_test(trajectories, num_states) == self._dense_reference(trajectories, num_states)
+
+    def test_memory_grows_with_the_trajectories_not_the_region(self):
+        # 200 states would take a 64 MB array of 200**3 counters; the
+        # triples of 40 x 50 periods take a small fraction of a MB.
+        region = enumerate_region(ResourceModel(resource_pool=(199.0,), cost_matrix=((1.0,),)))
+        assert len(region) == 200
+        scenario = DemandScenario(creation_rates=(100.0,), mean_lifetimes=(1.0,))
+        sim = SimConfig(num_runs=40, periods_per_run=50, seed=5)
+        runs = simulate_episodes(scenario, always_accept_strategy(region), sim)
+        markov_order_test(runs[:1], len(region))  # loads scipy.stats
+        tracemalloc.start()
+        try:
+            _, dof, _ = markov_order_test(runs, len(region))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dof > 0
+        assert peak < 4 * 2**20
 
 
 class TestEmpiricalMatrixContainer:
