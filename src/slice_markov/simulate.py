@@ -7,17 +7,22 @@ successor table (``Strategy.next_index``), and records the state at every
 period boundary. Creation counts are never truncated here.
 
 Each run makes all of its random draws before the first period, with
-numpy's own samplers (the order is given in :func:`run_episode`); the
-creation counts are one scalar-rate Poisson call per slice type.
+numpy's own samplers (the order is given in :func:`run_episode`). Its
+creations are one Poisson process on ``[0, periods)`` at the total rate of
+all types: one ``poisson`` call gives their number, and one ``random`` call
+their positions and, with several types, their type marks. So a run makes
+three generator calls, plus one for a drawn start, whatever the number of
+types.
 
 A fresh lifetime is drawn for every creation, accepted or not, so the
 period and offset of every potential release are known before any request
 is decided. Runs are therefore folded a block at a time in numpy
-(:func:`_fold_block`): the block's creations, initial releases and potential
-releases are sorted once and scanned with all of its runs in lockstep, one
-event per step; a potential release stays a no-op unless its creation is
-accepted. Blocks hold about ``_BLOCK_DRAWS`` draws, and no result depends on
-how runs are split into blocks or workers.
+(:func:`_fold_block`): the block's uniforms become periods, offsets and
+types, and its creations, initial releases and potential releases are
+sorted once and scanned with all of its runs in lockstep, one event per
+step; a potential release stays a no-op unless its creation is accepted.
+Blocks hold about ``_BLOCK_DRAWS`` draws, and no result depends on how runs
+are split into blocks or workers.
 
 Within-period mechanics: a slice admitted during period t becomes active at
 the t+1 boundary and its lifetime starts counting there, matching the
@@ -38,6 +43,7 @@ import numpy as np
 
 from .arrivals import DemandScenario
 from .domain import AdmissibilityRegion, State, Strategy
+from .errors import GuardExceededError
 
 
 @dataclass(frozen=True)
@@ -166,34 +172,28 @@ def _pcg64_states(seed: int, start: int, stop: int):
                    "has_uint32": 0, "uinteger": 0}
 
 
-# Draws a block of runs may hold before it is folded: period-type cells,
-# lifetimes and timestamps. The fold's working set (sort keys, step grid,
-# states after each step) grows with the block; its per-step cost is paid
-# once for every run of the block. 40,960 draws hold about 137 of figure3's
-# 100-period runs of scenario A, and keep the fold's working set within
-# about 2.4 times the trajectory array of 1000 such runs.
-_BLOCK_DRAWS = 5 << 13
+# Draws a block of runs may hold before it is folded: uniforms and unit
+# lifetimes. The fold's working set (sort keys, step grid, states after each
+# step) grows with the block; its per-step cost is paid once for every run
+# of the block. 28,672 draws hold about 140 of figure3's 100-period runs of
+# scenario A, and keep the fold's working set within about 2.5 times the
+# trajectory array of 1000 such runs.
+_BLOCK_DRAWS = 7 << 12
 # Sorted keys gathered at a time by the tie test.
 _TIE_SLICE = 1 << 13
+# numpy's largest Poisson mean: np.iinfo(np.int64).max - 10 * sqrt of it.
+_POISSON_MAX = 9.223372006484771e18
 
 
-def _creation_draws(rng: np.random.Generator, rates, periods: int):
-    """Draws 3 and 4 of :func:`run_episode`: the creations of every period.
+def _creation_law(rates) -> tuple[float, np.ndarray]:
+    """The total creation rate and the edges that mark a creation's type.
 
-    Returns ``(counts, stamps)``: the number of creations of every (period,
-    type) cell as an int array of shape (periods, N), and each creation's
-    timestamp, in (period, type) order. Each type's column is its own
-    ``poisson(rate, (periods, 1))`` call, in type order: numpy checks a
-    scalar rate once, where an array of rates costs it more than the draws
-    of a short run. With one type that column is the whole array, and the
-    call is made without a list or a concatenation, which would cost a
-    one-type run about 1 µs.
+    A uniform mark u gives type ``searchsorted(edges, u, side="right")``,
+    where the edges are the cumulative rates over their sum, so that type n
+    has probability rate_n / total up to rounding.
     """
-    if len(rates) == 1:
-        counts = rng.poisson(rates[0], (periods, 1))
-    else:
-        counts = np.concatenate([rng.poisson(rate, (periods, 1)) for rate in rates], axis=1)
-    return counts, rng.random(int(counts.sum()))
+    cumulative = np.cumsum(rates, dtype=float)
+    return float(cumulative[-1]), cumulative[:-1] / cumulative[-1]
 
 
 def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
@@ -203,16 +203,35 @@ def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
     return index
 
 
-def _draw_run(scenario: DemandScenario, region: AdmissibilityRegion, periods: int,
-              rng: np.random.Generator, start: int | None) -> tuple:
+def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: int) -> tuple:
+    """The arguments of :func:`_draw_run` after the generator and the start:
+    ``(mean, width, slices)``.
+
+    A mean of creations per run at or above numpy's Poisson limit (about
+    9.2e18) is refused with :class:`~slice_markov.errors.GuardExceededError`.
+    """
+    mean = periods * _creation_law(scenario.creation_rates)[0]
+    if not mean < _POISSON_MAX:
+        raise GuardExceededError(
+            f"{periods} periods at a total creation rate of {mean / periods:g} expect {mean:g} "
+            f"creations per run, at or above numpy's Poisson limit of {_POISSON_MAX:g}"
+        )
+    return mean, 1 if scenario.num_types == 1 else 2, [sum(state) for state in region.states]
+
+
+def _draw_run(rng: np.random.Generator, mean: float, width: int, slices: list, start: int | None) -> tuple:
     """Every draw of one run, in the order :func:`run_episode` gives:
-    ``(start index, initial unit lifetimes, counts, stamps, fresh unit
-    lifetimes)``. ``start=None`` draws the start index uniformly."""
+    ``(start index, uniforms, unit lifetimes)``.
+
+    ``mean`` is the run's expected number of creations, ``width`` the
+    uniforms each creation takes (1 with one type, 2 with more), and
+    ``slices`` the number of slices held in each state of the region.
+    ``start=None`` draws the start index.
+    """
     if start is None:
-        start = int(rng.integers(len(region)))
-    initial = rng.standard_exponential(sum(region.states[start]))
-    counts, stamps = _creation_draws(rng, scenario.creation_rates, periods)
-    return start, initial, counts, stamps, rng.standard_exponential(len(stamps))
+        start = int(rng.random() * len(slices))
+    total = rng.poisson(mean)
+    return start, rng.random(width * total), rng.standard_exponential(slices[start] + total)
 
 
 def _fold_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,6 +315,13 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     is accepted, when the successor differs from the state, and the
     creation writes the release column into the release's cell.
 
+    A run's creations are decoded from its uniforms with IEEE-exact
+    operations only: creation i has position ``u = uniforms[w*i]``, where
+    ``w`` is the uniforms per creation, period ``floor(periods*u)`` and
+    offset ``periods*u - period``; with several types its type is its mark
+    ``uniforms[w*i + 1]`` against the edges of :func:`_creation_law`. Its
+    fresh unit lifetime is the i-th after the run's initial ones.
+
     ``runs`` is emptied once its draws are gathered. Each array is dropped
     after its last read and cell numbers are 32-bit where they fit, so that
     a block holds few bytes per event beyond the scan's own grid.
@@ -311,19 +337,34 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     # The block's draws, one array for each draw of :func:`_draw_run`. The
     # list is emptied and each draw's per-run arrays are dropped once it is
     # gathered, so that the block holds its draws about once.
-    starts, *draws = zip(*runs)
+    starts, uniforms, units = zip(*runs)
     runs.clear()
     starts = np.array(starts)
-    for field in range(len(draws)):
-        draws[field] = np.concatenate(draws[field])
-    initial_units, counts, stamps, units = draws
-    del draws
     initial_counts = states[starts]
+    initial_total = initial_counts.sum(axis=1)
+    per_creation = 1 if num_types == 1 else 2
+    totals = np.fromiter(map(len, uniforms), np.intp, count) // per_creation
+    uniforms = np.concatenate(uniforms)
+    units = np.concatenate(units)
+    # Each run's unit lifetimes are its initial ones, then its fresh ones.
+    initial = np.repeat(np.tile((True, False), count), np.column_stack((initial_total, totals)).ravel())
+    initial_units = units[initial]
+    units = units[~initial]
+    del initial
 
     # Creations in draw order, each with its group and type.
-    per_group = counts.sum(axis=1, dtype=np.int32)
-    group, kind = np.divmod(np.repeat(np.arange(groups * num_types, dtype=np.int32), counts.ravel()), num_types)
-    del counts
+    time = uniforms[::per_creation] * periods
+    period = np.floor(time)
+    stamps = time - period
+    del time
+    group = np.repeat(np.arange(0, groups, periods, dtype=np.int32), totals)
+    group += period.astype(np.int32)
+    del period
+    if num_types == 1:
+        kind = np.zeros(len(group), dtype=np.intp)
+    else:
+        kind = np.searchsorted(_creation_law(scenario.creation_rates)[1], uniforms[1::2], side="right")
+    del uniforms
     creations = len(group)
     # A slice accepted in period t becomes active at boundary t+1 and is
     # released floor(x) periods later at offset x - floor(x), x its
@@ -343,7 +384,7 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     # Initial slices, type by type within each run, are released the same
     # way from boundary 0.
     initial_kind = np.repeat(np.tile(np.arange(num_types), count), initial_counts.ravel())
-    initial_run = np.repeat(np.arange(count), initial_counts.sum(axis=1))
+    initial_run = np.repeat(np.arange(count), initial_total)
     with np.errstate(over="ignore"):
         initial_life = means[initial_kind] * initial_units
     del initial_units
@@ -369,7 +410,7 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
         at[first:stop] = whole
         at[first:stop] += base
     del group, life, initial_life, whole, base
-    per_group += np.bincount(at[creations:], minlength=groups)
+    per_group = np.bincount(at, minlength=groups)
 
     # Rounding is monotone, so the float key group + offset orders distinct
     # keys exactly; equal keys fall back to the full (group, offset, column,
@@ -460,27 +501,36 @@ def run_episode(
 
     All of the run's randomness is drawn up front from ``rng``, in this order:
 
-    1. the start index, ``integers(len(region))``, when the start is uniform;
-    2. ``standard_exponential(sum(state))``: the initial lifetimes, type by
-       type, each scaled by its type's mean lifetime;
-    3. the creation counts of every (period, type): for each type n in
-       order, ``poisson(rate_n, (periods, 1))`` draws its column;
-    4. the creation timestamps, as ``random(total)`` draws them, in
-       (period, type) order;
-    5. ``standard_exponential(total)``: a fresh unit lifetime for every
-       creation, scaled by its type's mean and used only if it is accepted.
+    1. the start index, ``int(random() * len(region))``, when the start is
+       uniform;
+    2. ``poisson(periods * total_rate)``: the number T of the run's
+       creations, total_rate being the sum of the types' rates;
+    3. ``random(T)``, or ``random(2T)`` with more than one type, where
+       creation i takes uniform i, or uniforms 2i and 2i+1: its position
+       ``u`` puts it in period ``floor(periods*u)`` at offset
+       ``periods*u - floor(periods*u)``, and its mark gives it type n with
+       probability ``rate_n / total_rate`` (:func:`_creation_law`);
+    4. ``standard_exponential(sum(state) + T)``: the initial lifetimes,
+       type by type, then a fresh unit lifetime for each creation in draw
+       order; each is scaled by its type's mean, and a fresh one is used
+       only if its creation is accepted.
 
-    Draw 3 is made type by type (:func:`_creation_draws`): all of a type's
-    counts come before the next type's. After these draws the run makes no
-    further generator calls. Initial slices get fresh exponential
-    lifetimes: the residual lifetime of an exponential in steady state is
-    again exponential, so no aging needs to be modeled. The horizon
-    sets the size of draw 3, so draws 4 and 5 start elsewhere in the stream:
-    a run with a shorter horizon is not a prefix of a longer run from the
-    same substream ``(seed, r)``. A run still depends only on that substream
-    and its arguments.
+    After these draws the run makes no further generator calls, whatever
+    the number of types. Draws 3 and 4 are read with IEEE-exact operations
+    only (multiply, floor, subtract, compare), so no result depends on
+    which SIMD code numpy dispatches to. The law is the paper's: given T,
+    the points of a Poisson process on ``[0, periods)`` are iid uniform and
+    their marks iid, so the counts of every (period, type) cell are
+    independent Poisson(rate_n) with uniform offsets. Initial slices get
+    fresh exponential lifetimes: the residual lifetime of an exponential in
+    steady state is again exponential, so no aging needs to be modeled.
+    The horizon sets the mean of draw 2, so draws 3 and 4 start elsewhere
+    in the stream: a run with a shorter horizon is not a prefix of a longer
+    run from the same substream ``(seed, r)``. A run still depends only on
+    that substream and its arguments, and its start only on the substream
+    and the region's size.
 
-    Since draw 5 covers every creation, accepted or not, the period and
+    Since draw 4 covers every creation, accepted or not, the period and
     offset of every potential release are known before the fold: a slice
     with lifetime ``x`` that becomes active at boundary b is released in the
     period that starts at boundary ``b + floor(x)``, at offset
@@ -499,7 +549,7 @@ def run_episode(
     start = None if initial_state is None else _start_index(region, initial_state)
     out = np.empty((1, periods + 1), dtype=np.int64)
     _fold_block(scenario, region, _fold_tables(strategy), periods,
-                [_draw_run(scenario, region, periods, rng, start)], out)
+                [_draw_run(rng, *_draw_args(scenario, region, periods), start)], out)
     return out[0]
 
 
@@ -509,6 +559,7 @@ def _episode_batch(args) -> np.ndarray:
     first = None if sim.initial_state is None else _start_index(region, sim.initial_state)
     periods = sim.periods_per_run
     tables = _fold_tables(strategy)
+    mean, width, slices = _draw_args(scenario, region, periods)
     out = np.empty((stop - start, periods + 1), dtype=np.int64)
     # One generator serves every run: setting its bit generator's state to
     # that of run_rng(seed, run) costs far less than building a new one.
@@ -519,9 +570,9 @@ def _episode_batch(args) -> np.ndarray:
     done = 0
     for state in _pcg64_states(sim.seed, start, stop):
         bits.state = state
-        draws = _draw_run(scenario, region, periods, rng, first)
+        draws = _draw_run(rng, mean, width, slices, first)
         block.append(draws)
-        load += len(draws[1]) + draws[2].size + 2 * len(draws[3])
+        load += len(draws[1]) + len(draws[2])
         if load >= _BLOCK_DRAWS:
             end = done + len(block)
             _fold_block(scenario, region, tables, periods, block, out[done:end])
@@ -562,8 +613,10 @@ def simulate_episodes(
     of execution order and identical across worker counts. With more than
     one worker the runs are split into batches that run in ``pool``, a
     :func:`worker_pool` shared by several calls, or in a pool opened for
-    this call.
+    this call. A protocol whose mean count of creations per run reaches
+    numpy's Poisson limit is refused before any draw.
     """
+    _draw_args(scenario, strategy.region, sim.periods_per_run)
     if workers is not None and workers > 1:
         bounds = np.linspace(0, sim.num_runs, min(workers, sim.num_runs) + 1, dtype=int)
         tasks = [

@@ -453,8 +453,31 @@ class TestExitCodes:
         traces = json.loads((tmp_path / "out" / "traces_A.json").read_text(encoding="utf-8"))
         states = np.array([row[2] for row in traces["rows"]]).reshape(15, 11)
         for run in range(15):
-            counts = slice_markov.run_rng(traces["scenario_seed"], run).poisson(1.0, 10)
+            # The run's creations: a Poisson total over the 10 periods, then
+            # one uniform position each.
+            rng = slice_markov.run_rng(traces["scenario_seed"], run)
+            positions = rng.random(rng.poisson(10.0))
+            counts = np.bincount(np.floor(positions * 10).astype(int), minlength=10)
             np.testing.assert_array_equal(states[run], np.minimum(np.cumsum([0, *counts]), 3))
+
+    @pytest.mark.parametrize("command, edit", [
+        ("simulate", lambda body: body["scenarios"]["A"].update(creation_rates=[1e19])),
+        # figure2 builds a renormalized matrix first, which no row keeps
+        # mass for at rate 1e19; 10**19 periods at rate 1.0 pass the limit.
+        ("figure2", lambda body: body["figure2"].update(scenario="A", periods=10**19)),
+        ("figure3", lambda body: body.update(renormalize=False)
+         or body["scenarios"]["C"].update(creation_rates=[1e19])),
+    ])
+    def test_poisson_limit_is_a_guard(self, tmp_path, caplog, command, edit):
+        # A run's creation total is one Poisson draw at periods x the total
+        # rate; at or above numpy's limit of about 9.2e18 the protocol is
+        # refused before any draw, where numpy raised a ValueError.
+        body = config_dict(str(tmp_path / "out"))
+        edit(body)
+        path = write_config(tmp_path, body)
+        assert main([command, "--config", path, "--quiet"]) == 4
+        assert "Poisson limit" in caplog.text
+        assert not (tmp_path / "out").exists()
 
     def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
         config_path, _ = workspace
@@ -574,3 +597,50 @@ def test_serial_simulation_loads_no_process_pool():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+# Prints the SIMD targets numpy dispatches to in the process that runs it.
+_SIMD_TARGETS = """
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy 1.x
+    from numpy.core import _multiarray_umath as umath
+print(" ".join(name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)))
+"""
+
+
+def test_documents_do_not_depend_on_simd_dispatch(tmp_path):
+    # The simulator reads its uniforms and lifetimes with IEEE-exact
+    # operations only, so its documents must keep their bytes when numpy
+    # falls back to its baseline code. A transcendental ufunc such as
+    # log1p gives other bits under AVX512 than without it.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    src = os.path.dirname(os.path.dirname(slice_markov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+
+    def targets(run_env):
+        return subprocess.run([sys.executable, "-c", _SIMD_TARGETS], env=run_env, capture_output=True,
+                              text=True, check=True).stdout.strip()
+
+    dispatched = targets(env)
+    if not dispatched:
+        pytest.skip("numpy dispatches to no SIMD target on this machine")
+    disabled = dict(env, NPY_DISABLE_CPU_FEATURES=dispatched)
+    assert targets(disabled) == ""
+    commands = (
+        ["figure3", "--config", os.path.join(root, "src", "slice_markov", "configs", "baseline.json")],
+        ["simulate", "--traces", "--config", os.path.join(root, "perfbench", "configs", "n3_traces.json")],
+    )
+    outputs = {}
+    for name, run_env in (("default", env), ("baseline", disabled)):
+        for argv in commands:
+            out = tmp_path / name / argv[0]
+            subprocess.run([sys.executable, "-m", "slice_markov.cli", *argv, "--out", str(out), "--quiet"],
+                           env=run_env, capture_output=True, text=True, check=True)
+            outputs[name, argv[0]] = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    for command in ("figure3", "simulate"):
+        default, baseline = outputs["default", command], outputs["baseline", command]
+        assert default and sorted(default) == sorted(baseline)
+        for file_name in default:
+            assert default[file_name] == baseline[file_name], file_name

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bisect
 import concurrent.futures
+import math
 import sys
 import tracemalloc
 from operator import itemgetter
@@ -34,7 +36,8 @@ from slice_markov import (
 )
 from slice_markov import simulate
 from slice_markov.simulate import (
-    _creation_draws,
+    _creation_law,
+    _draw_args,
     _draw_run,
     _episode_batch,
     _fold_block,
@@ -153,54 +156,65 @@ class TestRunEpisode:
     def test_uniform_start_is_the_first_draw(self, region, scenario_c, accept_all):
         for run in range(20):
             trajectory = run_episode(scenario_c, accept_all, 5, run_rng(25, run))
-            assert trajectory[0] == run_rng(25, run).integers(len(region))
+            assert trajectory[0] == int(run_rng(25, run).random() * len(region))
+
+    @staticmethod
+    def _capped_counts(seed, scenario, periods, caps):
+        """Each type's cumulative creations at every boundary, capped, from
+        the draws of a run with a fixed start and no initial slices: the
+        total, then a position (and a mark with several types) each."""
+        reference = run_rng(seed, 0)
+        total_rate, edges = _creation_law(scenario.creation_rates)
+        width = 1 if scenario.num_types == 1 else 2
+        uniforms = reference.random(width * reference.poisson(periods * total_rate))
+        period = np.floor(uniforms[::width] * periods).astype(int)
+        kind = np.searchsorted(edges, uniforms[1::2], side="right") if width == 2 else np.zeros_like(period)
+        counts = np.zeros((periods, scenario.num_types), dtype=int)
+        np.add.at(counts, (period, kind), 1)
+        return np.minimum(np.vstack([np.zeros(scenario.num_types, dtype=int), np.cumsum(counts, axis=0)]), caps)
 
     def test_creation_counts_come_from_one_bulk_poisson_draw(self):
         # From an empty start there are no initial lifetimes, so the first
-        # draw is the (periods, types) Poisson block. Lifetimes of 1e12
-        # periods never end, so always-accept fills up to 12 slices.
+        # draw is the Poisson total of all 40 periods, then a position for
+        # each creation. Lifetimes of 1e12 periods never end, so
+        # always-accept fills up to 12 slices.
         roomy = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.08,),))
         roomy_region = enumerate_region(roomy)
         scenario = DemandScenario(creation_rates=(0.9,), mean_lifetimes=(1e12,))
         strategy = always_accept_strategy(roomy_region)
         trajectory = run_episode(scenario, strategy, 40, run_rng(26, 0), initial_state=(0,))
-        counts = run_rng(26, 0).poisson(0.9, (40, 1))[:, 0]
-        expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), 12)
+        expected = self._capped_counts(26, scenario, 40, 12)[:, 0]
+        assert expected[-1] == 12 and expected[10] < 12
         np.testing.assert_array_equal(trajectory, expected)
 
-    def test_two_types_draw_their_counts_type_by_type(self):
+    def test_two_types_take_their_types_from_the_marks(self):
         # Each type has a resource of its own, so always-accept admits a
         # creation of one type whatever the other holds. From an empty start
-        # there are no initial lifetimes, so the first draws are type 1's
-        # counts, then type 2's; with lifetimes of 1e12 periods each type
-        # follows its capped cumulative counts.
+        # there are no initial lifetimes; creation i is uniforms 2i (its
+        # position) and 2i+1 (its mark: type 1 below 0.9/1.2, type 2 above).
+        # With lifetimes of 1e12 periods each type follows its capped
+        # cumulative counts.
         roomy = ResourceModel(resource_pool=(1.0, 1.0), cost_matrix=((0.08, 0.0), (0.0, 0.125)))
         roomy_region = enumerate_region(roomy)
         caps = roomy_region.states[-1]
         scenario = DemandScenario(creation_rates=(0.9, 0.3), mean_lifetimes=(1e12, 1e12))
         strategy = always_accept_strategy(roomy_region)
         trajectory = run_episode(scenario, strategy, 40, run_rng(29, 0), initial_state=(0, 0))
-        reference = run_rng(29, 0)
-        expected = np.column_stack([
-            np.minimum(np.concatenate(([0], np.cumsum(reference.poisson(rate, (40, 1))[:, 0]))), cap)
-            for rate, cap in zip(scenario.creation_rates, caps)
-        ])
+        expected = self._capped_counts(29, scenario, 40, caps)
         assert caps == (12, 8) and tuple(expected[-1]) == caps and np.all(expected[10] < caps)
         np.testing.assert_array_equal(np.array([roomy_region.states[i] for i in trajectory]), expected)
 
     def test_counts_from_rate_ten_up_come_from_numpy_poisson(self):
-        # From rate 10 numpy's Poisson sampler is PTRS, not the
-        # multiplication of uniforms it uses below 10. Lifetimes of 1e12
-        # periods never end, so always-accept follows the cumulative counts
-        # up to 333 slices.
+        # A total mean of 12 x 40 = 480 creations: numpy's Poisson sampler
+        # is PTRS from a mean of 10 up. Lifetimes of 1e12 periods never end,
+        # so always-accept follows the cumulative counts up to 333 slices.
         roomy = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.003,),))
         roomy_region = enumerate_region(roomy)
         cap = roomy_region.states[-1][0]
         scenario = DemandScenario(creation_rates=(12.0,), mean_lifetimes=(1e12,))
         strategy = always_accept_strategy(roomy_region)
         trajectory = run_episode(scenario, strategy, 40, run_rng(28, 0), initial_state=(0,))
-        counts = run_rng(28, 0).poisson(12.0, (40, 1))[:, 0]
-        expected = np.minimum(np.concatenate(([0], np.cumsum(counts))), cap)
+        expected = self._capped_counts(28, scenario, 40, cap)[:, 0]
         assert cap == 333 and expected[-1] == cap and expected[10] < cap
         np.testing.assert_array_equal(trajectory, expected)
 
@@ -230,19 +244,20 @@ class TestRunEpisode:
 
 
 class TestCreationDraws:
-    """``_creation_draws`` draws each type's counts with a scalar-rate
-    ``poisson(rate, (periods, 1))`` call, type by type, then the stamps with
-    ``random(total)``, and must leave the generator where those calls leave
-    it. With one type the reference is the array-of-rates call
-    ``poisson((rate,), (periods, 1))``: one-type streams must equal those of
-    that call. The one-type rates include the bundled baseline.json's 1.0,
-    0.8 and 0.5 and both sides of numpy's switch to PTRS at 10; the
-    multi-type rates are the N=3 perfbench model's, a pair with one rate
+    """``_draw_run`` draws a drawn start with ``random()``, then the total
+    with ``poisson(periods * total_rate)``, the uniforms with
+    ``random(width * total)`` and the unit lifetimes with
+    ``standard_exponential(initial + total)``, and must leave the generator
+    where those calls leave it. The rates include the bundled
+    baseline.json's 1.0, 0.8 and 0.5, means on both sides of numpy's switch
+    to PTRS at 10, the N=3 perfbench model's rates, a pair with one rate
     past that switch and a pair of equal rates. The horizons include
     figure2's 10 and figure3's 100."""
 
     SEEDS = (0, 1, 42, 2**64 - 1)
     HORIZONS = (1, 7, 10, 100)
+    # The slices held in each state of a made-up five-state region.
+    SLICES = [0, 1, 2, 3, 5]
 
     @pytest.mark.parametrize(
         "rates",
@@ -252,25 +267,53 @@ class TestCreationDraws:
     @pytest.mark.parametrize("bit_generator", ["PCG64", "MT19937", "Philox", "SFC64"])
     def test_replays_poisson_then_random(self, rates, bit_generator):
         make = getattr(np.random, bit_generator)
-        num_types = len(rates)
+        width = 1 if len(rates) == 1 else 2
         for seed in self.SEEDS:
             for periods in self.HORIZONS:
-                reference = np.random.Generator(make(seed))
-                if num_types == 1:
-                    counts = reference.poisson(rates, (periods, 1))
-                else:
-                    counts = np.hstack([reference.poisson(rate, (periods, 1)) for rate in rates])
-                total = int(counts.sum())
-                stamps = reference.random(total)
-                rng = np.random.Generator(make(seed))
-                drawn_counts, drawn_stamps = _creation_draws(rng, rates, periods)
-                assert drawn_counts.shape == (periods, num_types)
-                np.testing.assert_array_equal(drawn_counts, counts)
-                np.testing.assert_array_equal(drawn_stamps, stamps)
-                np.testing.assert_array_equal(
-                    rng.standard_exponential(total + 3),
-                    reference.standard_exponential(total + 3),
-                )
+                mean = periods * _creation_law(rates)[0]
+                for start in (None, 4):
+                    reference = np.random.Generator(make(seed))
+                    first = int(reference.random() * len(self.SLICES)) if start is None else start
+                    total = reference.poisson(mean)
+                    uniforms = reference.random(width * total)
+                    units = reference.standard_exponential(self.SLICES[first] + total)
+                    rng = np.random.Generator(make(seed))
+                    drawn = _draw_run(rng, mean, width, self.SLICES, start)
+                    assert drawn[0] == first
+                    np.testing.assert_array_equal(drawn[1], uniforms)
+                    np.testing.assert_array_equal(drawn[2], units)
+                    np.testing.assert_array_equal(rng.random(5), reference.random(5))
+
+    def test_draw_args(self, region):
+        # One type takes one uniform a creation; three types take two, and
+        # their marks split [0, 1) at the cumulative rates over their sum.
+        scenario = DemandScenario(creation_rates=(0.5,), mean_lifetimes=(4.0,))
+        assert _draw_args(scenario, region, 100) == (50.0, 1, [0, 1, 2, 3])
+        total, edges = _creation_law((0.6, 0.4, 0.3))
+        assert total == 0.6 + 0.4 + 0.3
+        np.testing.assert_array_equal(edges, [0.6 / total, (0.6 + 0.4) / total])
+
+    @pytest.mark.parametrize("rates", [(0.5,), (0.6, 0.4, 0.3), tuple(0.1 * n for n in range(1, 9))])
+    @pytest.mark.parametrize("start", [None, (0, 0)])
+    def test_three_calls_whatever_the_number_of_types(self, rates, start):
+        # A generator that records the name of every call it serves.
+        calls = []
+
+        class Recording:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append(name)
+                return getattr(self.rng, name)
+
+        num_types = len(rates)
+        region = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3,) * num_types,)))
+        scenario = DemandScenario(creation_rates=rates, mean_lifetimes=(2.0,) * num_types)
+        start = None if start is None else (0,) * num_types
+        run_episode(scenario, always_accept_strategy(region), 50, Recording(run_rng(3, 0)), start)
+        drawn_start = ["random"] if start is None else []
+        assert calls == drawn_start + ["poisson", "random", "standard_exponential"]
 
 
 class TestSimulateEpisodes:
@@ -365,25 +408,46 @@ class TestSimulateEpisodes:
 # ---------------------------------------------------------------------------
 
 
+def _decode(scenario, periods, uniforms):
+    """Each creation of a run as ``(period, offset, type)``, in draw order,
+    decoded from its uniforms in plain Python with the IEEE operations of
+    the block fold: position u gives period ``floor(periods*u)`` and offset
+    ``periods*u - period``, and with several types the next uniform is the
+    mark that picks the type against the cumulative rates."""
+    _, edges = _creation_law(scenario.creation_rates)
+    edges = edges.tolist()
+    width = 1 if scenario.num_types == 1 else 2
+    uniforms = uniforms.tolist()
+    creations = []
+    for i in range(0, len(uniforms), width):
+        time = uniforms[i] * periods
+        period = math.floor(time)
+        kind = bisect.bisect_right(edges, uniforms[i + 1]) if width == 2 else 0
+        creations.append((period, time - period, kind))
+    return creations
+
+
 def _reference_fold(scenario, strategy, periods, draws) -> np.ndarray:
     """The per-period fold the block fold replaced, on the draws of one run
     (a ``_draw_run`` tuple): a slice's release is filed under its period when
     the slice becomes active, and each period sorts its creations and
     releases as (offset, column, creation id) tuples, a release's id being
     -1, and applies them one by one."""
-    index, initial, counts, stamps, fresh = draws
+    index, uniforms, units = draws
     region = strategy.region
     num_types = scenario.num_types
     means = scenario.mean_lifetimes
     start_types = [n for n, count in enumerate(region.states[index]) for _ in range(count)]
-    kinds = [n for row in counts.tolist() for n, count in enumerate(row) for _ in range(count)]
-    ends = np.cumsum(counts.sum(axis=1)).tolist()
-    creations = list(zip(stamps.tolist(), kinds, range(len(kinds))))
-    fresh = fresh.tolist()
+    initial = units[:len(start_types)].tolist()
+    fresh = units[len(start_types):].tolist()
+    by_period = [[] for _ in range(periods)]
+    for creation_id, (period, offset, kind) in enumerate(_decode(scenario, periods, uniforms)):
+        by_period[period].append((offset, kind, creation_id))
+    assert len(fresh) == sum(map(len, by_period))
     table = strategy.next_index
     releases = [[] for _ in range(periods)]
     held = [0] * num_types
-    for n, life in zip(start_types, initial.tolist()):
+    for n, life in zip(start_types, initial):
         remaining = means[n] * life
         period = int(remaining)
         if period < periods:
@@ -391,10 +455,8 @@ def _reference_fold(scenario, strategy, periods, draws) -> np.ndarray:
         else:
             held[n] += 1
     trajectory = [index]
-    start = 0
-    for t, end in enumerate(ends):
-        events = creations[start:end] + releases[t]
-        start = end
+    for t in range(periods):
+        events = by_period[t] + releases[t]
         events.sort()
         for _, column, creation_id in events:
             successor = table[index][column]
@@ -449,7 +511,8 @@ class TestBlockFold:
         scenario, strategy, periods, start, runs, seed, cuts = case
         region = strategy.region
         index = None if start is None else region.index_of[start]
-        draws = [_draw_run(scenario, region, periods, run_rng(seed, r), index) for r in range(runs)]
+        args = _draw_args(scenario, region, periods)
+        draws = [_draw_run(run_rng(seed, r), *args, index) for r in range(runs)]
         expected = np.array([_reference_fold(scenario, strategy, periods, d) for d in draws])
         sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=seed, initial_state=start)
         np.testing.assert_array_equal(simulate_episodes(scenario, strategy, sim), expected)
@@ -468,7 +531,7 @@ class TestBlockFold:
     def test_block_budget_does_not_change_runs(self, monkeypatch, scenario_a, accept_all, budget):
         # A budget of one draw folds every run as its own block, the
         # reference here; 500 draws hold a couple of 100-period runs, and
-        # the default budget about 137, so 450 runs take at least three
+        # the default budget about 140, so 450 runs take at least three
         # blocks. One block of all 450 runs must agree too.
         sim = SimConfig(num_runs=450, periods_per_run=100, seed=33)
         fold = simulate._fold_block
@@ -501,7 +564,8 @@ class TestBlockFold:
 
     # Hand-made draws whose keys tie, so the fold falls back to the full
     # (group, offset, column, creation id) order. Mean lifetimes of 1 make
-    # each unit lifetime a lifetime in periods.
+    # each unit lifetime a lifetime in periods, and over two periods a
+    # position of 0.25 puts a creation at offset 0.5 of period 0.
     ONE_TYPE = DemandScenario(creation_rates=(1.0,), mean_lifetimes=(1.0,))
     TWO_TYPES = DemandScenario(creation_rates=(1.0, 1.0), mean_lifetimes=(1.0, 1.0))
 
@@ -519,36 +583,34 @@ class TestBlockFold:
     def test_creation_before_release_at_equal_offset(self, monkeypatch, region):
         # Full at s=[3]: a slice releases at offset 0.5 of period 0, where a
         # creation arrives. The creation comes first and is declined.
-        draws = (region.index_of[(3,)], np.array([0.5, 5.0, 5.0]), np.array([[1], [0]]),
-                 np.array([0.5]), np.array([0.25]))
+        draws = (region.index_of[(3,)], np.array([0.25]), np.array([0.5, 5.0, 5.0, 0.25]))
         self._tie_case(monkeypatch, self.ONE_TYPE, always_accept_strategy(region), draws,
                        [(3,), (2,), (2,)])
 
     def test_equal_stamps_keep_draw_order(self, monkeypatch, region):
         # Room for one more slice and two creations at one stamp: the first
         # drawn is accepted, so its lifetime of 0.5 ends in period 1.
-        draws = (region.index_of[(2,)], np.array([100.0, 100.0]), np.array([[2], [0]]),
-                 np.array([0.5, 0.5]), np.array([0.5, 1e6]))
+        draws = (region.index_of[(2,)], np.array([0.25, 0.25]), np.array([100.0, 100.0, 0.5, 1e6]))
         self._tie_case(monkeypatch, self.ONE_TYPE, always_accept_strategy(region), draws,
                        [(2,), (3,), (2,)])
 
     def test_releases_of_two_types_at_equal_offset(self, monkeypatch):
         # From s=[1,1] both slices release at offset 0.5, where a type-2
-        # creation arrives: it comes first and is declined, then the
-        # releases go in type order.
+        # creation (mark 0.75, above the edge at 0.5) arrives: it comes
+        # first and is declined, then the releases go in type order.
         two = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),)))
-        draws = (two.index_of[(1, 1)], np.array([0.5, 0.5]), np.array([[0, 1], [0, 0]]),
-                 np.array([0.5]), np.array([0.25]))
+        draws = (two.index_of[(1, 1)], np.array([0.25, 0.75]), np.array([0.5, 0.5, 0.25]))
         self._tie_case(monkeypatch, self.TWO_TYPES, always_accept_strategy(two), draws,
                        [(1, 1), (0, 0), (0, 0)])
 
     def test_working_set_is_bounded(self):
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
-        # 1000 runs x 100 periods: about 2.4 times the trajectory array's
-        # bytes with blocks of 5 * 2**13 draws (2.2 with the 2**14 draws and
-        # fuller working set of earlier folds), against about 17 times when
-        # all 1000 runs are one block.
+        # 1000 runs x 100 periods: about 2.6 times the trajectory array's
+        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (3.2 with
+        # 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
+        # stamps and lifetimes of earlier folds), against about 17 times
+        # when all 1000 runs are one block.
         cfg = load_config(default_config_path())
         strategy = always_accept_strategy(cfg.region())
         sim = SimConfig(num_runs=1000, periods_per_run=100, seed=42)
@@ -560,6 +622,111 @@ class TestBlockFold:
         finally:
             tracemalloc.stop()
         assert peak < 3 * runs.nbytes
+
+
+# numpy's ufuncs whose results are not correctly rounded, so that their
+# bits may depend on the SIMD code numpy dispatches to.
+TRANSCENDENTAL = (
+    "exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "power", "float_power", "cbrt", "sin", "cos",
+    "tan", "arcsin", "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "arcsinh", "arccosh", "arctanh",
+    "hypot", "logaddexp", "logaddexp2",
+)
+
+
+@pytest.mark.parametrize("two_types", [False, True])
+def test_no_transcendental_ufunc_reads_a_variate(monkeypatch, region, scenario_a, accept_all, two_types):
+    # Periods, offsets, types and lifetimes come from multiplies, floors,
+    # subtractions and comparisons; a batch and a single run call none of
+    # the ufuncs above.
+    if two_types:
+        scenario = TestAgainstReferenceSimulator.SCENARIO
+        strategy = always_accept_strategy(enumerate_region(TestAgainstReferenceSimulator.MODEL))
+    else:
+        scenario, strategy = scenario_a, accept_all
+    sim = SimConfig(num_runs=50, periods_per_run=30, seed=8)
+    expected = simulate_episodes(scenario, strategy, sim)
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"np.{name} called")
+        return call
+
+    for name in TRANSCENDENTAL:
+        monkeypatch.setattr(np, name, forbidden(name))
+    np.testing.assert_array_equal(simulate_episodes(scenario, strategy, sim), expected)
+    np.testing.assert_array_equal(
+        run_episode(scenario, strategy, 30, run_rng(8, 0)), expected[0]
+    )
+
+
+class TestCreationLaw:
+    """The creations of a run are one Poisson process at the total rate,
+    its points marked with a type. Decoded with the fold's operations, the
+    counts of the (period, type) cells must be independent Poisson(rate_n)
+    and the offsets uniform. The draws are those of 3000 runs x 10 periods
+    of the N=3 perfbench model from an empty start, at one fixed seed; each
+    test is at level 0.001."""
+
+    RATES = (0.6, 0.4, 0.3)
+    RUNS, PERIODS = 3000, 10
+
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        total_rate, edges = _creation_law(self.RATES)
+        mean = self.PERIODS * total_rate
+        counts = np.zeros((self.RUNS, self.PERIODS, len(self.RATES)), dtype=int)
+        offsets = []
+        for run in range(self.RUNS):
+            _, uniforms, _ = _draw_run(run_rng(7, run), mean, 2, [0], 0)
+            time = uniforms[::2] * self.PERIODS
+            period = np.floor(time)
+            np.add.at(counts[run], (period.astype(int), np.searchsorted(edges, uniforms[1::2], side="right")), 1)
+            offsets.append(time - period)
+        return counts.reshape(-1, len(self.RATES)), np.concatenate(offsets)
+
+    @staticmethod
+    def _poisson_cells(rate, cap):
+        """Poisson(rate) masses of 0..cap-1 and of the tail from cap."""
+        from scipy.stats import poisson
+
+        masses = poisson.pmf(np.arange(cap), rate)
+        return np.append(masses, poisson.sf(cap - 1, rate))
+
+    def test_each_type_counts_are_poisson(self, decoded):
+        from scipy.stats import power_divergence
+
+        cells, _ = decoded
+        for n, rate in enumerate(self.RATES):
+            # The tail starts where fewer than 5 cells are expected.
+            expected = len(cells) * self._poisson_cells(rate, 12)
+            cap = int(np.argmax(expected < 5))
+            expected = len(cells) * self._poisson_cells(rate, cap)
+            observed = np.bincount(np.minimum(cells[:, n], cap), minlength=cap + 1)
+            result = power_divergence(observed, expected, lambda_="log-likelihood")
+            assert result.pvalue > 0.001, (rate, observed, expected)
+
+    def test_types_are_independent(self, decoded):
+        # The joint law of the three counts, each capped at 2, against the
+        # product of the Poisson laws: 27 cells, each expecting at least 8.
+        from scipy.stats import power_divergence
+
+        cells, _ = decoded
+        product = np.einsum("i,j,k->ijk", *(self._poisson_cells(rate, 2) for rate in self.RATES))
+        observed = np.zeros((3, 3, 3))
+        np.add.at(observed, tuple(np.minimum(cells, 2).T), 1)
+        expected = len(cells) * product
+        assert expected.min() > 8
+        result = power_divergence(observed.ravel(), expected.ravel(), lambda_="log-likelihood")
+        assert result.pvalue > 0.001
+
+    def test_periods_and_offsets_are_uniform(self, decoded):
+        from scipy.stats import chisquare, kstest
+
+        cells, offsets = decoded
+        per_period = cells.sum(axis=1).reshape(self.RUNS, self.PERIODS).sum(axis=0)
+        assert chisquare(per_period).pvalue > 0.001
+        assert offsets.min() >= 0.0 and offsets.max() < 1.0
+        assert kstest(offsets, "uniform").pvalue > 0.001
 
 
 # ---------------------------------------------------------------------------
