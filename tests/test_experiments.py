@@ -311,23 +311,23 @@ class TestGoldenOutputs:
     GOLDEN = {
         "csv": {
             "empirical_A.csv":
-                "1d9a754af615e21ea7560360efbcc54f12c61b12b515808e35503fe8b3a3482d",
+                "7fa56748d647c9ef86d915905c3424558f28e1e8e143e103fa93362572b5f56a",
             "empirical_C.csv":
-                "04db7b9167f5b9575470518871e6ec4568ebbf5e2586ce071aa2f63f04c54116",
+                "af7d85eafe064a4f0b42cb35f56130f9def285f0c54a0a09f1cf8e23eaf87f78",
             "traces_A.csv":
-                "6c8780c82198935b6e0c5b01391e23410b570d0711076cc133bbe894b1385652",
+                "bb13ddfd48c590c4dde0232e2fa9e7e5a01c4bd2372eadf6cb1b299c45178e34",
             "traces_C.csv":
-                "6a31c83f8b1cf023272a7952deab71841c6b3a039bcd81b7c6d1446d5032e8ca",
+                "5aa985e4b5b776f0a019cc2cd24a4019a053d843201dea8b5cec8ac7c79415e3",
         },
         "json": {
             "empirical_A.json":
-                "46666c41625b29b0725d6de118b9c139645bfd126415a022c8b16bc1fa9cc68d",
+                "039854bc84f6aade67aa49940563ae5b951d2331750b2000d0a32fc17b2bb33b",
             "empirical_C.json":
-                "2e84d202fb406dda8795cd4ae45a8c747cd76dc301f6d302d75ef3fe3dd0a48a",
+                "d98457deab8784478ff7fd342cf78ca8a6e223d4d974c5b3e5b83f527ca889b6",
             "traces_A.json":
-                "947af73eb8f93473c6f5dae97f2c707351def59306dbba9c02bf0e56d6cb7357",
+                "66cf46ba300cd51eff737a132816001519d48fa0fe7ef2e5d09ca3ba4fd11f27",
             "traces_C.json":
-                "59f6b18c7e39c36efde3573b57f18c8b41dcb8f9262fe12cd522a11ed18a36fa",
+                "d356f8a1ccb25e37d2676a86c270ce12e7112fa3382909ef383144a4b24a4e84",
         },
     }
 
@@ -344,26 +344,25 @@ class TestGoldenOutputs:
         assert digests == self.GOLDEN[out_format]
 
     # The same for longer multi-type runs, which pin the creation draws of
-    # several types, one scalar-rate Poisson call per type in type order:
-    # the N=3 model's scenario A at 100 periods, and a
-    # two-type scenario with one rate from 10 up, where numpy's Poisson
-    # sampler is PTRS.
+    # several types, a position and a type mark per creation: the N=3
+    # model's scenario A at 100 periods, and a two-type scenario with one
+    # rate from 10 up.
     MULTI_TYPE_GOLDEN = {
         ("n3-A-100", "csv"): {
-            "empirical_A.csv": "63b491bf0297f0df999c262d03404bba088e01e399b74771a3beeedf51b40427",
-            "traces_A.csv": "8375716599977c7004347c2283a60f8a279023245f8852d2d3ecbb645b4e2660",
+            "empirical_A.csv": "50dec90e840bbba751e9082eea714e7d6959d78ca085ab3d4af34128f11faadb",
+            "traces_A.csv": "55bfc8148a5baff1465fd58fcc0dc549b9ad7e8ed3ef20acb647debdd0b49d59",
         },
         ("n3-A-100", "json"): {
-            "empirical_A.json": "eb3df10341da863016442e6f7290fcae0ed6f20122d61a5e25c837f908273a2c",
-            "traces_A.json": "64863033cb6faebe3f75675cd2f258250096a0ab8b3328183e1f5f20d22c5a36",
+            "empirical_A.json": "ce9a57b42b26690145f7ab0c818b13018c6ea8f01b14b6dea5a8091583125ab5",
+            "traces_A.json": "908cdd14d5488a8169fdc3a83b438e1c0b6e202c5dacaa1c4b0f64d26054d282",
         },
         ("two-type-rate-11", "csv"): {
-            "empirical_A.csv": "5920a013b0226470fc9518918bb9ffc6530a0932f39f71b360a8a145ecb741f0",
-            "traces_A.csv": "fe1dc82991cff7d0b730c1f85fa58c0f4d0b7b2f3e6618c18e2226fff3eace3f",
+            "empirical_A.csv": "bafb287b5e9a5f2b2b930bc3c33de5817748bae6470157e559197e7f9e32515a",
+            "traces_A.csv": "ca00eb3f9989391c14ac2607c22aa518a536f79bc5ef583aac7a42580f98dcdb",
         },
         ("two-type-rate-11", "json"): {
-            "empirical_A.json": "3f96e971b05b154d444aa5c4c156bd203b2fbf801c66d77ca2be2a7abc868d23",
-            "traces_A.json": "061d1a6bbcd53f0ba5df0a2907269ba5f05b36937e253d5d8bfa03acfa449c8c",
+            "empirical_A.json": "9b7e39411b4d0311ca31b06ecc02d29b6dfdbf9520d92da1303b29f5a795125f",
+            "traces_A.json": "1be029e7e4360d9c9e6a0f4b7284491f7dbb46932c3cd294636707cb3af15afa",
         },
     }
 
@@ -395,21 +394,21 @@ class TestGoldenOutputs:
         assert digests == self.MULTI_TYPE_GOLDEN[case, out_format]
 
     # The same for the one-type baseline.json figures at a reduced protocol;
-    # they pin the simulator's single-rate path.
+    # they pin the simulator's one-type path, one uniform per creation.
     FIGURE_GOLDEN = {
         ("figure3", "csv"): {
-            "figure3.csv": "a8eb06a3e8c32f918af752fb047e7bd3ce16bfcd8d8feaa7685dfa109f7f6b44",
+            "figure3.csv": "ec78fc4a049bd690ad0948ad064fa35cd0faa2087a5c96f1f93f11aea56c6a06",
             "figure3_summary.csv":
-                "fed407ac456b99fb2207761ab37b14a765ac28f8805dfbac70cdfa063bb2a66a",
+                "17789ca2fd19e9e4b493f9cb9b4ee39a10516bc816859610f200d61d6170fd11",
         },
         ("figure3", "json"): {
-            "figure3.json": "1247535346b7d40aef793d94792af32749d8c913e291bb21f40aea2d2b8e5119",
+            "figure3.json": "6c47a85c64cc886b17aa8cb7583393b157a7bcb7965041fb35df779a95ffb185",
         },
         ("figure2", "csv"): {
-            "figure2.csv": "be4e78ff880cf26bb8937130d2d3ddcd04ee4781de1e6387360008583ffb9a58",
+            "figure2.csv": "57c52796925c097dee446ce87a340e0dcaeeb72cb9572e192a7c1ea1d6674dc5",
         },
         ("figure2", "json"): {
-            "figure2.json": "5b2e5d7ac6dbe191b60c1ef330b058cc40ee6f9baa3b03693309304b6799f7e6",
+            "figure2.json": "41dbbc17e2365088400c1b289a4248b74a7f50aacc5d8c6eabc8a5ecb10025a6",
         },
     }
 
@@ -435,8 +434,8 @@ class TestGoldenOutputs:
     # unchanged (seed 42, 1000 runs x 100 periods): the document a user
     # gets from `slice-markov figure3` with no flags.
     FULL_FIGURE3_GOLDEN = {
-        "figure3.csv": "0c21e396c5cd24d91fb7075333c9dc83c5253c12d3ac52401d93922f620c5b27",
-        "figure3_summary.csv": "442996d9cd62bb13c2c60f0986fc3369b2f5a4dd61e2150c554b77b1e70cc48a",
+        "figure3.csv": "9d339ec3ff60d76a880152674aa2debac39c1a518d933ec09d086f0534553936",
+        "figure3_summary.csv": "5b66ac86178c84fedac3822d2aa2cf983eff87f4335b96300a56c66c1c3789ac",
     }
 
     def test_full_size_figure3_bytes(self, tmp_path):
