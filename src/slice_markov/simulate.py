@@ -176,13 +176,13 @@ def _pcg64_states(seed: int, start: int, stop: int):
 # lifetimes. The fold's working set (sort keys, step grid, states after each
 # step) grows with the block; its per-step cost is paid once for every run
 # of the block. 28,672 draws hold about 140 of figure3's 100-period runs of
-# scenario A, and keep the fold's working set within about 2.5 times the
+# scenario A, and keep the fold's working set within about 2.4 times the
 # trajectory array of 1000 such runs.
 _BLOCK_DRAWS = 7 << 12
 # Sorted keys gathered at a time by the tie test.
 _TIE_SLICE = 1 << 13
-# numpy's largest Poisson mean: np.iinfo(np.int64).max - 10 * sqrt of it.
-_POISSON_MAX = 9.223372006484771e18
+# numpy's largest Poisson mean, about 9.2e18, by numpy's own formula.
+_POISSON_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 
 
 def _creation_law(rates) -> tuple[float, np.ndarray]:
@@ -361,9 +361,10 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     group += period.astype(np.int32)
     del period
     if num_types == 1:
-        kind = np.zeros(len(group), dtype=np.intp)
+        kind = np.zeros(len(group), dtype=np.int32)
     else:
         kind = np.searchsorted(_creation_law(scenario.creation_rates)[1], uniforms[1::2], side="right")
+        kind = kind.astype(np.int32)
     del uniforms
     creations = len(group)
     # A slice accepted in period t becomes active at boundary t+1 and is
@@ -410,7 +411,8 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
         at[first:stop] = whole
         at[first:stop] += base
     del group, life, initial_life, whole, base
-    per_group = np.bincount(at, minlength=groups)
+    # Each run's events end, period by period, at these counts.
+    ends = np.bincount(at, minlength=groups).reshape(count, periods).cumsum(axis=1, dtype=np.int32)
 
     # Rounding is monotone, so the float key group + offset orders distinct
     # keys exactly; equal keys fall back to the full (group, offset, column,
@@ -430,8 +432,6 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     # writes of declined creations, and cells past the grid stand for the
     # releases that fall beyond the horizon. Cell numbers are 32-bit where
     # they fit, and no partial sum exceeds them.
-    ends = per_group.reshape(count, periods).cumsum(axis=1, dtype=np.int32)
-    del per_group
     sizes = ends[:, -1]
     steps = int(sizes.max())
     cells = 1 + steps * count

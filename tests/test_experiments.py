@@ -690,7 +690,7 @@ class TestEmpiricalDocuments:
         # Trace rows are a view over the int64 trajectory arrays. Measured
         # peaks: about 3.6 times the arrays' bytes with the view (most of
         # it the simulator's block of draws, sort keys and step grid, whose
-        # low-rate runs take fewer draws than per-type counts did; 4.6 with
+        # low-rate runs take fewer draws than per-type counts did; 4.5 with
         # blocks of 5 * 2**13 uniforms and lifetimes), about 13 times with
         # one Python list per boundary.
         cfg = n3_config(3000, 10)

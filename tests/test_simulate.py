@@ -164,14 +164,12 @@ class TestRunEpisode:
         the draws of a run with a fixed start and no initial slices: the
         total, then a position (and a mark with several types) each."""
         reference = run_rng(seed, 0)
-        total_rate, edges = _creation_law(scenario.creation_rates)
         width = 1 if scenario.num_types == 1 else 2
-        uniforms = reference.random(width * reference.poisson(periods * total_rate))
-        period = np.floor(uniforms[::width] * periods).astype(int)
-        kind = np.searchsorted(edges, uniforms[1::2], side="right") if width == 2 else np.zeros_like(period)
-        counts = np.zeros((periods, scenario.num_types), dtype=int)
-        np.add.at(counts, (period, kind), 1)
-        return np.minimum(np.vstack([np.zeros(scenario.num_types, dtype=int), np.cumsum(counts, axis=0)]), caps)
+        uniforms = reference.random(width * reference.poisson(periods * _creation_law(scenario.creation_rates)[0]))
+        counts = np.zeros((periods + 1, scenario.num_types), dtype=int)
+        for period, _, kind in _decode(scenario, periods, uniforms):
+            counts[period + 1, kind] += 1
+        return np.minimum(np.cumsum(counts, axis=0), caps)
 
     def test_creation_counts_come_from_one_bulk_poisson_draw(self):
         # From an empty start there are no initial lifetimes, so the first
@@ -294,9 +292,11 @@ class TestCreationDraws:
         np.testing.assert_array_equal(edges, [0.6 / total, (0.6 + 0.4) / total])
 
     @pytest.mark.parametrize("rates", [(0.5,), (0.6, 0.4, 0.3), tuple(0.1 * n for n in range(1, 9))])
-    @pytest.mark.parametrize("start", [None, (0, 0)])
-    def test_three_calls_whatever_the_number_of_types(self, rates, start):
-        # A generator that records the name of every call it serves.
+    @pytest.mark.parametrize("fixed_start", [False, True])
+    def test_calls_do_not_depend_on_the_number_of_types(self, rates, fixed_start):
+        # Three calls, after one more for a drawn start, with one, three or
+        # eight types. The generator records the name of every call it
+        # serves.
         calls = []
 
         class Recording:
@@ -310,9 +310,9 @@ class TestCreationDraws:
         num_types = len(rates)
         region = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3,) * num_types,)))
         scenario = DemandScenario(creation_rates=rates, mean_lifetimes=(2.0,) * num_types)
-        start = None if start is None else (0,) * num_types
+        start = (0,) * num_types if fixed_start else None
         run_episode(scenario, always_accept_strategy(region), 50, Recording(run_rng(3, 0)), start)
-        drawn_start = ["random"] if start is None else []
+        drawn_start = [] if fixed_start else ["random"]
         assert calls == drawn_start + ["poisson", "random", "standard_exponential"]
 
 
@@ -606,8 +606,8 @@ class TestBlockFold:
     def test_working_set_is_bounded(self):
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
-        # 1000 runs x 100 periods: about 2.6 times the trajectory array's
-        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (3.2 with
+        # 1000 runs x 100 periods: about 2.4 times the trajectory array's
+        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (3.0 with
         # 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
         # stamps and lifetimes of earlier folds), against about 17 times
         # when all 1000 runs are one block.
@@ -672,17 +672,16 @@ class TestCreationLaw:
 
     @pytest.fixture(scope="class")
     def decoded(self):
-        total_rate, edges = _creation_law(self.RATES)
-        mean = self.PERIODS * total_rate
+        scenario = DemandScenario(creation_rates=self.RATES, mean_lifetimes=(1.0,) * len(self.RATES))
+        mean = self.PERIODS * _creation_law(self.RATES)[0]
         counts = np.zeros((self.RUNS, self.PERIODS, len(self.RATES)), dtype=int)
         offsets = []
         for run in range(self.RUNS):
             _, uniforms, _ = _draw_run(run_rng(7, run), mean, 2, [0], 0)
-            time = uniforms[::2] * self.PERIODS
-            period = np.floor(time)
-            np.add.at(counts[run], (period.astype(int), np.searchsorted(edges, uniforms[1::2], side="right")), 1)
-            offsets.append(time - period)
-        return counts.reshape(-1, len(self.RATES)), np.concatenate(offsets)
+            for period, offset, kind in _decode(scenario, self.PERIODS, uniforms):
+                counts[run, period, kind] += 1
+                offsets.append(offset)
+        return counts.reshape(-1, len(self.RATES)), np.array(offsets)
 
     @staticmethod
     def _poisson_cells(rate, cap):
