@@ -291,6 +291,15 @@ class TestCreationDraws:
         assert total == 0.6 + 0.4 + 0.3
         np.testing.assert_array_equal(edges, [0.6 / total, (0.6 + 0.4) / total])
 
+    def test_poisson_limit_is_numpy_s(self):
+        # numpy draws a Poisson mean up to its limit and refuses the next
+        # double.
+        limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+        assert simulate._POISSON_MAX == limit
+        run_rng(1, 0).poisson(limit)
+        with pytest.raises(ValueError, match="lam value too large"):
+            run_rng(1, 0).poisson(np.nextafter(limit, np.inf))
+
     @pytest.mark.parametrize("rates", [(0.5,), (0.6, 0.4, 0.3), tuple(0.1 * n for n in range(1, 9))])
     @pytest.mark.parametrize("fixed_start", [False, True])
     def test_calls_do_not_depend_on_the_number_of_types(self, rates, fixed_start):
