@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -93,14 +94,13 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(run_index,))))
 
 
-# numpy's SeedSequence hash (frozen by NEP 19) and PCG64's 128-bit multiplier.
+# numpy's SeedSequence hash, frozen by NEP 19.
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-_STATE_BLOCK = 1024
+# Runs whose seed words are hashed at a time.
+_SEED_CHUNK = 1024
 
 
 def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
@@ -151,25 +151,42 @@ def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
     return out.view("<u8").astype(np.uint64)
 
 
-def _pcg64_states(seed: int, start: int, stop: int):
-    """Yield, for each run r in [start, stop), the ``PCG64.state`` dict of
-    ``run_rng(seed, r)``, deriving the seed words ``_STATE_BLOCK`` runs at a
-    time from ``start``.
+@cache
+def _seed_words_type() -> type:
+    """The class of :func:`_run_rngs`' seed sequences, made on first use:
+    importing ``numpy.random`` at module level would load it into every
+    command, simulating or not."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    A PCG64 seeded with words (s0, s1, i0, i1) starts with
-    ``inc = 2 * (i0 << 64 | i1) + 1`` and, after two steps of
-    ``pcg_setseq_128_srandom_r``, ``state = ((s0 << 64 | s1) + inc) * M + inc``
-    modulo 2**128. The words become Python ints one run at a time, so a
-    chunk holds its array and no list per run.
+    class SeedWords(ISeedSequence):
+        """A run's four ``_seed_words``, which it gives PCG64 as its seed
+        state; PCG64 asks a seed sequence for four uint64 words, nothing
+        else."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords
+
+
+def _run_rngs(seed: int, start: int, stop: int):
+    """Yield ``run_rng(seed, r)``'s generator for each run r in
+    [start, stop), hashing the seed words ``_SEED_CHUNK`` runs at a time.
+
+    numpy seeds each PCG64 from its words, so that no per-run
+    ``SeedSequence`` is made. With numpy 2.4 on a 2-core Xeon VM, building
+    a generator this way takes about 1.2 microseconds a run. Setting a
+    reused one's state to the same stream took about 2: 0.9 to work out
+    the 128-bit state in Python ints and 1.2 for numpy to parse its dict.
     """
-    for first in range(start, stop, _STATE_BLOCK):
-        runs = np.arange(first, min(first + _STATE_BLOCK, stop), dtype=np.uint64)
+    seed_words = _seed_words_type()
+    for first in range(start, stop, _SEED_CHUNK):
+        runs = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
         for words in _seed_words(seed, runs):
-            s0, s1, i0, i1 = words.tolist()
-            inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-            state = (((s0 << 64 | s1) + inc) * _PCG_MULT + inc) & _MASK128
-            yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                   "has_uint32": 0, "uinteger": 0}
+            yield np.random.Generator(np.random.PCG64(seed_words(words)))
 
 
 # Draws a block of runs may hold before it is folded: uniforms and unit
@@ -184,6 +201,11 @@ _TIE_SLICE = 1 << 13
 # numpy's largest Poisson mean, int64 max - 10 * sqrt(int64 max). A literal:
 # the first np.iinfo call of a process costs about 0.13 MB of resident memory.
 _POISSON_MAX = 9.223372006484771e18
+# Most draws a run may expect: its uniforms, its lifetimes and the largest
+# initial state's. A block holds at least one run, and a long run of the
+# baseline's scenario A peaks at about 50 bytes per expected draw under
+# tracemalloc, so the cap keeps a run within about 0.8 GB.
+MAX_RUN_DRAWS = 1 << 24
 
 
 def _creation_law(rates) -> tuple[float, np.ndarray]:
@@ -209,7 +231,9 @@ def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: i
     ``(mean, width, slices)``.
 
     A mean of creations per run at or above numpy's Poisson limit (about
-    9.2e18) is refused with :class:`~slice_markov.errors.GuardExceededError`.
+    9.2e18), or one whose expected draws per run, ``mean * (width + 1)``
+    plus the most slices a state holds, exceed ``MAX_RUN_DRAWS``, is
+    refused with :class:`~slice_markov.errors.GuardExceededError`.
     """
     mean = periods * _creation_law(scenario.creation_rates)[0]
     if not mean < _POISSON_MAX:
@@ -217,7 +241,15 @@ def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: i
             f"{periods} periods at a total creation rate of {mean / periods:g} expect {mean:g} "
             f"creations per run, at or above numpy's Poisson limit of {_POISSON_MAX:g}"
         )
-    return mean, 1 if scenario.num_types == 1 else 2, [sum(state) for state in region.states]
+    width = 1 if scenario.num_types == 1 else 2
+    slices = [sum(state) for state in region.states]
+    draws = mean * (width + 1) + max(slices)
+    if draws > MAX_RUN_DRAWS:
+        raise GuardExceededError(
+            f"{periods} periods at a total creation rate of {mean / periods:g} expect {draws:g} "
+            f"draws per run, above the cap of {MAX_RUN_DRAWS} draws per run"
+        )
+    return mean, width, slices
 
 
 def _draw_run(rng: np.random.Generator, mean: float, width: int, slices: list, start: int | None) -> tuple:
@@ -562,15 +594,10 @@ def _episode_batch(args) -> np.ndarray:
     tables = _fold_tables(strategy)
     mean, width, slices = _draw_args(scenario, region, periods)
     out = np.empty((stop - start, periods + 1), dtype=np.int64)
-    # One generator serves every run: setting its bit generator's state to
-    # that of run_rng(seed, run) costs far less than building a new one.
-    bits = np.random.PCG64(0)
-    rng = np.random.Generator(bits)
     block = []
     load = 0
     done = 0
-    for state in _pcg64_states(sim.seed, start, stop):
-        bits.state = state
+    for rng in _run_rngs(sim.seed, start, stop):
         draws = _draw_run(rng, mean, width, slices, first)
         block.append(draws)
         load += len(draws[1]) + len(draws[2])
@@ -615,7 +642,8 @@ def simulate_episodes(
     one worker the runs are split into batches that run in ``pool``, a
     :func:`worker_pool` shared by several calls, or in a pool opened for
     this call. A protocol whose mean count of creations per run reaches
-    numpy's Poisson limit is refused before any draw.
+    numpy's Poisson limit, or whose runs expect more than ``MAX_RUN_DRAWS``
+    draws, is refused before any draw.
     """
     _draw_args(scenario, strategy.region, sim.periods_per_run)
     if workers is not None and workers > 1:

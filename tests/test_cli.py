@@ -479,6 +479,22 @@ class TestExitCodes:
         assert "Poisson limit" in caplog.text
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, edit", [
+        ("simulate", lambda body: body["scenarios"]["A"].update(creation_rates=[1e12])),
+        ("figure3", lambda body: body.update(renormalize=False)
+         or body["scenarios"]["C"].update(creation_rates=[1e12])),
+    ])
+    def test_draw_cap_is_a_guard(self, tmp_path, caplog, command, edit):
+        # 10 periods at rate 1e12 expect about 2e13 draws a run, far below
+        # the Poisson limit: refused before any draw, where numpy failed
+        # to allocate the run's uniforms.
+        body = config_dict(str(tmp_path / "out"))
+        edit(body)
+        path = write_config(tmp_path, body)
+        assert main([command, "--config", path, "--quiet"]) == 4
+        assert f"cap of {slice_markov.simulate.MAX_RUN_DRAWS} draws per run" in caplog.text
+        assert not (tmp_path / "out").exists()
+
     def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
         config_path, _ = workspace
         blocker = tmp_path / "not-a-directory"
@@ -523,8 +539,9 @@ class TestExitCodes:
 
 
 def test_import_loads_no_scipy():
-    # scipy is only needed by the Markov-order check, so neither importing
-    # the package nor solving a chain may pay for it.
+    # scipy is only needed by the Markov-order check, and numpy.random (about
+    # 2 MB of resident memory) only by simulation, so neither importing the
+    # package nor building and solving a chain may pay for them.
     src = os.path.dirname(os.path.dirname(slice_markov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -535,7 +552,7 @@ def test_import_loads_no_scipy():
         "matrix = build_transition_matrix(model, region, DemandScenario((0.5,), (4.0,)),"
         " always_accept_strategy(region), 2)\n"
         "assert abs(stationary_distribution(matrix).sum() - 1.0) < 1e-12\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.random'))))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from slice_markov import (
     DemandScenario,
     EmpiricalMatrix,
+    GuardExceededError,
     ResourceModel,
     SimConfig,
     Strategy,
@@ -42,7 +43,8 @@ from slice_markov.simulate import (
     _episode_batch,
     _fold_block,
     _fold_tables,
-    _pcg64_states,
+    _run_rngs,
+    _seed_words,
 )
 
 
@@ -84,40 +86,31 @@ class TestRunRng:
 
 
 class TestBulkStreams:
-    """The batch simulator derives every run's PCG64 state in bulk; each
-    must be the state of run_rng(seed, r)."""
+    """The batch simulator hashes every run's seed words in bulk and has
+    numpy seed a PCG64 from them; each generator must be run_rng(seed, r)."""
 
     SEEDS = (0, 1, 42, 2**63 + 5, 2**64 - 1)
     # A batch from 0, one starting mid-range as a --workers batch does, one
     # whose spawn keys take two uint32 words, one crossing 2**32, and one
-    # longer than a block of 1024 runs, so that one call derives two blocks.
+    # longer than a chunk of 1024 runs, so that one call hashes two chunks.
     RANGES = ((0, 5), (1021, 1030), (2**32 + 7, 2**32 + 9), (2**32 - 2, 2**32 + 2), (1000, 2100))
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("start, stop", RANGES)
     def test_states_reproduce_run_rng(self, seed, start, stop):
-        bits = np.random.PCG64(0)
-        rng = np.random.Generator(bits)
-        states = list(_pcg64_states(seed, start, stop))
-        assert len(states) == stop - start
-        for run, state in zip(range(start, stop), states):
+        rngs = list(_run_rngs(seed, start, stop))
+        assert len(rngs) == stop - start
+        for run, rng in zip(range(start, stop), rngs):
             reference = run_rng(seed, run)
-            assert state == reference.bit_generator.state
-            bits.state = state
+            assert rng.bit_generator.state == reference.bit_generator.state
             np.testing.assert_array_equal(rng.random(8), reference.random(8))
 
-    def test_chunk_holds_no_list_per_run(self):
-        # One chunk of 1024 runs: its seed words and the hash's arrays, about
-        # 100 KB, against about 280 KB with one Python list per run.
-        list(_pcg64_states(42, 0, 1024))
-        tracemalloc.start()
-        try:
-            for _ in _pcg64_states(42, 0, 1024):
-                pass
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 128 * 1024
+    def test_words_are_the_seed_sequence_s(self):
+        for seed, run in ((0, 0), (42, 1023), (2**64 - 1, 2**32 + 7)):
+            words = _seed_words(seed, np.array([run], dtype=np.uint64))[0]
+            reference = np.random.SeedSequence(seed, spawn_key=(run,)).generate_state(4, np.uint64)
+            np.testing.assert_array_equal(words, reference)
+            assert words.dtype == np.uint64 and words.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +283,23 @@ class TestCreationDraws:
         total, edges = _creation_law((0.6, 0.4, 0.3))
         assert total == 0.6 + 0.4 + 0.3
         np.testing.assert_array_equal(edges, [0.6 / total, (0.6 + 0.4) / total])
+
+    @pytest.mark.parametrize("shares", [(1.0,), (0.5, 0.25, 0.25)])
+    def test_draw_cap(self, region, shares):
+        # A run expects (width + 1) draws a creation, plus the lifetimes of
+        # the region's largest state (3 slices). One period at a total rate
+        # just under the cap passes and one just over it is refused; nothing
+        # is drawn.
+        width = 1 if len(shares) == 1 else 2
+        at_cap = (simulate.MAX_RUN_DRAWS - 3) / (width + 1)
+        lifetimes = (4.0,) * len(shares)
+        under = DemandScenario(tuple(at_cap * (1 - 1e-12) * share for share in shares), lifetimes)
+        mean, drawn_width, _ = _draw_args(under, region, 1)
+        assert drawn_width == width
+        assert mean == pytest.approx(at_cap, rel=1e-9)
+        over = DemandScenario(tuple(at_cap * (1 + 1e-12) * share for share in shares), lifetimes)
+        with pytest.raises(GuardExceededError, match=f"cap of {simulate.MAX_RUN_DRAWS} draws per run"):
+            _draw_args(over, region, 1)
 
     def test_poisson_limit_is_numpy_s(self):
         # numpy draws a Poisson mean up to its limit and refuses the next
