@@ -161,7 +161,8 @@ def _seed_words_type() -> type:
     class SeedWords(ISeedSequence):
         """A run's four ``_seed_words``, which it gives PCG64 as its seed
         state; PCG64 asks a seed sequence for four uint64 words, nothing
-        else."""
+        else, and reads them straight from the array's buffer, so they
+        are a row of ``_seed_words``' C-contiguous uint64 array."""
 
         def __init__(self, words: np.ndarray):
             self.words = words

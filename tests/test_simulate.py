@@ -44,7 +44,6 @@ from slice_markov.simulate import (
     _fold_block,
     _fold_tables,
     _run_rngs,
-    _seed_words,
 )
 
 
@@ -104,13 +103,6 @@ class TestBulkStreams:
             reference = run_rng(seed, run)
             assert rng.bit_generator.state == reference.bit_generator.state
             np.testing.assert_array_equal(rng.random(8), reference.random(8))
-
-    def test_words_are_the_seed_sequence_s(self):
-        for seed, run in ((0, 0), (42, 1023), (2**64 - 1, 2**32 + 7)):
-            words = _seed_words(seed, np.array([run], dtype=np.uint64))[0]
-            reference = np.random.SeedSequence(seed, spawn_key=(run,)).generate_state(4, np.uint64)
-            np.testing.assert_array_equal(words, reference)
-            assert words.dtype == np.uint64 and words.flags.c_contiguous
 
 
 # ---------------------------------------------------------------------------
