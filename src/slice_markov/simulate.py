@@ -178,10 +178,9 @@ def _run_rngs(seed: int, start: int, stop: int):
     [start, stop), hashing the seed words ``_SEED_CHUNK`` runs at a time.
 
     numpy seeds each PCG64 from its words, so that no per-run
-    ``SeedSequence`` is made. With numpy 2.4 on a 2-core Xeon VM, building
-    a generator this way takes about 1.2 microseconds a run. Setting a
-    reused one's state to the same stream took about 2: 0.9 to work out
-    the 128-bit state in Python ints and 1.2 for numpy to parse its dict.
+    ``SeedSequence`` is made; with numpy 2.4 on a 2-core Xeon VM that costs
+    about 1.2 microseconds a run, against 2 to set a reused generator's
+    state dict to the same stream.
     """
     seed_words = _seed_words_type()
     for first in range(start, stop, _SEED_CHUNK):
