@@ -408,8 +408,8 @@ def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
                 q_plus_max=q,
                 renormalized=matrix.renormalized,
                 labels=labels,
-                entries=[[float(x) for x in row] for row in matrix.probs],
-                row_deficits=[float(x) for x in matrix.row_deficits],
+                entries=matrix.probs.tolist(),
+                row_deficits=matrix.row_deficits.tolist(),
                 deficit_bound=truncation_tail_bound(scenario, q),
             ))
     return docs
@@ -443,9 +443,9 @@ def empirical_documents(
             num_runs=sim.num_runs,
             periods_per_run=sim.periods_per_run,
             labels=labels,
-            counts=[[int(c) for c in row] for row in empirical.counts],
-            entries=[[float(x) for x in row] for row in empirical.probs],
-            visits=[int(v) for v in empirical.visits],
+            counts=empirical.counts.tolist(),
+            entries=empirical.probs.tolist(),
+            visits=empirical.visits.tolist(),
             zero_visit_rows=list(empirical.zero_visit_rows),
         ))
         if include_traces:

@@ -18,6 +18,12 @@ of it. A row holds only the key's nonzero final states, so the table's bytes
 scale with its nonzeros, at most keys x min(|R|, prod(c_n + 1)) for a bag of
 c_n creations of type n, not with keys x |R|. A matrix row sums the table
 rows of its bags, weighted by the bags' masses, one bag after another.
+
+A build makes no Python call per bag or per key. The creation masses are
+one outer product per build; a row extends it by its release pmfs, read
+from one table per type and build (``arrivals.release_pmf_table``). A row's
+keys are the creation box's keys at the build's depth, scaled by the row's
+release box and offset by its own (``_KeyBoxes.row_keys``).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import DemandScenario, creation_pmf, release_pmf, request_kinds, sequence_prob
+from .arrivals import DemandScenario, creation_pmf, release_pmf_table, request_kinds, sequence_prob
 from .domain import (
     AdmissibilityRegion,
     ResourceModel,
@@ -172,13 +178,23 @@ class _KeyBoxes:
         child = self.offsets[target] + (pair_counts * strides).sum(axis=1) - strides[pairs, kinds]
         return local_keys, child, pair_counts[pairs, kinds]
 
-    def rows(self, state_index: int, dims) -> np.ndarray:
-        """Keys of state ``state_index`` whose counts lie in the sub-box
-        ``dims``, in C order."""
-        index = np.array(self.offsets[state_index])
-        for dim, stride in zip(dims, self.strides[state_index]):
-            index = np.add.outer(index, np.arange(dim) * stride)
-        return index.ravel()
+    def row_keys(self, q_plus_max: int):
+        """Yield each state's keys at depth ``q_plus_max``, at most the
+        boxes' own, in ``_iter_request_bags`` order.
+
+        Creation counts lead in a box's C order, so a state's release
+        counts fill ``span = prod(s_n + 1)`` consecutive keys behind each
+        creation tuple, and a creation tuple's keys start at ``span`` times
+        its index in the boxes' creation box: ``offsets[i] +
+        creation_keys * span + arange(span)``.
+        """
+        num_types = self.dims.shape[1] // 2
+        shallow = np.indices((q_plus_max + 1,) * num_types).reshape(num_types, -1)
+        creation_keys = np.ravel_multi_index(shallow, tuple(self.dims[0, :num_types]))
+        spans = self.strides[:, num_types - 1]
+        releases = np.arange(spans.max())
+        for offset, span in zip(self.offsets.tolist(), spans.tolist()):
+            yield np.add.outer(creation_keys * span + offset, releases[:span]).ravel()
 
 
 @dataclass(frozen=True)
@@ -352,39 +368,38 @@ def build_transition_matrix(
         ``row_deficits`` either way.
 
     Each bag's joint mass is the product of its per-kind masses, taken left
-    to right in ``request_kinds`` order from 1.0 as ``multiset_prob`` does.
-    The ordering distributions come from the strategy's shared table (see
-    ``_ordering_table``), so a later build with the same strategy at the same
-    or a shallower depth builds none. A row is the sum over its bags, in
-    ``_iter_request_bags`` order, of each bag's mass times its row of the
-    table, added one bag after another from 0.0 as ``np.bincount`` adds its
-    weights; a matrix product would add them in another order. A table row
-    holds only its nonzeros, and the zeros it leaves out would add ``+0.0``,
-    which changes no bit.
+    to right in ``request_kinds`` order from 1.0 as ``multiset_prob`` does:
+    the outer product of the creation pmfs, made once per build, extended by
+    the row's release pmfs, which come from one ``release_pmf_table`` per
+    type with ``release_pmf``'s bits. The ordering distributions come from
+    the strategy's shared table (see ``_ordering_table``), so a later build
+    with the same strategy at the same or a shallower depth builds none; a
+    row's keys in it come from ``_KeyBoxes.row_keys``. A row is the sum
+    over its bags, in ``_iter_request_bags`` order, of each bag's mass times
+    its row of the table, added one bag after another from 0.0 as
+    ``np.bincount`` adds its weights; a matrix product would add them in
+    another order. A table row holds only its nonzeros, and the zeros it
+    leaves out would add ``+0.0``, which changes no bit.
     """
     _check_build_arguments(region, strategy, q_plus_max)
     boxes, table = _cached_table(strategy, q_plus_max)
     size = len(region)
-    creation_pmfs = [
+    # Chained outer products multiply each bag's masses left to right in
+    # request_kinds order, as multiset_prob does from 1.0. The creation
+    # part is the same in every row; each row extends it by its release
+    # pmfs, read from one table per type.
+    creation_masses = functools.reduce(np.multiply.outer, [
         np.array([creation_pmf(rate, k) for k in range(q_plus_max + 1)]) for rate in scenario.creation_rates
-    ]
-    # Each type's release pmf for every active count that occurs, computed
-    # once per build and shared by the rows with that count.
+    ])
     release_pmfs = [
-        {
-            active: np.array([release_pmf(lifetime, active, k) for k in range(active + 1)])
-            for active in {state[n] for state in region.states}
-        }
+        release_pmf_table(lifetime, max(state[n] for state in region.states))
         for n, lifetime in enumerate(scenario.mean_lifetimes)
     ]
     probs = np.empty((size, size))
-    for row_index, state in enumerate(region.states):
+    for row_index, (state, keys) in enumerate(zip(region.states, boxes.row_keys(q_plus_max))):
         row_pmfs = [pmfs[active] for pmfs, active in zip(release_pmfs, state)]
-        # Chained outer products multiply each bag's masses left to right in
-        # request_kinds order, as multiset_prob does from 1.0.
-        masses = functools.reduce(np.multiply.outer, creation_pmfs + row_pmfs).ravel()
-        dims = [q_plus_max + 1] * region.num_types + [active + 1 for active in state]
-        index, lengths = _ragged(table.indptr, table.pos[boxes.rows(row_index, dims)])
+        masses = functools.reduce(np.multiply.outer, row_pmfs, creation_masses).ravel()
+        index, lengths = _ragged(table.indptr, table.pos[keys])
         weights = table.vals[index] * np.repeat(masses, lengths)
         probs[row_index] = np.bincount(table.cols[index], weights=weights, minlength=size)
     return _finish_build(probs, region, q_plus_max, renormalize)

@@ -103,6 +103,33 @@ def _period_heads(periods) -> np.ndarray:
     return np.array([f",{period}," for period in periods], dtype=object)
 
 
+class LabelledRows(list):
+    """Table rows of a label followed by one or more Python floats and ints,
+    such as a matrix row's entries and deficit; the CSV writer joins their
+    text itself instead of passing each cell through csv.writer."""
+
+
+# printf-style conversions that give format_value's text of a float and an int.
+_NUMBER_FORMATS = {float: ",%.17g", int: ",%d"}
+
+
+def _write_labelled_rows(out, rows) -> None:
+    """Write each ``[label, *numbers]`` row, with at least one number, as
+    its label, encoded by csv.writer, then its numbers, formatted by one
+    ``%`` of the row's conversions. Numbers need no quoting, so the text
+    equals a ``writerow`` of every cell's ``format_value``."""
+    encoded = io.StringIO()
+    writer = csv.writer(encoded, lineterminator="\n")
+    for label, *numbers in rows:
+        encoded.seek(0)
+        encoded.truncate()
+        # The label as the first of several fields: alone, an empty one
+        # would be quoted.
+        writer.writerow([format_value(label), ""])
+        formats = "".join(map(_NUMBER_FORMATS.__getitem__, map(type, numbers)))
+        out.write(encoded.getvalue()[:-2] + formats % tuple(numbers) + "\n")
+
+
 def _write_table(out, doc: dict, columns, rows) -> None:
     """Write the comment lines, the header and the rows of one table to a
     text stream."""
@@ -112,6 +139,8 @@ def _write_table(out, doc: dict, columns, rows) -> None:
     writer.writerow(columns)
     if isinstance(rows, TraceRows):
         _write_trace_rows(out, rows)
+    elif isinstance(rows, LabelledRows):
+        _write_labelled_rows(out, rows)
     else:
         writer.writerows([format_value(cell) for cell in row] for row in rows)
 
@@ -124,7 +153,9 @@ def _csv_tables(doc: dict) -> dict[str, tuple]:
     kind = doc["kind"]
     if kind in ("matrix", "empirical"):
         column, key = ("deficit", "row_deficits") if kind == "matrix" else ("visits", "visits")
-        rows = [[label, *entries, last] for label, entries, last in zip(doc["labels"], doc["entries"], doc[key])]
+        rows = LabelledRows(
+            [label, *entries, last] for label, entries, last in zip(doc["labels"], doc["entries"], doc[key])
+        )
         return {"": (["from", *doc["labels"], column], rows)}
     tables = {"": (doc["columns"], doc["rows"])}
     if kind == "figure3":

@@ -564,22 +564,31 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_benchmark_job_runs_traced(tmp_path):
+@pytest.mark.parametrize("workload, counts", [
+    # q=1..4 for two scenarios.
+    pytest.param("matrix-n3", {"markov.builds": 8}, id="matrix-n3"),
+    # 3 scenarios x 8 strategies x 1000 runs, scored at q=1..4.
+    pytest.param("fig3-baseline", {"markov.builds": 96, "simulate.runs": 24_000}, id="fig3-baseline"),
+    # 20,000 runs for each of two scenarios.
+    pytest.param("simulate-n3-traces", {"simulate.runs": 40_000}, id="simulate-n3-traces"),
+])
+def test_benchmark_job_runs_traced(tmp_path, workload, counts):
     # perfbench/job.py drives the package the way the benchmark does and
-    # traces the calls it makes into it; matrix-n3 builds q=1..4 for two
-    # scenarios.
+    # traces the calls it makes into it, through the names it rebinds on
+    # experiments, markov and serialize and the results it reads back.
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     src = os.path.dirname(os.path.dirname(slice_markov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     result_path = tmp_path / "result.json"
-    subprocess.run(
-        [sys.executable, os.path.join(root, "perfbench", "job.py"), "matrix-n3", "1",
+    job = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "job.py"), workload, "1",
          str(tmp_path / "out"), str(result_path), "trace"],
-        env=env, capture_output=True, text=True, check=True,
+        env=env, capture_output=True, text=True,
     )
+    assert job.returncode == 0, job.stderr
     result = json.loads(result_path.read_text(encoding="utf-8"))
     assert result["exit_code"] == 0
-    assert result["counts"]["markov.builds"] == 8
+    assert {name: result["counts"][name] for name in counts} == counts
 
 
 def test_table_log_line_is_silenced_by_quiet(workspace):

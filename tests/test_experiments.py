@@ -35,7 +35,16 @@ from slice_markov.experiments import (
     strategies_document,
 )
 from slice_markov import serialize
-from slice_markov.serialize import TraceRows, _write_table, _write_trace_rows, dump
+from slice_markov.serialize import (
+    LabelledRows,
+    TraceRows,
+    _csv_tables,
+    _write_labelled_rows,
+    _write_table,
+    _write_trace_rows,
+    dump,
+    format_value,
+)
 
 PERFBENCH_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 BASELINE_HASH = "195938a4b816e0b89e34b5d69aa0be1198d50b45ea77e387e6ff215e90b7a23a"
@@ -745,6 +754,51 @@ class TestTraceWriter:
             out = io.StringIO()
             _write_trace_rows(out, TraceRows(trajectories, self.LABELS))
             assert out.getvalue() == self._per_row(trajectories, self.LABELS)
+
+
+class TestLabelledRowWriter:
+    """Matrix and empirical rows are a csv-encoded label and one join of
+    their numbers; the text must equal one ``csv.writer.writerow`` of every
+    cell's ``format_value`` per row."""
+
+    LABELS = ["(0,1,2)", 'say "2"', "", "a\nb", " lead", "plain", "x,y"]
+    NUMBERS = [0, 1, 7, -3, 10**20, 0.0, -0.0, 1.0, 5e-324, 2.2250738585072009e-308, 0.1, 1 / 3,
+               1e-17, 0.99999999999999989, 1.7976931348623157e308, float("inf"), float("nan")]
+
+    @staticmethod
+    def _per_cell(rows) -> str:
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        for row in rows:
+            writer.writerow([format_value(cell) for cell in row])
+        return out.getvalue()
+
+    def test_equals_per_cell_writer(self):
+        rng = np.random.default_rng(3)
+        rows = [[label, *rng.permutation(np.array(self.NUMBERS, dtype=object)).tolist()[:width]]
+                for label in self.LABELS for width in (1, 2, 5, len(self.NUMBERS))]
+        rows.append([self.LABELS[0], *rng.random(40).tolist(), 12])
+        out = io.StringIO()
+        _write_labelled_rows(out, rows)
+        assert out.getvalue() == self._per_cell(rows)
+
+    def test_other_cells_are_refused(self):
+        for cell in (True, np.float64(0.5), "0.5"):
+            with pytest.raises(KeyError):
+                _write_labelled_rows(io.StringIO(), [["s", 0.5, cell]])
+
+    @pytest.mark.parametrize("kind", ["matrix", "empirical"])
+    def test_documents_take_the_labelled_path(self, kind):
+        cfg = n3_config(20, 10)
+        doc = (matrix_documents(cfg) if kind == "matrix" else empirical_documents(cfg))[0]
+        ((columns, rows),) = _csv_tables(doc).values()
+        assert isinstance(rows, LabelledRows)
+        assert {type(cell) for row in rows for cell in row[1:]} == ({float} if kind == "matrix" else {float, int})
+        generic, labelled = io.StringIO(), io.StringIO()
+        _write_table(generic, doc, columns, list(rows))
+        dump(doc, labelled, "csv")
+        assert labelled.getvalue() == generic.getvalue()
+        assert '"s=[1,0,0]"' in labelled.getvalue()
 
 
 class TestFigure2Document:

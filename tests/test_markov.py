@@ -363,6 +363,31 @@ class TestOrderingTable:
         np.testing.assert_array_equal(cold.probs, shallow.probs)
         np.testing.assert_array_equal(cold.row_deficits, shallow.row_deficits)
 
+    @staticmethod
+    def _sub_box_keys(boxes, state_index, dims):
+        """The keys of state ``state_index`` whose counts lie in the sub-box
+        ``dims``, in C order, one ``np.add.outer`` per dimension, as the
+        builder found them before ``_KeyBoxes.row_keys``."""
+        index = np.array(boxes.offsets[state_index])
+        for dim, stride in zip(dims, boxes.strides[state_index]):
+            index = np.add.outer(index, np.arange(dim) * stride)
+        return index.ravel()
+
+    @given(build=small_builds(), deeper=st.integers(min_value=0, max_value=2))
+    @settings(max_examples=30, deadline=None)
+    def test_row_keys_at_every_depth(self, build, deeper):
+        _, region, _, _, q = build
+        depth = q + deeper
+        boxes = markov._KeyBoxes.of(region, depth)
+        for shallow in range(1, depth + 1):
+            rows = list(boxes.row_keys(shallow))
+            assert len(rows) == len(region)
+            for i, (state, keys) in enumerate(zip(region.states, rows)):
+                dims = [shallow + 1] * region.num_types + [active + 1 for active in state]
+                np.testing.assert_array_equal(keys, self._sub_box_keys(boxes, i, dims))
+                bags = np.array(list(markov._iter_request_bags(state, shallow, region.num_types)))
+                np.testing.assert_array_equal(keys, boxes.offsets[i] + bags @ boxes.strides[i])
+
     # SHA-256 of the raw q=4 build's probs and row_deficits bytes on the N=3
     # ladder rung of pool 3.0 (|R|=86, 126,125 keys), under always-accept
     # and under a fixed random half of the creation bits.
