@@ -108,7 +108,10 @@ def release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]
         raise ValueError(f"max_active must be >= 0, got {max_active}")
     if not mean_lifetime > 0:
         raise ValueError(f"mean_lifetime must be > 0, got {mean_lifetime}")
-    active, count = np.tril_indices(max_active + 1)
+    sizes = np.arange(1, max_active + 2)
+    starts = np.cumsum(sizes) - sizes
+    active = np.repeat(sizes - 1, sizes)
+    count = np.arange(len(active)) - np.repeat(starts, sizes)
     log_factorial = np.array([math.lgamma(n + 1) for n in range(max_active + 1)])
     log_choose = log_factorial[active] - log_factorial[count] - log_factorial[active - count]
     log_release = math.log(-math.expm1(-1.0 / mean_lifetime))
@@ -117,7 +120,7 @@ def release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]
     log_survive[survivors] = (active - count)[survivors] * (-1.0 / mean_lifetime)
     exponents = log_choose + count * log_release + log_survive
     masses = np.array(list(map(math.exp, exponents.tolist())))
-    return np.split(masses, np.cumsum(np.arange(1, max_active + 1)))
+    return [masses[start:start + size] for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 def arrival_pmf(scenario: DemandScenario, kind: int, count: int, state: State) -> float:

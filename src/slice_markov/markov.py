@@ -189,8 +189,10 @@ class _KeyBoxes:
         creation_keys * span + arange(span)``.
         """
         num_types = self.dims.shape[1] // 2
-        shallow = np.indices((q_plus_max + 1,) * num_types).reshape(num_types, -1)
-        creation_keys = np.ravel_multi_index(shallow, tuple(self.dims[0, :num_types]))
+        shallow = (q_plus_max + 1,) * num_types
+        creation_keys = np.ravel_multi_index(
+            np.unravel_index(np.arange(math.prod(shallow)), shallow), tuple(self.dims[0, :num_types])
+        )
         spans = self.strides[:, num_types - 1]
         releases = np.arange(spans.max())
         for offset, span in zip(self.offsets.tolist(), spans.tolist()):
