@@ -117,7 +117,9 @@ def release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]
     log_release = math.log(-math.expm1(-1.0 / mean_lifetime))
     log_survive = np.zeros(len(active))
     survivors = count < active
-    log_survive[survivors] = (active - count)[survivors] * (-1.0 / mean_lifetime)
+    # A tiny mean lifetime takes the survival log to -inf, as in release_pmf.
+    with np.errstate(over="ignore"):
+        log_survive[survivors] = (active - count)[survivors] * (-1.0 / mean_lifetime)
     exponents = log_choose + count * log_release + log_survive
     masses = np.array(list(map(math.exp, exponents.tolist())))
     return [masses[start:start + size] for start, size in zip(starts.tolist(), sizes.tolist())]

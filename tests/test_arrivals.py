@@ -206,9 +206,10 @@ class TestReleasePmfTable:
         direct = np.array([release_pmf(mu, a, k) for a in range(max_active + 1) for k in range(a + 1)])
         np.testing.assert_array_equal(np.concatenate(table).view(np.uint64), direct.view(np.uint64))
 
-    # 1e-310 makes log_survive -inf (and releases every slice), 1e-3 rounds
-    # the release probability to 1, and 1e300 makes it about 1e-300.
-    @pytest.mark.parametrize("mu", [1e-310, 1e-3, 0.5, 4.0, 1e300])
+    # 1e-310 makes log_survive -inf (and releases every slice), 2.2e-308
+    # overflows it to -inf for two or more survivors, 1e-3 rounds the
+    # release probability to 1, and 1e300 makes it about 1e-300.
+    @pytest.mark.parametrize("mu", [1e-310, 2.2250738585072014e-308, 1e-3, 0.5, 4.0, 1e300])
     def test_equals_release_pmf_up_to_700(self, mu):
         assert -math.expm1(-1.0 / 1e-3) == 1.0
         self._assert_bitwise_equal(mu, 700)
