@@ -101,8 +101,8 @@ def release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]
 
     The exponents of the whole triangle are formed with numpy in
     ``release_pmf``'s order of operations, from the same ``math.lgamma``
-    values; only the final ``math.exp`` is taken per entry, since numpy's
-    ``exp`` may differ from it in the last bit.
+    values and survival logs; only the final ``math.exp`` is taken per
+    entry, since numpy's ``exp`` may differ from it in the last bit.
     """
     if max_active < 0:
         raise ValueError(f"max_active must be >= 0, got {max_active}")
@@ -112,15 +112,14 @@ def release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]
     starts = np.cumsum(sizes) - sizes
     active = np.repeat(sizes - 1, sizes)
     count = np.arange(len(active)) - np.repeat(starts, sizes)
+    survivors = active - count
     log_factorial = np.array([math.lgamma(n + 1) for n in range(max_active + 1)])
-    log_choose = log_factorial[active] - log_factorial[count] - log_factorial[active - count]
+    log_choose = log_factorial[active] - log_factorial[count] - log_factorial[survivors]
     log_release = math.log(-math.expm1(-1.0 / mean_lifetime))
-    log_survive = np.zeros(len(active))
-    survivors = count < active
-    # A tiny mean lifetime takes the survival log to -inf, as in release_pmf.
-    with np.errstate(over="ignore"):
-        log_survive[survivors] = (active - count)[survivors] * (-1.0 / mean_lifetime)
-    exponents = log_choose + count * log_release + log_survive
+    # By survivor count, formed as release_pmf forms it: 0.0 with none, also
+    # where a tiny mean lifetime takes the others to -inf.
+    log_survive = np.array([0.0] + [n * (-1.0 / mean_lifetime) for n in range(1, max_active + 1)])
+    exponents = log_choose + count * log_release + log_survive[survivors]
     masses = np.array(list(map(math.exp, exponents.tolist())))
     return [masses[start:start + size] for start, size in zip(starts.tolist(), sizes.tolist())]
 
