@@ -18,8 +18,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 State = tuple[int, ...]
 
 
@@ -93,35 +91,6 @@ def release_pmf(mean_lifetime: float, active: int, count: int) -> float:
         math.lgamma(active + 1) - math.lgamma(count + 1) - math.lgamma(active - count + 1)
     )
     return math.exp(log_choose + count * log_release + log_survive)
-
-
-def release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]:
-    """``release_pmf(mean_lifetime, active, k)`` for every ``k <= active <=
-    max_active``, as one array over ``k`` per ``active``, bit for bit.
-
-    The exponents of the whole triangle are formed with numpy in
-    ``release_pmf``'s order of operations, from the same ``math.lgamma``
-    values and survival logs; only the final ``math.exp`` is taken per
-    entry, since numpy's ``exp`` may differ from it in the last bit.
-    """
-    if max_active < 0:
-        raise ValueError(f"max_active must be >= 0, got {max_active}")
-    if not mean_lifetime > 0:
-        raise ValueError(f"mean_lifetime must be > 0, got {mean_lifetime}")
-    sizes = np.arange(1, max_active + 2)
-    starts = np.cumsum(sizes) - sizes
-    active = np.repeat(sizes - 1, sizes)
-    count = np.arange(len(active)) - np.repeat(starts, sizes)
-    survivors = active - count
-    log_factorial = np.array([math.lgamma(n + 1) for n in range(max_active + 1)])
-    log_choose = log_factorial[active] - log_factorial[count] - log_factorial[survivors]
-    log_release = math.log(-math.expm1(-1.0 / mean_lifetime))
-    # By survivor count, formed as release_pmf forms it: 0.0 with none, also
-    # where a tiny mean lifetime takes the others to -inf.
-    log_survive = np.array([0.0] + [n * (-1.0 / mean_lifetime) for n in range(1, max_active + 1)])
-    exponents = log_choose + count * log_release + log_survive[survivors]
-    masses = np.array(list(map(math.exp, exponents.tolist())))
-    return [masses[start:start + size] for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 def arrival_pmf(scenario: DemandScenario, kind: int, count: int, state: State) -> float:

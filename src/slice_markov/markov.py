@@ -21,7 +21,7 @@ rows of its bags, weighted by the bags' masses, one bag after another.
 
 A build makes no Python call per bag or per key. The creation masses are
 one outer product per build; a row extends it by its release pmfs, read
-from one table per type and build (``arrivals.release_pmf_table``). A row's
+from one table per type and build (``_release_pmf_table``). A row's
 keys are the creation box's keys at the build's depth, scaled by the row's
 release box and offset by its own (``_KeyBoxes.row_keys``).
 """
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrivals import DemandScenario, creation_pmf, release_pmf_table, request_kinds, sequence_prob
+from .arrivals import DemandScenario, creation_pmf, request_kinds, sequence_prob
 from .domain import (
     AdmissibilityRegion,
     ResourceModel,
@@ -115,6 +115,35 @@ def _iter_request_bags(state: State, q_plus_max: int, num_types: int):
     release_ranges = [range(state[n] + 1) for n in range(num_types)]
     for counts in itertools.product(*creation_ranges, *release_ranges):
         yield counts
+
+
+def _release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]:
+    """``release_pmf(mean_lifetime, active, k)`` for every ``k <= active <=
+    max_active``, as one array over ``k`` per ``active``, bit for bit.
+
+    The exponents of the whole triangle are formed with numpy in
+    ``release_pmf``'s order of operations, from the same ``math.lgamma``
+    values and survival logs; only the final ``math.exp`` is taken per
+    entry, since numpy's ``exp`` may differ from it in the last bit.
+    """
+    if max_active < 0:
+        raise ValueError(f"max_active must be >= 0, got {max_active}")
+    if not mean_lifetime > 0:
+        raise ValueError(f"mean_lifetime must be > 0, got {mean_lifetime}")
+    sizes = np.arange(1, max_active + 2)
+    starts = np.cumsum(sizes) - sizes
+    active = np.repeat(sizes - 1, sizes)
+    count = np.arange(len(active)) - np.repeat(starts, sizes)
+    survivors = active - count
+    log_factorial = np.array([math.lgamma(n + 1) for n in range(max_active + 1)])
+    log_choose = log_factorial[active] - log_factorial[count] - log_factorial[survivors]
+    log_release = math.log(-math.expm1(-1.0 / mean_lifetime))
+    # By survivor count, formed as release_pmf forms it: 0.0 with none, also
+    # where a tiny mean lifetime takes the others to -inf.
+    log_survive = np.array([0.0] + [n * (-1.0 / mean_lifetime) for n in range(1, max_active + 1)])
+    exponents = log_choose + count * log_release + log_survive[survivors]
+    masses = np.array(list(map(math.exp, exponents.tolist())))
+    return [masses[start:start + size] for start, size in zip(starts.tolist(), sizes.tolist())]
 
 
 # One ordering table per strategy, at the deepest q_plus_max built with it
@@ -372,7 +401,7 @@ def build_transition_matrix(
     Each bag's joint mass is the product of its per-kind masses, taken left
     to right in ``request_kinds`` order from 1.0 as ``multiset_prob`` does:
     the outer product of the creation pmfs, made once per build, extended by
-    the row's release pmfs, which come from one ``release_pmf_table`` per
+    the row's release pmfs, which come from one ``_release_pmf_table`` per
     type with ``release_pmf``'s bits. The ordering distributions come from
     the strategy's shared table (see ``_ordering_table``), so a later build
     with the same strategy at the same or a shallower depth builds none; a
@@ -394,7 +423,7 @@ def build_transition_matrix(
         np.array([creation_pmf(rate, k) for k in range(q_plus_max + 1)]) for rate in scenario.creation_rates
     ])
     release_pmfs = [
-        release_pmf_table(lifetime, max(state[n] for state in region.states))
+        _release_pmf_table(lifetime, max(state[n] for state in region.states))
         for n, lifetime in enumerate(scenario.mean_lifetimes)
     ]
     probs = np.empty((size, size))

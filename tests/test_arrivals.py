@@ -9,7 +9,6 @@ from __future__ import annotations
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +22,6 @@ from slice_markov import (
     request_kinds,
     sequence_prob,
 )
-from slice_markov.arrivals import release_pmf_table
 
 # mpmath 50-digit references, rounded to nearest float64.
 EXP_HALF_NEG = 0.6065306597126334  # exp(-1/2)
@@ -193,40 +191,6 @@ class TestReleasePmf:
         mass = release_pmf(4.0, 500, 250)
         assert math.isfinite(mass)
         assert 0.0 <= mass <= 1.0
-
-
-class TestReleasePmfTable:
-    """The matrix builder reads every release mass from one table per type;
-    each entry must have the bits of ``release_pmf``'s."""
-
-    @staticmethod
-    def _assert_bitwise_equal(mu, max_active):
-        table = release_pmf_table(mu, max_active)
-        assert [len(pmf) for pmf in table] == list(range(1, max_active + 2))
-        direct = np.array([release_pmf(mu, a, k) for a in range(max_active + 1) for k in range(a + 1)])
-        np.testing.assert_array_equal(np.concatenate(table).view(np.uint64), direct.view(np.uint64))
-
-    # 1e-310 makes log_survive -inf (and releases every slice), 2.2e-308
-    # overflows it to -inf for two or more survivors, 1e-3 rounds the
-    # release probability to 1, and 1e300 makes it about 1e-300.
-    @pytest.mark.parametrize("mu", [1e-310, 2.2250738585072014e-308, 1e-3, 0.5, 4.0, 1e300])
-    def test_equals_release_pmf_up_to_700(self, mu):
-        assert -math.expm1(-1.0 / 1e-3) == 1.0
-        self._assert_bitwise_equal(mu, 700)
-
-    @given(
-        mu=st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False, allow_infinity=False),
-        max_active=st.integers(min_value=0, max_value=60),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_equals_release_pmf(self, mu, max_active):
-        self._assert_bitwise_equal(mu, max_active)
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            release_pmf_table(0.0, 3)
-        with pytest.raises(ValueError):
-            release_pmf_table(4.0, -1)
 
 
 # ---------------------------------------------------------------------------
