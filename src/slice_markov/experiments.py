@@ -36,7 +36,14 @@ from .domain import (
 from .errors import ConfigError
 from .markov import build_transition_matrix, truncation_tail_bound
 from .serialize import TraceRows
-from .simulate import SimConfig, estimate_empirical_matrix, rmse, simulate_episodes, worker_pool
+from .simulate import (
+    SimConfig,
+    check_simulated_periods,
+    estimate_empirical_matrix,
+    rmse,
+    simulate_episodes,
+    worker_pool,
+)
 
 log = logging.getLogger("slice_markov")
 
@@ -370,7 +377,7 @@ def strategies_document(cfg: ExperimentConfig) -> dict:
     rows = []
     for i, strategy in enumerate(strategies):
         # The decision table, one 0/1 group per state: bit row*N + n, lowest first.
-        cells = "".join(str(strategy.bits >> k & 1) for k in range(len(region) * width))
+        cells = format(strategy.bits, f"0{len(region) * width}b")[::-1]
         table = "|".join(cells[row:row + width] for row in range(0, len(cells), width))
         rows.append([f"D{i}", strategy.bits, table])
     return _document(
@@ -518,8 +525,14 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     strategies per (scenario, depth) with mean and population variance.
     """
     region = cfg.region()
-    strategies = enumerate_valid_strategies(cfg.model, region)
     proto = cfg.figure3
+    # Counted, not enumerated: listing 2**20 strategies alone takes seconds.
+    pairs = len(proto.scenarios) * 2 ** region.creation_mask.bit_count()
+    check_simulated_periods(
+        pairs * proto.num_runs * proto.periods_per_run,
+        f"{pairs} (scenario, strategy) pairs of {proto.num_runs} runs of {proto.periods_per_run} periods",
+    )
+    strategies = enumerate_valid_strategies(cfg.model, region)
     rows = []
     summary_rows = []
     # One process pool serves every (scenario, strategy) simulation.

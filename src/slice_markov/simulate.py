@@ -206,6 +206,11 @@ _POISSON_MAX = 9.223372006484771e18
 # baseline's scenario A peaks at about 50 bytes per expected draw under
 # tracemalloc, so the cap keeps a run within about 0.8 GB.
 MAX_RUN_DRAWS = 1 << 24
+# Most periods one protocol, or one figure3 sweep over all its pairs, may
+# simulate. figure3 simulates at about 0.21 us per period, and a call's
+# trajectory array takes 8 bytes per boundary, so the cap is about 28 s of
+# figure3 or a 1.07 GB array.
+MAX_SIMULATED_PERIODS = 1 << 27
 
 
 def _creation_law(rates) -> tuple[float, np.ndarray]:
@@ -250,6 +255,15 @@ def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: i
             f"draws per run, above the cap of {MAX_RUN_DRAWS} draws per run"
         )
     return mean, width, slices
+
+
+def check_simulated_periods(periods: int, what: str) -> None:
+    """Refuse, with :class:`~slice_markov.errors.GuardExceededError`, a
+    simulation of more than ``MAX_SIMULATED_PERIODS`` periods in all."""
+    if periods > MAX_SIMULATED_PERIODS:
+        raise GuardExceededError(
+            f"{what} simulate {periods} periods, above the cap of {MAX_SIMULATED_PERIODS} simulated periods"
+        )
 
 
 def _draw_run(rng: np.random.Generator, mean: float, width: int, slices: list, start: int | None) -> tuple:
@@ -642,10 +656,12 @@ def simulate_episodes(
     one worker the runs are split into batches that run in ``pool``, a
     :func:`worker_pool` shared by several calls, or in a pool opened for
     this call. A protocol whose mean count of creations per run reaches
-    numpy's Poisson limit, or whose runs expect more than ``MAX_RUN_DRAWS``
-    draws, is refused before any draw.
+    numpy's Poisson limit, whose runs expect more than ``MAX_RUN_DRAWS``
+    draws, or whose runs hold more than ``MAX_SIMULATED_PERIODS`` periods
+    in all, is refused before any draw.
     """
     _draw_args(scenario, strategy.region, sim.periods_per_run)
+    check_simulated_periods(sim.num_runs * sim.periods_per_run, f"{sim.num_runs} runs of {sim.periods_per_run} periods")
     if workers is not None and workers > 1:
         bounds = np.linspace(0, sim.num_runs, min(workers, sim.num_runs) + 1, dtype=int)
         tasks = [
@@ -701,15 +717,24 @@ def rmse(analytical_probs: np.ndarray, empirical: EmpiricalMatrix) -> float:
 def markov_order_test(trajectories: np.ndarray, num_states: int) -> tuple[float, int, float]:
     """Chi-square check that the next state depends on history only through
     the present: within each stratum of s(t), tests independence of s(t+1)
-    from s(t-1) on the observed triple counts, then pools the statistics.
+    from s(t-1) on the observed triple counts, then pools the statistics
+    (Anderson & Goodman 1957).
 
     Returns (statistic, degrees of freedom, p-value). Strata without at
     least a 2x2 table of occupied rows and columns carry no information and
-    are skipped. Only the triples that occur are counted, so the memory
-    taken grows with the trajectories, not with ``num_states**3``; a
-    stratum's table has its occupied rows and columns in state order.
+    are skipped. A kept stratum j with r_j occupied rows (values of s(t-1))
+    and c_j occupied columns (values of s(t+1)) adds (r_j - 1)(c_j - 1)
+    degrees of freedom and Pearson's
+
+        X_j^2 = n_j * (sum(O^2 / (R * C)) - 1)
+
+    over the triples that occur, where O is a triple's count, R and C its
+    row and column totals and n_j the stratum's total. The pooled sum is
+    clamped at zero, where an independent table can round below it. Only
+    the triples that occur are counted, so the memory taken grows with the
+    trajectories, not with ``num_states**3``.
     """
-    from scipy.stats import chi2, chi2_contingency
+    from scipy.special import chdtrc
 
     trajectories = np.asarray(trajectories)
     if trajectories.ndim == 1:
@@ -719,21 +744,20 @@ def markov_order_test(trajectories: np.ndarray, num_states: int) -> tuple[float,
     prev = trajectories[:, :-2].ravel()
     mid = trajectories[:, 1:-1].ravel()
     nxt = trajectories[:, 2:].ravel()
-    # Sorted, the codes of the triples that occur run stratum by stratum.
     codes, counts = np.unique((mid * num_states + prev) * num_states + nxt, return_counts=True)
-    stratum, pair = np.divmod(codes, num_states * num_states)
-    bounds = np.flatnonzero(np.diff(stratum)) + 1
-    statistic = 0.0
-    dof = 0
-    for pairs, tally in zip(np.split(pair, bounds), np.split(counts, bounds)):
-        rows, row_of = np.unique(pairs // num_states, return_inverse=True)
-        cols, col_of = np.unique(pairs % num_states, return_inverse=True)
-        if len(rows) < 2 or len(cols) < 2:
-            continue
-        table = np.zeros((len(rows), len(cols)), dtype=tally.dtype)
-        table[row_of, col_of] = tally
-        result = chi2_contingency(table, correction=False)
-        statistic += float(result.statistic)
-        dof += int(result.dof)
-    pvalue = float(chi2.sf(statistic, dof)) if dof else 1.0
+    stratum = codes // num_states**2
+    # A row is a (stratum, prev) pair and a column a (stratum, next) pair.
+    rows, row_of = np.unique(codes // num_states, return_inverse=True)
+    cols, col_of = np.unique(stratum * num_states + codes % num_states, return_inverse=True)
+    row_totals = np.bincount(row_of, weights=counts)
+    col_totals = np.bincount(col_of, weights=counts)
+    num_rows = np.bincount(rows // num_states, minlength=num_states)
+    num_cols = np.bincount(cols // num_states, minlength=num_states)
+    kept = (num_rows >= 2) & (num_cols >= 2)
+    totals = np.bincount(stratum, weights=counts, minlength=num_states)[kept]
+    ratios = counts * (counts / (row_totals[row_of] * col_totals[col_of]))
+    sums = np.bincount(stratum, weights=ratios, minlength=num_states)[kept]
+    statistic = max(0.0, float(np.sum(totals * (sums - 1.0))))
+    dof = int(np.sum((num_rows[kept] - 1) * (num_cols[kept] - 1)))
+    pvalue = float(chdtrc(dof, statistic)) if dof else 1.0
     return statistic, dof, pvalue

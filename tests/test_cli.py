@@ -334,17 +334,46 @@ class TestExitCodes:
         assert time.perf_counter() - started < 2.0
         assert not (tmp_path / "out").exists()
 
-    def test_figure3_bag_guard_stops_before_any_simulation(self, tmp_path):
+    def test_figure3_bag_guard_stops_before_any_simulation(self, tmp_path, caplog):
         # 600,010 bags at q=60000 on the four-state region. One strategy's
         # simulation at 50,000 runs x 100 periods takes several seconds, so
-        # the cap must be met before the first one starts.
+        # the cap must be met before the first one starts. The sweep's
+        # periods stay under the cap on simulated periods.
         body = config_dict(str(tmp_path / "out"))
         body["figure3"].update(q_plus_max=[1, 60000], num_runs=50_000, periods_per_run=100)
         path = write_config(tmp_path, body)
         started = time.perf_counter()
         assert main(["figure3", "--config", path, "--quiet"]) == 4
         assert time.perf_counter() - started < 2.0
+        assert "request bags" in caplog.text
         assert not (tmp_path / "out").exists()
+
+    def test_figure3_sweep_guard_stops_before_enumeration(self, tmp_path, caplog):
+        # The baseline at cost 0.05: 21 states and 2**20 valid strategies,
+        # the most that may be listed, of which the sweep would run for
+        # about a day. It is refused from the strategy count alone.
+        with resources.files("slice_markov").joinpath("configs/baseline.json").open(encoding="utf-8") as handle:
+            body = json.load(handle)
+        body["model"]["cost_matrix"] = [[0.05]]
+        body["output"]["dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, body)
+        started = time.perf_counter()
+        assert main(["figure3", "--config", path, "--quiet"]) == 4
+        assert time.perf_counter() - started < 2.0
+        assert f"cap of {slice_markov.simulate.MAX_SIMULATED_PERIODS} simulated periods" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_simulate_period_guard_stops_before_any_draw(self, tmp_path, caplog, monkeypatch):
+        # 15 runs of 10 periods pass a cap of 150 periods and are refused
+        # by a cap of 149 before a run is drawn.
+        path = write_config(tmp_path, config_dict(str(tmp_path / "out")))
+        monkeypatch.setattr(slice_markov.simulate, "MAX_SIMULATED_PERIODS", 150)
+        assert main(["simulate", "--config", path, "--quiet"]) == 0
+        monkeypatch.setattr(slice_markov.simulate, "MAX_SIMULATED_PERIODS", 149)
+        monkeypatch.setattr(slice_markov.simulate, "_draw_run", None)  # a draw would raise TypeError
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "refused"), "--quiet"]) == 4
+        assert "cap of 149 simulated periods" in caplog.text
+        assert not (tmp_path / "refused").exists()
 
     @pytest.mark.parametrize("command", ["region", "matrix", "simulate"])
     def test_region_guard(self, tmp_path, command):

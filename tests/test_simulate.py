@@ -5,6 +5,8 @@ from __future__ import annotations
 import bisect
 import concurrent.futures
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from operator import itemgetter
@@ -1045,7 +1047,32 @@ class TestMarkovOrderTest:
         num_states = int(rng.integers(2, 9))
         occurring = rng.choice(num_states, size=int(rng.integers(1, num_states + 1)), replace=False)
         trajectories = rng.choice(occurring, size=(int(rng.integers(1, 5)), int(rng.integers(3, 80))))
-        assert markov_order_test(trajectories, num_states) == self._dense_reference(trajectories, num_states)
+        statistic, dof, pvalue = markov_order_test(trajectories, num_states)
+        ref_statistic, ref_dof, ref_pvalue = self._dense_reference(trajectories, num_states)
+        # The closed form sums in another order than the dense tables do.
+        assert dof == ref_dof
+        assert statistic == pytest.approx(ref_statistic, rel=1e-12)
+        assert pvalue == pytest.approx(ref_pvalue, rel=1e-12)
+
+    def test_independent_stratum_reads_zero(self):
+        # Stratum 0 holds the table [[2, 1], [2, 1]], whose closed form
+        # rounds to -8.9e-16; the chi-square tail at a negative statistic is
+        # NaN, so the statistic is clamped at zero.
+        trajectories = np.array([[1, 0, 1]] * 2 + [[1, 0, 2]] + [[2, 0, 1]] * 2 + [[2, 0, 2]])
+        assert markov_order_test(trajectories, 3) == (0.0, 1, 1.0)
+
+    def test_loads_no_scipy_stats(self):
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from slice_markov import markov_order_test\n"
+            "markov_order_test(np.array([0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0]), 2)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+        )
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "[]"
 
     def test_memory_grows_with_the_trajectories_not_the_region(self):
         # 200 states would take a 64 MB array of 200**3 counters; the
@@ -1055,7 +1082,7 @@ class TestMarkovOrderTest:
         scenario = DemandScenario(creation_rates=(100.0,), mean_lifetimes=(1.0,))
         sim = SimConfig(num_runs=40, periods_per_run=50, seed=5)
         runs = simulate_episodes(scenario, always_accept_strategy(region), sim)
-        markov_order_test(runs[:1], len(region))  # loads scipy.stats
+        markov_order_test(runs[:1], len(region))  # loads scipy.special
         tracemalloc.start()
         try:
             _, dof, _ = markov_order_test(runs, len(region))
