@@ -1056,8 +1056,8 @@ class TestMarkovOrderTest:
 
     def test_independent_stratum_reads_zero(self):
         # Stratum 0 holds the table [[2, 1], [2, 1]], whose closed form
-        # rounds to -8.9e-16; the chi-square tail at a negative statistic is
-        # NaN, so the statistic is clamped at zero.
+        # rounds below zero (to about -7e-16); the chi-square tail at a
+        # negative statistic is NaN, so the statistic is clamped at zero.
         trajectories = np.array([[1, 0, 1]] * 2 + [[1, 0, 2]] + [[2, 0, 1]] * 2 + [[2, 0, 2]])
         assert markov_order_test(trajectories, 3) == (0.0, 1, 1.0)
 
