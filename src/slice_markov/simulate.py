@@ -21,7 +21,11 @@ is decided. Runs are therefore folded a block at a time in numpy
 types, and its creations, initial releases and potential releases are
 sorted once and scanned with all of its runs in lockstep, one event per
 step; a potential release stays a no-op unless its creation is accepted.
-Blocks hold about ``_BLOCK_DRAWS`` draws, and no result depends on how runs
+A run draws its start and creation total as Python ints, and its uniforms
+and lifetimes straight into its block's two float64 arrays
+(:func:`_draw_blocks`), so that no run has arrays of its own and a block
+is never gathered. A block's arrays hold ``_BLOCK_DRAWS`` draws between
+them, unless one run alone needs more, and no result depends on how runs
 are split into blocks or workers.
 
 Within-period mechanics: a slice admitted during period t becomes active at
@@ -153,18 +157,18 @@ def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
 
 @cache
 def _seed_words_type() -> type:
-    """The class of :func:`_run_rngs`' seed sequences, made on first use:
+    """The class of :func:`_run_rngs`' seed-word holder, made on first use:
     importing ``numpy.random`` at module level would load it into every
     command, simulating or not."""
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
-        """A run's four ``_seed_words``, which it gives PCG64 as its seed
-        state; PCG64 asks a seed sequence for four uint64 words, nothing
-        else, and reads them straight from the array's buffer, so they
+        """Four ``_seed_words``, which it gives PCG64 as its seed state;
+        PCG64 asks a seed sequence for four uint64 words, nothing else, and
+        reads them straight from the array's buffer when it is made, so they
         are a row of ``_seed_words``' C-contiguous uint64 array."""
 
-        def __init__(self, words: np.ndarray):
+        def __init__(self, words: np.ndarray | None = None):
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
@@ -178,23 +182,30 @@ def _run_rngs(seed: int, start: int, stop: int):
     [start, stop), hashing the seed words ``_SEED_CHUNK`` runs at a time.
 
     numpy seeds each PCG64 from its words, so that no per-run
-    ``SeedSequence`` is made; with numpy 2.4 on a 2-core Xeon VM that costs
-    about 1.2 microseconds a run, against 2 to set a reused generator's
-    state dict to the same stream.
+    ``SeedSequence`` is made. Every PCG64 of a call is seeded from one
+    ``SeedWords`` holder whose words are swapped before each run, so a
+    generator's ``bit_generator.seed_seq`` is that shared holder, with
+    another run's words; it is never read after seeding, since nothing here
+    spawns or jumps a generator. With numpy 2.4 on a 2-core Xeon VM a
+    generator takes about 1.0 microsecond a run, against 1.3 with a holder
+    per run and 2 to set a reused generator's state dict to the same
+    stream.
     """
-    seed_words = _seed_words_type()
+    holder = _seed_words_type()()
     for first in range(start, stop, _SEED_CHUNK):
         runs = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
         for words in _seed_words(seed, runs):
-            yield np.random.Generator(np.random.PCG64(seed_words(words)))
+            holder.words = words
+            yield np.random.Generator(np.random.PCG64(holder))
 
 
-# Draws a block of runs may hold before it is folded: uniforms and unit
-# lifetimes. The fold's working set (sort keys, step grid, states after each
-# step) grows with the block; its per-step cost is paid once for every run
-# of the block. 28,672 draws hold about 140 of figure3's 100-period runs of
-# scenario A, and keep the fold's working set within about 2.4 times the
-# trajectory array of 1000 such runs.
+# Draws a block of runs may hold before it is folded: its uniforms and unit
+# lifetimes, in two arrays of this many draws between them. The fold's
+# working set (sort keys, step grid, states after each step) grows with the
+# block; its per-step cost is paid once for every run of the block. 28,672
+# draws hold about 140 of figure3's 100-period runs of scenario A, and keep
+# the fold's working set within about 2.4 times the trajectory array of 1000
+# such runs.
 _BLOCK_DRAWS = 7 << 12
 # Sorted keys gathered at a time by the tie test.
 _TIE_SLICE = 1 << 13
@@ -232,8 +243,8 @@ def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
 
 
 def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: int) -> tuple:
-    """The arguments of :func:`_draw_run` after the generator and the start:
-    ``(mean, width, slices)``.
+    """The arguments of :func:`_draw_blocks` after the generators and their
+    count, and before the start: ``(mean, width, slices)``.
 
     A mean of creations per run at or above numpy's Poisson limit (about
     9.2e18), or one whose expected draws per run, ``mean * (width + 1)``
@@ -266,19 +277,59 @@ def check_simulated_periods(periods: int, what: str) -> None:
         )
 
 
-def _draw_run(rng: np.random.Generator, mean: float, width: int, slices: list, start: int | None) -> tuple:
-    """Every draw of one run, in the order :func:`run_episode` gives:
-    ``(start index, uniforms, unit lifetimes)``.
+def _draw_blocks(rngs, runs: int, mean: float, width: int, slices: list, start: int | None):
+    """Every draw of ``runs`` runs, one generator each from ``rngs``, a
+    block at a time: yields ``[starts, totals, uniforms, units]``, the runs'
+    start indices and creation totals as lists of ints, and their uniforms
+    and unit lifetimes, run after run, as two float64 arrays.
 
-    ``mean`` is the run's expected number of creations, ``width`` the
-    uniforms each creation takes (1 with one type, 2 with more), and
-    ``slices`` the number of slices held in each state of the region.
-    ``start=None`` draws the start index.
+    Each run draws in the order :func:`run_episode` gives, straight into the
+    block's arrays (``random(out=...)``, ``standard_exponential(out=...)``).
+    ``mean`` is a run's expected number of creations, ``width`` the uniforms
+    each creation takes (1 with one type, 2 with more), and ``slices`` the
+    number of slices held in each state of the region. ``start=None`` draws
+    each start index.
+
+    A block's two arrays hold ``_BLOCK_DRAWS`` draws between them, split by
+    the share of uniforms a run expects, or an eighth more than the
+    remaining runs expect, plus 64, when that is fewer. A block closes when a
+    run's draws would overflow either array, and a run too large for an
+    empty array gets an array of its own size. The yielded arrays are views
+    whose buffers the generator no longer holds, so the fold frees each
+    buffer after its last read.
     """
-    if start is None:
-        start = int(rng.random() * len(slices))
-    total = rng.poisson(mean)
-    return start, rng.random(width * total), rng.standard_exponential(slices[start] + total)
+    size = len(slices)
+    expected = (width + 1) * mean + (sum(slices) / size if start is None else slices[start])
+    share = width * mean / expected
+    starts, totals, uniforms, units = [], [], None, None
+    used_uniforms = used_units = 0
+    room_uniforms = room_units = -1
+    for left, rng in zip(range(runs, 0, -1), rngs):
+        first = int(rng.random() * size) if start is None else start
+        total = int(rng.poisson(mean))
+        draw_uniforms = width * total
+        draw_units = slices[first] + total
+        if used_uniforms + draw_uniforms > room_uniforms or used_units + draw_units > room_units:
+            if starts:
+                block = [starts, totals, uniforms[:used_uniforms], units[:used_units]]
+                starts, totals, uniforms, units = [], [], None, None
+                yield block
+            draws = min(_BLOCK_DRAWS, left * expected * 9 / 8 + 64)
+            room_uniforms = max(draw_uniforms, int(draws * share))
+            room_units = max(draw_units, int(draws * (1 - share)))
+            uniforms = np.empty(room_uniforms)
+            units = np.empty(room_units)
+            used_uniforms = used_units = 0
+        starts.append(first)
+        totals.append(total)
+        rng.random(out=uniforms[used_uniforms:used_uniforms + draw_uniforms])
+        rng.standard_exponential(out=units[used_units:used_units + draw_units])
+        used_uniforms += draw_uniforms
+        used_units += draw_units
+    if starts:
+        block = [starts, totals, uniforms[:used_uniforms], units[:used_units]]
+        del uniforms, units
+        yield block
 
 
 def _fold_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -348,9 +399,10 @@ def _lockstep(successor: np.ndarray, release: np.ndarray, grid: np.ndarray, swit
 
 
 def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: tuple, periods: int,
-                runs: list, out: np.ndarray) -> None:
-    """Fold the draws of a block of runs (:func:`_draw_run` tuples) through
-    ``tables`` (:func:`_fold_tables`), writing their trajectories to ``out``.
+                block: list, out: np.ndarray) -> None:
+    """Fold the draws of a block of runs, ``[starts, totals, uniforms,
+    units]`` as :func:`_draw_blocks` yields them, through ``tables``
+    (:func:`_fold_tables`), writing their trajectories to ``out``.
 
     The events of run r in period t form group ``r * periods + t``: its
     creations, the releases of initial slices whose lifetimes end in t, and
@@ -367,32 +419,29 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     ``w`` is the uniforms per creation, period ``floor(periods*u)`` and
     offset ``periods*u - period``; with several types its type is its mark
     ``uniforms[w*i + 1]`` against the edges of :func:`_creation_law`. Its
-    fresh unit lifetime is the i-th after the run's initial ones.
+    fresh unit lifetime is the i-th after the run's initial ones. The
+    uniforms and lifetimes of the block's runs follow one another in its two
+    arrays.
 
-    ``runs`` is emptied once its draws are gathered. Each array is dropped
-    after its last read and cell numbers are 32-bit where they fit, so that
-    a block holds few bytes per event beyond the scan's own grid.
+    ``block`` is emptied once it is unpacked. Each array is dropped after its
+    last read and cell numbers are 32-bit where they fit, so that a block
+    holds few bytes per event beyond the scan's own grid.
     """
     successor, release, states = tables
     num_types = scenario.num_types
     width = 2 * num_types + 1
     noop = width - 1
-    count = len(runs)
+    starts, totals, uniforms, units = block
+    block.clear()
+    count = len(starts)
     groups = count * periods
     size = len(region)
     means = np.array(scenario.mean_lifetimes)
-    # The block's draws, one array for each draw of :func:`_draw_run`. The
-    # list is emptied and each draw's per-run arrays are dropped once it is
-    # gathered, so that the block holds its draws about once.
-    starts, uniforms, units = zip(*runs)
-    runs.clear()
     starts = np.array(starts)
     initial_counts = states[starts]
     initial_total = initial_counts.sum(axis=1)
     per_creation = 1 if num_types == 1 else 2
-    totals = np.fromiter(map(len, uniforms), np.intp, count) // per_creation
-    uniforms = np.concatenate(uniforms)
-    units = np.concatenate(units)
+    totals = np.array(totals, dtype=np.intp)
     # Each run's unit lifetimes are its initial ones, then its fresh ones.
     initial = np.repeat(np.tile((True, False), count), np.column_stack((initial_total, totals)).ravel())
     initial_units = units[initial]
@@ -563,9 +612,11 @@ def run_episode(
        only if its creation is accepted.
 
     After these draws the run makes no further generator calls, whatever
-    the number of types. Draws 3 and 4 are read with IEEE-exact operations
-    only (multiply, floor, subtract, compare), so no result depends on
-    which SIMD code numpy dispatches to. The law is the paper's: given T,
+    the number of types. Calls 3 and 4 fill slices of its block's arrays
+    with ``out=`` (:func:`_draw_blocks`), which draws the same numbers.
+    Draws 3 and 4 are read with IEEE-exact operations only (multiply, floor,
+    subtract, compare), so no result depends on which SIMD code numpy
+    dispatches to. The law is the paper's: given T,
     the points of a Poisson process on ``[0, periods)`` are iid uniform and
     their marks iid, so the counts of every (period, type) cell are
     independent Poisson(rate_n) with uniform offsets. Initial slices get
@@ -595,8 +646,8 @@ def run_episode(
     region = strategy.region
     start = None if initial_state is None else _start_index(region, initial_state)
     out = np.empty((1, periods + 1), dtype=np.int64)
-    _fold_block(scenario, region, _fold_tables(strategy), periods,
-                [_draw_run(rng, *_draw_args(scenario, region, periods), start)], out)
+    block = next(_draw_blocks((rng,), 1, *_draw_args(scenario, region, periods), start))
+    _fold_block(scenario, region, _fold_tables(strategy), periods, block, out)
     return out[0]
 
 
@@ -606,21 +657,13 @@ def _episode_batch(args) -> np.ndarray:
     first = None if sim.initial_state is None else _start_index(region, sim.initial_state)
     periods = sim.periods_per_run
     tables = _fold_tables(strategy)
-    mean, width, slices = _draw_args(scenario, region, periods)
     out = np.empty((stop - start, periods + 1), dtype=np.int64)
-    block = []
-    load = 0
     done = 0
-    for rng in _run_rngs(sim.seed, start, stop):
-        draws = _draw_run(rng, mean, width, slices, first)
-        block.append(draws)
-        load += len(draws[1]) + len(draws[2])
-        if load >= _BLOCK_DRAWS:
-            end = done + len(block)
-            _fold_block(scenario, region, tables, periods, block, out[done:end])
-            done, load = end, 0
-    if block:
-        _fold_block(scenario, region, tables, periods, block, out[done:])
+    for block in _draw_blocks(_run_rngs(sim.seed, start, stop), stop - start,
+                              *_draw_args(scenario, region, periods), first):
+        end = done + len(block[0])
+        _fold_block(scenario, region, tables, periods, block, out[done:end])
+        done = end
     return out
 
 

@@ -370,7 +370,7 @@ class TestExitCodes:
         monkeypatch.setattr(slice_markov.simulate, "MAX_SIMULATED_PERIODS", 150)
         assert main(["simulate", "--config", path, "--quiet"]) == 0
         monkeypatch.setattr(slice_markov.simulate, "MAX_SIMULATED_PERIODS", 149)
-        monkeypatch.setattr(slice_markov.simulate, "_draw_run", None)  # a draw would raise TypeError
+        monkeypatch.setattr(slice_markov.simulate, "_draw_blocks", None)  # a draw would raise TypeError
         assert main(["simulate", "--config", path, "--out", str(tmp_path / "refused"), "--quiet"]) == 4
         assert "cap of 149 simulated periods" in caplog.text
         assert not (tmp_path / "refused").exists()

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tracemalloc
 from operator import itemgetter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from slice_markov import simulate
 from slice_markov.simulate import (
     _creation_law,
     _draw_args,
-    _draw_run,
+    _draw_blocks,
     _episode_batch,
     _fold_block,
     _fold_tables,
@@ -228,8 +229,15 @@ class TestRunEpisode:
             run_episode(scenario, strategy, 40, run_rng(26, 0), initial_state=(0,))
 
 
+def _run_draws(rng, mean, width, slices, start) -> tuple:
+    """One run's draws as ``(start index, uniforms, unit lifetimes)``, from
+    ``_draw_blocks``' block of that one run."""
+    starts, _, uniforms, units = next(_draw_blocks((rng,), 1, mean, width, slices, start))
+    return starts[0], uniforms, units
+
+
 class TestCreationDraws:
-    """``_draw_run`` draws a drawn start with ``random()``, then the total
+    """``_draw_blocks`` draws a drawn start with ``random()``, then the total
     with ``poisson(periods * total_rate)``, the uniforms with
     ``random(width * total)`` and the unit lifetimes with
     ``standard_exponential(initial + total)``, and must leave the generator
@@ -263,7 +271,7 @@ class TestCreationDraws:
                     uniforms = reference.random(width * total)
                     units = reference.standard_exponential(self.SLICES[first] + total)
                     rng = np.random.Generator(make(seed))
-                    drawn = _draw_run(rng, mean, width, self.SLICES, start)
+                    drawn = _run_draws(rng, mean, width, self.SLICES, start)
                     assert drawn[0] == first
                     np.testing.assert_array_equal(drawn[1], uniforms)
                     np.testing.assert_array_equal(drawn[2], units)
@@ -442,7 +450,7 @@ def _decode(scenario, periods, uniforms):
 
 def _reference_fold(scenario, strategy, periods, draws) -> np.ndarray:
     """The per-period fold the block fold replaced, on the draws of one run
-    (a ``_draw_run`` tuple): a slice's release is filed under its period when
+    (a ``_run_draws`` tuple): a slice's release is filed under its period when
     the slice becomes active, and each period sorts its creations and
     releases as (offset, column, creation id) tuples, a release's id being
     -1, and applies them one by one."""
@@ -491,7 +499,9 @@ def _reference_fold(scenario, strategy, periods, draws) -> np.ndarray:
 def fold_cases(draw):
     """A model of up to three types with a random valid strategy, rates from
     far below 1 to above numpy's switch at 10, lifetimes from 0.01 to 1e12
-    periods, a fixed or uniform start, and a split of the runs into blocks."""
+    periods, a fixed or uniform start, a split of the runs into blocks, and
+    a block budget from one draw, where each run gets arrays of its own size,
+    to the default."""
     num_types = draw(st.integers(min_value=1, max_value=3))
     costs = tuple(draw(st.floats(min_value=0.2, max_value=1.0)) for _ in range(num_types))
     region = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=(costs,)))
@@ -505,15 +515,22 @@ def fold_cases(draw):
     runs = draw(st.integers(min_value=1, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=2**64 - 1))
     cuts = sorted(set(draw(st.lists(st.integers(min_value=1, max_value=runs), max_size=3))))
-    return scenario, strategy, periods, start, runs, seed, cuts
+    budget = draw(st.sampled_from((1, 4, 16, 64, simulate._BLOCK_DRAWS)))
+    return scenario, strategy, periods, start, runs, seed, cuts, budget
 
 
 def _fold_in_blocks(scenario, strategy, periods, draws, bounds) -> np.ndarray:
+    """Fold the runs' ``_run_draws`` tuples in the blocks ``bounds`` cut,
+    each gathered into ``_fold_block``'s ``[starts, totals, uniforms,
+    units]``."""
     out = np.empty((len(draws), periods + 1), dtype=np.int64)
     tables = _fold_tables(strategy)
+    width = 1 if scenario.num_types == 1 else 2
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if stop > start:
-            _fold_block(scenario, strategy.region, tables, periods, draws[start:stop], out[start:stop])
+            starts, uniforms, units = zip(*draws[start:stop])
+            block = [list(starts), [len(u) // width for u in uniforms], np.concatenate(uniforms), np.concatenate(units)]
+            _fold_block(scenario, strategy.region, tables, periods, block, out[start:stop])
     return out
 
 
@@ -521,11 +538,11 @@ class TestBlockFold:
     @given(case=fold_cases())
     @settings(max_examples=60, deadline=None)
     def test_equals_reference_fold(self, case):
-        scenario, strategy, periods, start, runs, seed, cuts = case
+        scenario, strategy, periods, start, runs, seed, cuts, budget = case
         region = strategy.region
         index = None if start is None else region.index_of[start]
         args = _draw_args(scenario, region, periods)
-        draws = [_draw_run(run_rng(seed, r), *args, index) for r in range(runs)]
+        draws = [_run_draws(run_rng(seed, r), *args, index) for r in range(runs)]
         expected = np.array([_reference_fold(scenario, strategy, periods, d) for d in draws])
         sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=seed, initial_state=start)
         np.testing.assert_array_equal(simulate_episodes(scenario, strategy, sim), expected)
@@ -533,35 +550,72 @@ class TestBlockFold:
             np.testing.assert_array_equal(
                 _fold_in_blocks(scenario, strategy, periods, draws, bounds), expected
             )
-        # The split of --workers 2, each part one batch.
+        # The split of --workers 2, each part one batch, drawn in blocks of
+        # the drawn budget.
         bounds = np.linspace(0, runs, 3, dtype=int).tolist()
-        batches = [
-            _episode_batch((scenario, strategy, sim, a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
+        with mock.patch.object(simulate, "_BLOCK_DRAWS", budget):
+            batches = [
+                _episode_batch((scenario, strategy, sim, a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
+            ]
         np.testing.assert_array_equal(np.vstack(batches), expected)
 
     @pytest.mark.parametrize("budget", [1, 500, simulate._BLOCK_DRAWS])
     def test_block_budget_does_not_change_runs(self, monkeypatch, scenario_a, accept_all, budget):
-        # A budget of one draw folds every run as its own block, the
-        # reference here; 500 draws hold a couple of 100-period runs, and
-        # the default budget about 140, so 450 runs take at least three
-        # blocks. One block of all 450 runs must agree too.
+        # A budget of one draw folds every run as its own block, in arrays
+        # of the run's own size, the reference here; each of those runs is
+        # checked against the reference fold. 500 draws hold a couple of
+        # 100-period runs, and the default budget about 140, so 450 runs
+        # take at least three blocks. One block of all 450 runs must agree
+        # too.
         sim = SimConfig(num_runs=450, periods_per_run=100, seed=33)
         fold = simulate._fold_block
+        # Each folded block's [starts, totals, uniforms, units], copied
+        # before the fold empties the list.
         blocks = []
-        monkeypatch.setattr(simulate, "_fold_block", lambda *args: blocks.append(len(args[4])) or fold(*args))
+        monkeypatch.setattr(simulate, "_fold_block", lambda *args: blocks.append(list(args[4])) or fold(*args))
 
-        def runs(draws):
+        def runs(draws, scenario=scenario_a, protocol=sim):
             monkeypatch.setattr(simulate, "_BLOCK_DRAWS", draws)
             blocks.clear()
-            return simulate_episodes(scenario_a, accept_all, sim)
+            return simulate_episodes(scenario, accept_all, protocol)
+
+        def counts():
+            return [len(starts) for starts, *_ in blocks]
 
         expected = runs(1)
-        assert blocks == [1] * 450
+        assert counts() == [1] * 450
+        for trajectory, (starts, _, uniforms, units) in zip(expected, blocks):
+            assert len(uniforms) + len(units) > 1
+            np.testing.assert_array_equal(
+                trajectory, _reference_fold(scenario_a, accept_all, 100, (starts[0], uniforms, units))
+            )
         np.testing.assert_array_equal(runs(budget), expected)
         assert len(blocks) >= 3
         np.testing.assert_array_equal(runs(sys.maxsize), expected)
-        assert blocks == [450]
+        assert counts() == [450]
+
+        if budget == 500:
+            # Rare creations from starts drawn over 0 to 3 slices: a run's
+            # lifetimes are mostly its start's, so a block's two arrays fill
+            # unevenly, and it closes when one of them is full while the
+            # other still has room for the next run's draws of its kind. A
+            # block's arrays are views of its buffers, whose sizes are the
+            # bases' lengths; one type takes one uniform a creation.
+            sparse = DemandScenario(creation_rates=(0.05,), mean_lifetimes=(4.0,))
+            protocol = SimConfig(num_runs=450, periods_per_run=10, seed=34)
+            args = _draw_args(sparse, accept_all.region, 10)
+            reference = [
+                _reference_fold(sparse, accept_all, 10, _run_draws(run_rng(34, r), *args, None)) for r in range(450)
+            ]
+            np.testing.assert_array_equal(runs(budget, sparse, protocol), reference)
+            slices = args[2]
+            overflows = [
+                (len(uniforms) + totals[0] > len(uniforms.base),
+                 len(units) + slices[starts[0]] + totals[0] > len(units.base))
+                for (_, _, uniforms, units), (starts, totals, _, _) in zip(blocks, blocks[1:])
+            ]
+            assert overflows and all(any(full) for full in overflows)
+            assert (True, False) in overflows or (False, True) in overflows
 
     @pytest.mark.parametrize("keys_per_slice", [1, 2, 3, simulate._TIE_SLICE])
     def test_ties_are_found_across_slices(self, monkeypatch, keys_per_slice):
@@ -620,8 +674,9 @@ class TestBlockFold:
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
         # 1000 runs x 100 periods: about 2.4 times the trajectory array's
-        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (3.0 with
-        # 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
+        # bytes with blocks of 7 * 2**12 uniforms and lifetimes, drawn into
+        # two arrays per block or, before that, into arrays per run (3.0
+        # with 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
         # stamps and lifetimes of earlier folds), against about 17 times
         # when all 1000 runs are one block.
         cfg = load_config(default_config_path())
@@ -690,7 +745,7 @@ class TestCreationLaw:
         counts = np.zeros((self.RUNS, self.PERIODS, len(self.RATES)), dtype=int)
         offsets = []
         for run in range(self.RUNS):
-            _, uniforms, _ = _draw_run(run_rng(7, run), mean, 2, [0], 0)
+            _, uniforms, _ = _run_draws(run_rng(7, run), mean, 2, [0], 0)
             for period, offset, kind in _decode(scenario, self.PERIODS, uniforms):
                 counts[run, period, kind] += 1
                 offsets.append(offset)
