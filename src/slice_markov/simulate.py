@@ -168,7 +168,7 @@ def _seed_words_type() -> type:
         reads them straight from the array's buffer when it is made, so they
         are a row of ``_seed_words``' C-contiguous uint64 array."""
 
-        def __init__(self, words: np.ndarray | None = None):
+        def __init__(self, words: np.ndarray):
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
@@ -191,7 +191,7 @@ def _run_rngs(seed: int, start: int, stop: int):
     per run and 2 to set a reused generator's state dict to the same
     stream.
     """
-    holder = _seed_words_type()()
+    holder = _seed_words_type()(None)
     for first in range(start, stop, _SEED_CHUNK):
         runs = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
         for words in _seed_words(seed, runs):

@@ -674,9 +674,9 @@ class TestBlockFold:
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
         # 1000 runs x 100 periods: about 2.4 times the trajectory array's
-        # bytes with blocks of 7 * 2**12 uniforms and lifetimes, drawn into
-        # two arrays per block or, before that, into arrays per run (3.0
-        # with 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
+        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (2.42 drawn
+        # into two arrays per block, 2.43 into arrays per run; 3.0 with
+        # 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
         # stamps and lifetimes of earlier folds), against about 17 times
         # when all 1000 runs are one block.
         cfg = load_config(default_config_path())
