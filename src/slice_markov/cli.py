@@ -34,16 +34,6 @@ EXIT_GUARD = 4
 EXIT_OUTPUT = 5
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slice-markov",
@@ -69,9 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--no-renormalize", action="store_true",
                          help="keep raw rows with deficits instead of renormalizing")
         cmd.add_argument("--quiet", action="store_true", help="suppress progress logging")
-        if name in ("simulate", "figure2", "figure3"):
-            cmd.add_argument("--workers", type=_positive_int, default=None,
-                             help="worker processes for simulation runs (default: serial)")
         if name == "simulate":
             cmd.add_argument("--traces", action="store_true",
                              help="also write per-run state trajectories")
@@ -93,11 +80,11 @@ def run(args: argparse.Namespace) -> int:
     elif args.command == "matrix":
         docs = experiments.matrix_documents(cfg)
     elif args.command == "simulate":
-        docs = experiments.empirical_documents(cfg, workers=args.workers, include_traces=args.traces)
+        docs = experiments.empirical_documents(cfg, include_traces=args.traces)
     elif args.command == "figure2":
-        docs = [experiments.figure2_document(cfg, workers=args.workers)]
+        docs = [experiments.figure2_document(cfg)]
     else:
-        docs = [experiments.figure3_document(cfg, workers=args.workers)]
+        docs = [experiments.figure3_document(cfg)]
     for doc in docs:
         paths = serialize.write_document(doc, cfg.out_dir, cfg.out_format)
         for path in paths:

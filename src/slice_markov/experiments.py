@@ -42,7 +42,6 @@ from .simulate import (
     estimate_empirical_matrix,
     rmse,
     simulate_episodes,
-    worker_pool,
 )
 
 log = logging.getLogger("slice_markov")
@@ -422,9 +421,7 @@ def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
     return docs
 
 
-def empirical_documents(
-    cfg: ExperimentConfig, workers: int | None = None, include_traces: bool = False
-) -> list[dict]:
+def empirical_documents(cfg: ExperimentConfig, include_traces: bool = False) -> list[dict]:
     """Simulate the configured protocol once per scenario; empirical
     matrices, plus raw trajectories when asked for."""
     region = cfg.region()
@@ -437,7 +434,7 @@ def empirical_documents(
         seed = _child_seed(cfg.sim.seed, si)
         sim = SimConfig(cfg.sim.num_runs, cfg.sim.periods_per_run, seed, cfg.sim.initial_state)
         started = time.perf_counter()
-        trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
+        trajectories = simulate_episodes(scenario, strategy, sim)
         log.info("simulated scenario %s: %d runs x %d periods in %.1fs",
                  name, sim.num_runs, sim.periods_per_run, time.perf_counter() - started)
         empirical = estimate_empirical_matrix(region, trajectories)
@@ -468,7 +465,7 @@ def empirical_documents(
     return docs
 
 
-def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
+def figure2_document(cfg: ExperimentConfig) -> dict:
     """Analytical vs simulated per-period state distributions.
 
     The analytical side always uses a renormalized matrix: iterating a
@@ -486,7 +483,7 @@ def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
         cfg.model, region, scenario, strategy, proto.q_plus_max, renormalize=True
     )
     sim = SimConfig(proto.episodes, proto.periods, cfg.sim.seed, proto.initial_state)
-    trajectories = simulate_episodes(scenario, strategy, sim, workers=workers)
+    trajectories = simulate_episodes(scenario, strategy, sim)
     rows = []
     analytical = np.zeros(len(region))
     analytical[start] = 1.0
@@ -511,7 +508,7 @@ def figure2_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     )
 
 
-def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
+def figure3_document(cfg: ExperimentConfig) -> dict:
     """Truncation-error sweep over scenarios, valid strategies, and depths.
 
     Each (scenario, strategy) pair runs one independent simulation with a
@@ -535,33 +532,31 @@ def figure3_document(cfg: ExperimentConfig, workers: int | None = None) -> dict:
     strategies = enumerate_valid_strategies(cfg.model, region)
     rows = []
     summary_rows = []
-    # One process pool serves every (scenario, strategy) simulation.
-    with worker_pool(workers, proto.num_runs) as pool:
-        for si, name in enumerate(proto.scenarios):
-            scenario = cfg.scenarios[name]
-            errors = {q: [] for q in proto.q_plus_max}
-            started = time.perf_counter()
-            for di, strategy in enumerate(strategies):
-                # Builds draw no randomness; making them first lets a depth over
-                # the bag cap fail before any simulation runs, and deepest first
-                # builds the strategy's ordering table once.
-                matrices = {
-                    q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
-                    for q in sorted(proto.q_plus_max, reverse=True)
-                }
-                seed = _child_seed(cfg.sim.seed, si, di)
-                sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
-                trajectories = simulate_episodes(scenario, strategy, sim, workers=workers, pool=pool)
-                empirical = estimate_empirical_matrix(region, trajectories)
-                for q in proto.q_plus_max:
-                    epsilon = rmse(matrices[q].probs, empirical)
-                    rows.append([name, f"D{di}", strategy.bits, q, epsilon, len(empirical.zero_visit_rows)])
-                    errors[q].append(epsilon)
+    for si, name in enumerate(proto.scenarios):
+        scenario = cfg.scenarios[name]
+        errors = {q: [] for q in proto.q_plus_max}
+        started = time.perf_counter()
+        for di, strategy in enumerate(strategies):
+            # Builds draw no randomness; making them first lets a depth over
+            # the bag cap fail before any simulation runs, and deepest first
+            # builds the strategy's ordering table once.
+            matrices = {
+                q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
+                for q in sorted(proto.q_plus_max, reverse=True)
+            }
+            seed = _child_seed(cfg.sim.seed, si, di)
+            sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
+            trajectories = simulate_episodes(scenario, strategy, sim)
+            empirical = estimate_empirical_matrix(region, trajectories)
             for q in proto.q_plus_max:
-                summary_rows.append([name, q, float(np.mean(errors[q])), float(np.var(errors[q]))])
-            log.info("scenario %s: %d strategies x %d depths in %.1fs; mean error %s",
-                     name, len(strategies), len(proto.q_plus_max), time.perf_counter() - started,
-                     " ".join(f"q{q}=%.3e" % float(np.mean(errors[q])) for q in proto.q_plus_max))
+                epsilon = rmse(matrices[q].probs, empirical)
+                rows.append([name, f"D{di}", strategy.bits, q, epsilon, len(empirical.zero_visit_rows)])
+                errors[q].append(epsilon)
+        for q in proto.q_plus_max:
+            summary_rows.append([name, q, float(np.mean(errors[q])), float(np.var(errors[q]))])
+        log.info("scenario %s: %d strategies x %d depths in %.1fs; mean error %s",
+                 name, len(strategies), len(proto.q_plus_max), time.perf_counter() - started,
+                 " ".join(f"q{q}=%.3e" % float(np.mean(errors[q])) for q in proto.q_plus_max))
     return _document(
         "figure3", cfg,
         renormalized=cfg.renormalize,

@@ -220,17 +220,6 @@ class TestDeterminism:
             assert code == 0
         assert (out1 / "figure2.csv").read_bytes() == (out2 / "figure2.csv").read_bytes()
 
-    def test_worker_count_does_not_change_results(self, workspace, tmp_path):
-        config_path, _ = workspace
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        assert main(["simulate", "--config", str(config_path), "--out", str(serial), "--quiet"]) == 0
-        assert main(
-            ["simulate", "--config", str(config_path), "--out", str(parallel),
-             "--workers", "2", "--quiet"]
-        ) == 0
-        for name in ("empirical_A.csv", "empirical_C.csv"):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
-
     def test_seed_override_changes_hash_and_seed_line(self, workspace, tmp_path):
         config_path, out_dir = workspace
         assert main(["region", "--config", str(config_path), "--quiet"]) == 0
@@ -546,16 +535,10 @@ class TestExitCodes:
             main(["region"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-3", "abc"])
-    def test_worker_count_below_one_is_a_usage_error(self, workspace, workers):
-        config_path, _ = workspace
-        with pytest.raises(SystemExit) as excinfo:
-            main(["simulate", "--config", str(config_path), "--workers", workers, "--quiet"])
-        assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize("command", ["region", "strategies", "matrix"])
+    @pytest.mark.parametrize("command", ["region", "strategies", "matrix", "simulate", "figure2", "figure3"])
     def test_workers_only_for_simulating_commands(self, workspace, command):
-        # These commands simulate nothing, so they take no worker count.
+        # Every simulation runs in the calling process, so no command, the
+        # simulating ones included, takes a worker count.
         config_path, _ = workspace
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--config", str(config_path), "--workers", "2", "--quiet"])
@@ -637,8 +620,8 @@ def test_table_log_line_is_silenced_by_quiet(workspace):
 
 
 def test_serial_simulation_loads_no_process_pool():
-    # The process pool, and multiprocessing with it, is only imported for
-    # --workers above 1.
+    # Simulation runs in the calling process, so it imports no process pool
+    # and no multiprocessing.
     src = os.path.dirname(os.path.dirname(slice_markov.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import csv
 import hashlib
@@ -866,30 +865,6 @@ class TestFigure3Document:
             eps = [r[4] for r in doc["rows"] if r[0] == name and r[3] == q]
             assert mean == pytest.approx(np.mean(eps), rel=1e-12)
             assert var == pytest.approx(np.var(eps), rel=1e-9, abs=1e-15)
-
-    def test_workers_share_one_pool(self, monkeypatch):
-        # A pool that maps serially in this process and counts how often
-        # it is opened: the whole sweep, 8 strategies here, opens one.
-        opened = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                opened.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        cfg = small_config()
-        doc = figure3_document(cfg, workers=2)
-        assert opened == [2]
-        assert doc == figure3_document(cfg)
 
     def test_depths_share_simulation_per_strategy(self):
         # Zero-visit-row counts come from the shared empirical matrix, so

@@ -376,6 +376,24 @@ def small_builds(draw):
     return model, region, scenario, strategy, q
 
 
+@given(build=small_builds(), q=st.integers(min_value=1, max_value=3))
+@settings(max_examples=40, deadline=None)
+def test_truncation_trend_on_random_models(build, q):
+    # A seed-free form of AC-3's trend: one more creation level only adds
+    # bags, so no raw entry falls, each row gains exactly the mass its
+    # deficit loses, and no deficit exceeds the summed Poisson tails. The
+    # 1e-15 allows for the rounding of a deficit, 1 - row sum, and of the
+    # bound: a sweep of 500 such cases found both off by at most 5.6e-16.
+    model, region, scenario, strategy, _ = build
+    shallow = build_transition_matrix(model, region, scenario, strategy, q, renormalize=False)
+    deep = build_transition_matrix(model, region, scenario, strategy, q + 1, renormalize=False)
+    assert np.all(shallow.probs <= deep.probs)
+    gain = deep.probs.sum(axis=1) - shallow.probs.sum(axis=1)
+    np.testing.assert_allclose(gain, shallow.row_deficits - deep.row_deficits, rtol=0, atol=1e-15)
+    for matrix, depth in ((shallow, q), (deep, q + 1)):
+        assert np.all(matrix.row_deficits <= truncation_tail_bound(scenario, depth) + 1e-15)
+
+
 class TestOrderingTable:
     @given(build=small_builds())
     @settings(max_examples=30, deadline=None)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import bisect
-import concurrent.futures
 import math
 import os
 import subprocess
@@ -43,7 +42,6 @@ from slice_markov.simulate import (
     _creation_law,
     _draw_args,
     _draw_blocks,
-    _episode_batch,
     _fold_block,
     _fold_tables,
     _run_rngs,
@@ -88,13 +86,13 @@ class TestRunRng:
 
 
 class TestBulkStreams:
-    """The batch simulator hashes every run's seed words in bulk and has
-    numpy seed a PCG64 from them; each generator must be run_rng(seed, r)."""
+    """The simulator hashes every run's seed words in bulk and has numpy
+    seed a PCG64 from them; each generator must be run_rng(seed, r)."""
 
     SEEDS = (0, 1, 42, 2**63 + 5, 2**64 - 1)
-    # A batch from 0, one starting mid-range as a --workers batch does, one
-    # whose spawn keys take two uint32 words, one crossing 2**32, and one
-    # longer than a chunk of 1024 runs, so that one call hashes two chunks.
+    # A range from 0, one starting mid-range, one whose spawn keys take two
+    # uint32 words, one crossing 2**32, and one longer than a chunk of 1024
+    # runs, so that one call hashes two chunks.
     RANGES = ((0, 5), (1021, 1030), (2**32 + 7, 2**32 + 9), (2**32 - 2, 2**32 + 2), (1000, 2100))
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -131,6 +129,10 @@ class TestRunEpisode:
     def test_initial_state_outside_region_rejected(self, scenario_c, accept_all):
         with pytest.raises(ValueError):
             run_episode(scenario_c, accept_all, 5, run_rng(10, 0), initial_state=(9,))
+
+    def test_no_periods_rejected(self, scenario_c, accept_all):
+        with pytest.raises(ValueError, match="periods must be positive"):
+            run_episode(scenario_c, accept_all, 0, run_rng(10, 0), initial_state=(0,))
 
     def test_reproducible_via_seed(self, scenario_b, accept_all):
         a = run_episode(scenario_b, accept_all, 100, run_rng(11, 4))
@@ -356,43 +358,10 @@ class TestSimulateEpisodes:
         )
         np.testing.assert_array_equal(big[:3], small)
 
-    def test_parallel_matches_serial(self, scenario_b, accept_all):
-        sim = SimConfig(num_runs=12, periods_per_run=25, seed=15)
-        serial = simulate_episodes(scenario_b, accept_all, sim)
-        parallel = simulate_episodes(scenario_b, accept_all, sim, workers=3)
-        np.testing.assert_array_equal(serial, parallel)
-
-    def test_pool_is_no_wider_than_the_batches(self, monkeypatch, scenario_c, accept_all):
-        # A pool that maps serially in this process and records its width:
-        # 8 workers on 3 runs make 3 batches, so 3 processes would start.
-        widths = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                widths.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        sim = SimConfig(num_runs=3, periods_per_run=10, seed=16)
-        runs = simulate_episodes(scenario_c, accept_all, sim, workers=8)
-        assert widths == [3]
-        np.testing.assert_array_equal(runs, simulate_episodes(scenario_c, accept_all, sim))
-
     @pytest.mark.parametrize("two_types", [False, True])
     @pytest.mark.parametrize("fixed_start", [False, True])
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_equals_run_episode_on_run_rng(
-        self, model, region, scenario_b, accept_all, two_types, fixed_start, workers
-    ):
-        # Pins the batch path to run_rng without a golden file, which a
+    def test_equals_run_episode_on_run_rng(self, model, region, scenario_b, accept_all, two_types, fixed_start):
+        # Pins simulate_episodes to run_rng without a golden file, which a
         # numpy upgrade could break.
         if two_types:
             model, scenario = TestAgainstReferenceSimulator.MODEL, TestAgainstReferenceSimulator.SCENARIO
@@ -406,7 +375,7 @@ class TestSimulateEpisodes:
             run_episode(scenario, strategy, sim.periods_per_run, run_rng(sim.seed, r), start)
             for r in range(sim.num_runs)
         ])
-        runs = simulate_episodes(scenario, strategy, sim, workers=workers)
+        runs = simulate_episodes(scenario, strategy, sim)
         np.testing.assert_array_equal(runs, expected)
 
     def test_uniform_initialization_covers_region(self, scenario_c, accept_all):
@@ -550,14 +519,9 @@ class TestBlockFold:
             np.testing.assert_array_equal(
                 _fold_in_blocks(scenario, strategy, periods, draws, bounds), expected
             )
-        # The split of --workers 2, each part one batch, drawn in blocks of
-        # the drawn budget.
-        bounds = np.linspace(0, runs, 3, dtype=int).tolist()
+        # All runs drawn in blocks of the drawn budget.
         with mock.patch.object(simulate, "_BLOCK_DRAWS", budget):
-            batches = [
-                _episode_batch((scenario, strategy, sim, a, b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-            ]
-        np.testing.assert_array_equal(np.vstack(batches), expected)
+            np.testing.assert_array_equal(simulate_episodes(scenario, strategy, sim), expected)
 
     @pytest.mark.parametrize("budget", [1, 500, simulate._BLOCK_DRAWS])
     def test_block_budget_does_not_change_runs(self, monkeypatch, scenario_a, accept_all, budget):
@@ -704,7 +668,7 @@ TRANSCENDENTAL = (
 @pytest.mark.parametrize("two_types", [False, True])
 def test_no_transcendental_ufunc_reads_a_variate(monkeypatch, region, scenario_a, accept_all, two_types):
     # Periods, offsets, types and lifetimes come from multiplies, floors,
-    # subtractions and comparisons; a batch and a single run call none of
+    # subtractions and comparisons; many runs and a single run call none of
     # the ufuncs above.
     if two_types:
         scenario = TestAgainstReferenceSimulator.SCENARIO
@@ -960,6 +924,13 @@ class TestEstimateEmpiricalMatrix:
         with pytest.raises(ValueError):
             estimate_empirical_matrix(region, np.array([0]))
 
+    @pytest.mark.parametrize("runs", [[[0, 4], [1, 1]], [[1, -1]]], ids=["past-the-region", "negative"])
+    def test_state_outside_region_rejected(self, region, runs):
+        # Pair codes state * |R| + next would read 0 -> 4 as 1 -> 0, and
+        # 1 -> -1 as 0 -> 3.
+        with pytest.raises(ValueError, match=r"state indices must lie in \[0, 4\)"):
+            estimate_empirical_matrix(region, np.array(runs))
+
 
 # ---------------------------------------------------------------------------
 # Error metric
@@ -1075,6 +1046,15 @@ class TestMarkovOrderTest:
     def test_short_input_rejected(self):
         with pytest.raises(ValueError):
             markov_order_test(np.array([0, 1]), 2)
+
+    def test_state_beyond_num_states_rejected(self):
+        # With num_states=2 the triple codes of states 2 and 3 would land in
+        # other strata and give (3.75, 2, 0.153) instead of 4 states' (3.33,
+        # 2, 0.189).
+        runs = np.array([[0, 1, 0, 1, 2, 1, 0, 3, 3, 2, 1, 0]])
+        assert markov_order_test(runs, 4)[1] == 2
+        with pytest.raises(ValueError, match=r"state indices must lie in \[0, 2\)"):
+            markov_order_test(runs, 2)
 
     @staticmethod
     def _dense_reference(trajectories, num_states):
