@@ -33,11 +33,12 @@ from .domain import (
     state_label,
     strategy_from_table,
 )
-from .errors import ConfigError
+from .errors import ConfigError, GuardExceededError
 from .markov import build_transition_matrix, truncation_tail_bound
 from .serialize import TraceRows
 from .simulate import (
     SimConfig,
+    _draw_args,
     check_simulated_periods,
     estimate_empirical_matrix,
     rmse,
@@ -47,6 +48,10 @@ from .simulate import (
 log = logging.getLogger("slice_markov")
 
 OUTPUT_FORMATS = ("csv", "json")
+# Most rows figure2's table may hold, (periods + 1) per state. Its rows are
+# built in Python at about 6.6 us and 0.29 KB each, so the cap is about
+# 28 s or 1.2 GB.
+MAX_FIGURE2_ROWS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -470,7 +475,9 @@ def figure2_document(cfg: ExperimentConfig) -> dict:
 
     The analytical side always uses a renormalized matrix: iterating a
     deficit matrix would leak probability mass, so the renormalize flag only
-    governs matrix outputs and error sweeps.
+    governs matrix outputs and error sweeps. A table of more than
+    ``MAX_FIGURE2_ROWS`` rows is refused before the build and the
+    simulation, after the simulation's guards on one run.
     """
     region = cfg.region()
     strategy, label = resolve_strategy(cfg, region)
@@ -479,6 +486,15 @@ def figure2_document(cfg: ExperimentConfig) -> dict:
     if proto.initial_state not in region.index_of:
         raise ConfigError(f"figure2 initial state {list(proto.initial_state)} lies outside the region")
     start = region.index_of[proto.initial_state]
+    # A run past numpy's Poisson limit or the draw cap is refused as such
+    # first; simulate_episodes checks it again.
+    _draw_args(scenario, region, proto.periods)
+    table_rows = (proto.periods + 1) * len(region)
+    if table_rows > MAX_FIGURE2_ROWS:
+        raise GuardExceededError(
+            f"figure2 of {proto.periods} periods over {len(region)} states makes {table_rows} rows, "
+            f"above the cap of {MAX_FIGURE2_ROWS} rows"
+        )
     matrix = build_transition_matrix(
         cfg.model, region, scenario, strategy, proto.q_plus_max, renormalize=True
     )

@@ -120,16 +120,14 @@ def _iter_request_bags(state: State, q_plus_max: int, num_types: int):
 def _release_pmf_table(mean_lifetime: float, max_active: int) -> list[np.ndarray]:
     """``release_pmf(mean_lifetime, active, k)`` for every ``k <= active <=
     max_active``, as one array over ``k`` per ``active``, bit for bit.
+    ``mean_lifetime`` is a ``DemandScenario``'s, so finite and > 0, and
+    ``max_active`` a count of slices, so >= 0.
 
     The exponents of the whole triangle are formed with numpy in
     ``release_pmf``'s order of operations, from the same ``math.lgamma``
     values and survival logs; only the final ``math.exp`` is taken per
     entry, since numpy's ``exp`` may differ from it in the last bit.
     """
-    if max_active < 0:
-        raise ValueError(f"max_active must be >= 0, got {max_active}")
-    if not mean_lifetime > 0:
-        raise ValueError(f"mean_lifetime must be > 0, got {mean_lifetime}")
     sizes = np.arange(1, max_active + 2)
     starts = np.cumsum(sizes) - sizes
     active = np.repeat(sizes - 1, sizes)

@@ -108,16 +108,16 @@ _SEED_CHUNK = 1024
 
 def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)`` for
-    every r in ``runs``, as an array of shape (len(runs), 4); ``seed`` is
-    below 2**128 (``SimConfig`` holds it below 2**64).
+    every r in ``runs``, a uint32 array, as an array of shape (len(runs), 4).
 
-    The entropy is the seed's little-endian uint32 words padded with zeros to
-    the pool size of 4, then the words of r: one below 2**32, two above. The
-    pool's first hashing and cross-mixing depend on the seed alone, so they
-    run once on one-element arrays that broadcast; only r's words are mixed
-    per run.
+    numpy hashes the seed's uint32 words, padded with zeros, into a pool of
+    four and cross-mixes the pool in 16 hash steps; ``SeedSequence(seed)
+    .pool`` is that pool whether or not a spawn key follows. So only r's one
+    word is mixed into it per run, from the 17th hash constant on, and the
+    pool is hashed out as numpy does. The pool words are one-element arrays:
+    a product of numpy uint32 scalars warns when it overflows.
     """
-    hash_const = _INIT_A
+    hash_const = _INIT_A * pow(_MULT_A, 16, 1 << 32) & _MASK32
 
     def hashmix(value):
         nonlocal hash_const
@@ -130,24 +130,11 @@ def _seed_words(seed: int, runs: np.ndarray) -> np.ndarray:
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> np.uint32(16))
 
-    seed = int(seed)
-    pool = [hashmix(np.array([seed >> shift & _MASK32], dtype=np.uint32)) for shift in (0, 32, 64, 96)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    runs = np.asarray(runs, dtype=np.uint64)
-    low = (runs & np.uint64(_MASK32)).astype(np.uint32)
-    for dst in range(4):
-        pool[dst] = mix(pool[dst], hashmix(low))
-    high = (runs >> np.uint64(32)).astype(np.uint32)
-    for dst in range(4):
-        pool[dst] = np.where(high > 0, mix(pool[dst], hashmix(high)), pool[dst])
-
+    pool = [mix(word, hashmix(runs)) for word in np.random.SeedSequence(seed).pool.reshape(4, 1)]
     hash_const = _INIT_B
     out = np.empty((len(runs), 8), dtype="<u4")
     for i in range(8):
-        value = np.broadcast_to(pool[i % 4], len(runs)) ^ np.uint32(hash_const)
+        value = pool[i % 4] ^ np.uint32(hash_const)
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         out[:, i] = value ^ (value >> np.uint32(16))
@@ -176,9 +163,11 @@ def _seed_words_type() -> type:
     return SeedWords
 
 
-def _run_rngs(seed: int, start: int, stop: int):
-    """Yield ``run_rng(seed, r)``'s generator for each run r in
-    [start, stop), hashing the seed words ``_SEED_CHUNK`` runs at a time.
+def _run_rngs(seed: int, runs: int):
+    """Yield ``run_rng(seed, r)``'s generator for each run r in [0, runs),
+    hashing the seed words ``_SEED_CHUNK`` runs at a time. A run index is
+    one uint32 word: ``MAX_SIMULATED_PERIODS``, which bounds the runs of a
+    simulation, is below 2**32.
 
     numpy seeds each PCG64 from its words, so that no per-run
     ``SeedSequence`` is made. Every PCG64 of a call is seeded from one
@@ -191,9 +180,8 @@ def _run_rngs(seed: int, start: int, stop: int):
     stream.
     """
     holder = _seed_words_type()(None)
-    for first in range(start, stop, _SEED_CHUNK):
-        runs = np.arange(first, min(first + _SEED_CHUNK, stop), dtype=np.uint64)
-        for words in _seed_words(seed, runs):
+    for first in range(0, runs, _SEED_CHUNK):
+        for words in _seed_words(seed, np.arange(first, min(first + _SEED_CHUNK, runs), dtype=np.uint32)):
             holder.words = words
             yield np.random.Generator(np.random.PCG64(holder))
 
@@ -588,13 +576,20 @@ def _fold_runs(scenario: DemandScenario, strategy: Strategy, periods: int, rngs,
                initial_state: State | None) -> np.ndarray:
     """Draw and fold ``runs`` runs, one generator each from ``rngs``, a
     block at a time; returns their trajectories, an array of shape
-    (runs, periods+1)."""
+    (runs, periods+1).
+
+    Runs refused by :func:`_draw_args`, or of more than
+    ``MAX_SIMULATED_PERIODS`` periods in all, are refused in that order,
+    before the start lookup, the tables or any draw.
+    """
     region = strategy.region
+    args = _draw_args(scenario, region, periods)
+    check_simulated_periods(runs * periods, f"{runs} runs of {periods} periods")
     start = None if initial_state is None else _start_index(region, initial_state)
     tables = _fold_tables(strategy)
     out = np.empty((runs, periods + 1), dtype=np.int64)
     done = 0
-    for block in _draw_blocks(rngs, runs, *_draw_args(scenario, region, periods), start):
+    for block in _draw_blocks(rngs, runs, *args, start):
         end = done + len(block[0])
         _fold_block(scenario, region, tables, periods, block, out[done:end])
         done = end
@@ -657,7 +652,8 @@ def run_episode(
     accepted when the index changes. A ``-1`` met in the table (a release
     with no slice to release, or a corrupted table) or a count of slices
     outliving the horizon that disagrees with the final state is a
-    bookkeeping bug and aborts.
+    bookkeeping bug and aborts. A run refused by the guards of
+    :func:`simulate_episodes` is refused here too, before any draw.
     """
     if periods < 1:
         raise ValueError(f"periods must be positive, got {periods}")
@@ -672,11 +668,10 @@ def simulate_episodes(scenario: DemandScenario, strategy: Strategy, sim: SimConf
     on how the runs are split into blocks. A protocol whose mean count of
     creations per run reaches numpy's Poisson limit, whose runs expect more
     than ``MAX_RUN_DRAWS`` draws, or whose runs hold more than
-    ``MAX_SIMULATED_PERIODS`` periods in all, is refused before any draw.
+    ``MAX_SIMULATED_PERIODS`` periods in all, is refused before any draw,
+    with :class:`~slice_markov.errors.GuardExceededError`.
     """
-    _draw_args(scenario, strategy.region, sim.periods_per_run)
-    check_simulated_periods(sim.num_runs * sim.periods_per_run, f"{sim.num_runs} runs of {sim.periods_per_run} periods")
-    return _fold_runs(scenario, strategy, sim.periods_per_run, _run_rngs(sim.seed, 0, sim.num_runs), sim.num_runs,
+    return _fold_runs(scenario, strategy, sim.periods_per_run, _run_rngs(sim.seed, sim.num_runs), sim.num_runs,
                       sim.initial_state)
 
 
@@ -716,12 +711,17 @@ def rmse(analytical_probs: np.ndarray, empirical: EmpiricalMatrix) -> float:
     Each entry contributes [2(a - e) / (a + e)]^2, with 0/0 counted as zero
     agreement (both sides call the transition impossible). Rows the
     simulation never visited are left out of the sum; the divisor stays the
-    full squared region size.
+    full squared region size. A non-finite or negative analytical entry
+    raises ``ValueError``: the builders give entries >= 0, and the 0/0 rule
+    would drop a NaN entry, or one that cancels its empirical value, from
+    the sum.
     """
     analytical = np.asarray(analytical_probs, dtype=float)
     size = len(empirical.region)
     if analytical.shape != (size, size):
         raise ValueError(f"matrix shape {analytical.shape} does not match region size {size}")
+    if not np.all((analytical >= 0) & (analytical < np.inf)):
+        raise ValueError("analytical entries must be finite and >= 0")
     diff = 2.0 * (analytical - empirical.probs)
     denom = analytical + empirical.probs
     terms = np.zeros_like(denom)

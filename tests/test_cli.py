@@ -364,6 +364,22 @@ class TestExitCodes:
         assert "cap of 149 simulated periods" in caplog.text
         assert not (tmp_path / "refused").exists()
 
+    def test_figure2_table_guard_stops_before_any_draw(self, tmp_path, caplog, monkeypatch):
+        # baseline.json's 11 boundaries of 4 states make 44 rows, which pass
+        # a cap of 44 rows and are refused by a cap of 43 before a run is
+        # drawn.
+        with resources.files("slice_markov").joinpath("configs/baseline.json").open(encoding="utf-8") as handle:
+            body = json.load(handle)
+        body["output"]["dir"] = str(tmp_path / "out")
+        path = write_config(tmp_path, body)
+        monkeypatch.setattr(slice_markov.experiments, "MAX_FIGURE2_ROWS", 44)
+        assert main(["figure2", "--config", path, "--quiet"]) == 0
+        monkeypatch.setattr(slice_markov.experiments, "MAX_FIGURE2_ROWS", 43)
+        monkeypatch.setattr(slice_markov.simulate, "_draw_blocks", None)  # a draw would raise TypeError
+        assert main(["figure2", "--config", path, "--out", str(tmp_path / "refused"), "--quiet"]) == 4
+        assert "cap of 43 rows" in caplog.text
+        assert not (tmp_path / "refused").exists()
+
     @pytest.mark.parametrize("command", ["region", "matrix", "simulate"])
     def test_region_guard(self, tmp_path, command):
         # About 5e7 admissible states: enumeration stops at the region cap.

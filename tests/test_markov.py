@@ -343,12 +343,6 @@ class TestReleasePmfTable:
     def test_equals_release_pmf(self, mu, max_active):
         self._assert_bitwise_equal(mu, max_active)
 
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ValueError):
-            _release_pmf_table(0.0, 3)
-        with pytest.raises(ValueError):
-            _release_pmf_table(4.0, -1)
-
 
 @st.composite
 def small_builds(draw):

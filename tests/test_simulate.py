@@ -45,6 +45,7 @@ from slice_markov.simulate import (
     _fold_block,
     _fold_tables,
     _run_rngs,
+    _seed_words,
 )
 
 
@@ -90,20 +91,34 @@ class TestBulkStreams:
     seed a PCG64 from them; each generator must be run_rng(seed, r)."""
 
     SEEDS = (0, 1, 42, 2**63 + 5, 2**64 - 1)
-    # A range from 0, one starting mid-range, one whose spawn keys take two
-    # uint32 words, one crossing 2**32, and one longer than a chunk of 1024
-    # runs, so that one call hashes two chunks.
-    RANGES = ((0, 5), (1021, 1030), (2**32 + 7, 2**32 + 9), (2**32 - 2, 2**32 + 2), (1000, 2100))
+    # The tails of a call for 5 runs, for 1030 runs, across the edge of
+    # the first chunk of 1024, and for 2100 runs, which hashes three chunks.
+    RANGES = ((0, 5), (1021, 1030), (1000, 2100))
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("start, stop", RANGES)
     def test_states_reproduce_run_rng(self, seed, start, stop):
-        rngs = list(_run_rngs(seed, start, stop))
-        assert len(rngs) == stop - start
-        for run, rng in zip(range(start, stop), rngs):
+        rngs = list(_run_rngs(seed, stop))
+        assert len(rngs) == stop
+        for run, rng in zip(range(start, stop), rngs[start:]):
             reference = run_rng(seed, run)
             assert rng.bit_generator.state == reference.bit_generator.state
             np.testing.assert_array_equal(rng.random(8), reference.random(8))
+
+    def test_run_indices_fit_one_word(self):
+        # _seed_words mixes one uint32 word per run; the period cap bounds
+        # the runs of a simulation, each at least one period long.
+        assert simulate.MAX_SIMULATED_PERIODS <= 2**32
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        runs=st.lists(st.integers(min_value=0, max_value=simulate.MAX_SIMULATED_PERIODS - 1), min_size=8, max_size=8),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_seed_words_equal_numpy_s(self, seed, runs):
+        words = _seed_words(seed, np.array(runs, dtype=np.uint32))
+        expected = [np.random.SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64) for r in runs]
+        np.testing.assert_array_equal(words, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +148,16 @@ class TestRunEpisode:
     def test_no_periods_rejected(self, scenario_c, accept_all):
         with pytest.raises(ValueError, match="periods must be positive"):
             run_episode(scenario_c, accept_all, 0, run_rng(10, 0), initial_state=(0,))
+
+    def test_period_cap_stops_before_any_draw(self, monkeypatch, scenario_c, accept_all):
+        # One run of 10 periods passes a cap of 10 and is refused by a cap
+        # of 9 before a draw.
+        monkeypatch.setattr(simulate, "MAX_SIMULATED_PERIODS", 10)
+        run_episode(scenario_c, accept_all, 10, run_rng(10, 0))
+        monkeypatch.setattr(simulate, "MAX_SIMULATED_PERIODS", 9)
+        monkeypatch.setattr(simulate, "_draw_blocks", None)  # a draw would raise TypeError
+        with pytest.raises(GuardExceededError, match="cap of 9 simulated periods"):
+            run_episode(scenario_c, accept_all, 10, run_rng(10, 0))
 
     def test_reproducible_via_seed(self, scenario_b, accept_all):
         a = run_episode(scenario_b, accept_all, 100, run_rng(11, 4))
@@ -975,6 +1000,21 @@ class TestRmse:
         est = estimate_empirical_matrix(region, np.array([0, 1, 0]))
         with pytest.raises(ValueError):
             rmse(np.eye(3), est)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries_rejected(self, value):
+        # A NaN entry fails the denominator's > 0 test, so it would drop out
+        # of the sum: an all-NaN matrix would score 0.0, an all-inf one NaN.
+        _, est = _two_state_empirical()
+        with pytest.raises(ValueError, match="finite"):
+            rmse(np.full((2, 2), value), est)
+
+    def test_negative_entries_rejected(self):
+        # An entry of -e against an empirical e has a zero denominator, so
+        # it would drop out of the sum like 0/0.
+        _, est = _two_state_empirical()
+        with pytest.raises(ValueError, match=">= 0"):
+            rmse(-est.probs, est)
 
     def test_matches_hand_computation(self):
         _, est = _two_state_empirical()
