@@ -55,7 +55,9 @@ class SimConfig:
     """Simulation protocol: run count, horizon, seeding, and start policy.
 
     ``initial_state=None`` starts each run in a state drawn uniformly from
-    the region; a fixed tuple starts every run there.
+    the region; a fixed tuple starts every run there. The run count, horizon
+    and seed must be integers, Python's or numpy's, and are kept as Python
+    ints; a bool, a float or a string is refused with ``ValueError``.
     """
 
     num_runs: int
@@ -64,11 +66,16 @@ class SimConfig:
     initial_state: State | None = None
 
     def __post_init__(self):
+        for name in ("num_runs", "periods_per_run", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.num_runs < 1:
             raise ValueError(f"num_runs must be positive, got {self.num_runs}")
         if self.periods_per_run < 1:
             raise ValueError(f"periods_per_run must be positive, got {self.periods_per_run}")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if self.initial_state is not None:
             object.__setattr__(self, "initial_state", tuple(self.initial_state))
@@ -191,10 +198,11 @@ def _run_rngs(seed: int, runs: int):
 # working set (sort keys, step grid, states after each step) grows with the
 # block; its per-step cost is paid once for every run of the block. 28,672
 # draws hold about 140 of figure3's 100-period runs of scenario A, and keep
-# the fold's working set within about 2.4 times the trajectory array of 1000
-# such runs.
+# the fold's working set within 2.41 times the trajectory array of 1000 such
+# runs, at tracemalloc's peak.
 _BLOCK_DRAWS = 7 << 12
-# Sorted keys gathered at a time by the tie test.
+# Event indices ORed into the sort keys at a time, and sorted keys gathered
+# at a time by the ascending test.
 _TIE_SLICE = 1 << 13
 # numpy's largest Poisson mean, int64 max - 10 * sqrt(int64 max). A literal:
 # the first np.iinfo call of a process costs about 0.13 MB of resident memory.
@@ -348,16 +356,45 @@ def _fold_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (successor * width).ravel(), release.ravel(), states
 
 
-def _has_ties(key: np.ndarray, order: np.ndarray) -> bool:
-    """Whether two neighbours of ``key[order]`` are equal. The sorted keys
-    are gathered ``_TIE_SLICE`` at a time, so that a block holds its keys
+def _strictly_ascending(key: np.ndarray, order: np.ndarray) -> bool:
+    """Whether ``key[order]`` is strictly ascending. The sorted keys are
+    gathered ``_TIE_SLICE`` at a time, so that a block holds its keys
     once."""
     for first in range(0, len(order), _TIE_SLICE):
         ranked = key[order[first:first + _TIE_SLICE + 1]]
-        if np.any(ranked[1:] == ranked[:-1]):
-            return True
+        if np.any(ranked[1:] <= ranked[:-1]):
+            return False
         del ranked
-    return False
+    return True
+
+
+def _key_order(key: np.ndarray) -> np.ndarray | None:
+    """The order that sorts ``key``, an array of nonnegative finite
+    doubles, or None when two keys are equal.
+
+    The bit patterns of such doubles, read as int64, order as their values
+    do. Each pattern's low ``(len(key) - 1).bit_length()`` bits are replaced
+    by its key's index, ORed in ``_TIE_SLICE`` indices at a time, so that
+    one in-place sort of the patterns carries the order in its low bits.
+    The new patterns keep their key's sign and exponent, so they are again
+    nonnegative finite doubles, all distinct, and are sorted as doubles:
+    numpy's float64 sort is faster here than its int64 sort and pages in
+    less code. That order can be wrong only for keys that share their high
+    bits, and then ``key[order]`` is not strictly ascending: ``np.argsort``
+    is used instead.
+    """
+    events = len(key)
+    low = (1 << (events - 1).bit_length()) - 1
+    packed = key.view(np.int64) & ~low
+    for first in range(0, events, _TIE_SLICE):
+        packed[first:first + _TIE_SLICE] |= np.arange(first, min(first + _TIE_SLICE, events))
+    packed.view(np.float64).sort()
+    order = np.bitwise_and(packed, low, out=packed)
+    if _strictly_ascending(key, order):
+        return order
+    del packed, order
+    order = np.argsort(key)
+    return order if _strictly_ascending(key, order) else None
 
 
 def _lockstep(successor: np.ndarray, release: np.ndarray, grid: np.ndarray, switch: np.ndarray,
@@ -442,7 +479,6 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     del time
     group = np.repeat(np.arange(0, groups, periods, dtype=np.int32), totals)
     group += period.astype(np.int32)
-    del period
     if num_types == 1:
         kind = np.zeros(len(group), dtype=np.int32)
     else:
@@ -452,12 +488,13 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     creations = len(group)
     # A slice accepted in period t becomes active at boundary t+1 and is
     # released floor(x) periods later at offset x - floor(x), x its
-    # lifetime; x is tested against the horizon before flooring, since an
-    # inf or huge lifetime has no int.
+    # lifetime; x is tested against the periods left after t before
+    # flooring, since an inf or huge lifetime has no int.
     with np.errstate(over="ignore"):
         life = means[kind] * units
     del units
-    inside = life < (periods - 1) - group % periods
+    inside = life < (periods - 1) - period
+    del period
     released = np.flatnonzero(inside)
     held = np.flatnonzero(~inside)
     del inside
@@ -501,24 +538,26 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     # keys exactly; equal keys fall back to the full (group, offset, column,
     # creation id) order, where a release's id is -1.
     key = at + times
-    order = np.argsort(key)
-    if _has_ties(key, order):
+    order = _key_order(key)
+    del key
+    if order is None:
         ids = np.full(events, -1)
         ids[:creations] = np.arange(creations)
         order = np.lexsort((
             ids, np.concatenate((kind, num_types + kind[released], num_types + initial_kind)), times, at
         ))
-    del key, times, at
+    del times, at
 
     # Sorted, each run's events are contiguous, and the k-th event of run r
     # goes to cell 1 + k * count + r of the step grid. Cell 0 takes the
     # writes of declined creations, and cells past the grid stand for the
-    # releases that fall beyond the horizon. Cell numbers are 32-bit where
-    # they fit, and no partial sum exceeds them.
+    # releases that fall beyond the horizon. Cell numbers, and the flat
+    # indices of the boundary states below, are 32-bit where they fit, and
+    # no partial sum exceeds them.
     sizes = ends[:, -1]
     steps = int(sizes.max())
     cells = 1 + steps * count
-    cell_type = np.int32 if cells + len(held) <= np.iinfo(np.int32).max else np.intp
+    cell_type = np.int32 if cells + max(len(held), count) <= np.iinfo(np.int32).max else np.intp
     placed = np.arange(events, dtype=cell_type)
     placed -= np.repeat((np.cumsum(sizes) - sizes).astype(cell_type), sizes)
     placed *= count
@@ -569,7 +608,12 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
         )
     del grid
     out[:, 0] = starts
-    np.floor_divide(visited[ends, np.arange(count)[:, None]], width, out=out[:, 1:])
+    # Run r's state after period t is its state after ends[r, t] events,
+    # cell ends[r, t] * count + r of the flat states.
+    boundary = ends.astype(cell_type, copy=False)
+    boundary *= count
+    boundary += np.arange(count, dtype=cell_type)[:, None]
+    np.floor_divide(visited.ravel().take(boundary), width, out=out[:, 1:])
 
 
 def _fold_runs(scenario: DemandScenario, strategy: Strategy, periods: int, rngs, runs: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 from slice_markov import (
     DemandScenario,
@@ -31,6 +32,7 @@ from slice_markov import (
     stationary_distribution,
     truncation_tail_bound,
 )
+from slice_markov import simulate
 
 # Stationary mean occupancy of the unconstrained single-type chain:
 # rate / (1 - exp(-1/lifetime)) for rate 0.5, lifetime 4 (mpmath, 50 digits).
@@ -39,6 +41,28 @@ UNCONSTRAINED_MEAN = 2.260405832093899
 
 def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
+
+
+def _figure2_worst_gap(doc: dict) -> float:
+    """AC-2's statistic: the largest |analytical - empirical| state
+    probability of a figure2 document over periods 1..10."""
+    return max(abs(row[3] - row[4]) for row in doc["rows"] if 1 <= row[0] <= 10)
+
+
+def _markov_pvalues(periods: int) -> dict[str, float]:
+    """AC-7's p-values: one always-accept run of ``periods`` periods at
+    seed 42 per bundled scenario, tested for history dependence."""
+    cfg = load_config(default_config_path())
+    region = cfg.region()
+    strategy = always_accept_strategy(region)
+    pvalues = {}
+    for name in ("A", "B", "C"):
+        sim = SimConfig(num_runs=1, periods_per_run=periods, seed=42)
+        runs = simulate_episodes(cfg.scenarios[name], strategy, sim)
+        _, dof, pvalue = markov_order_test(runs, len(region))
+        assert dof > 0
+        pvalues[name] = pvalue
+    return pvalues
 
 
 def test_ac1_region_and_strategy_counts(acceptance_report):
@@ -66,7 +90,7 @@ def test_ac2_distribution_evolution(acceptance_report):
     assert cfg.figure2.q_plus_max == 4
     assert cfg.figure2.initial_state == (0,)
     doc = figure2_document(cfg)
-    worst = max(abs(row[3] - row[4]) for row in doc["rows"] if 1 <= row[0] <= 10)
+    worst = _figure2_worst_gap(doc)
     elapsed = perf_counter() - started
     ok = worst <= 0.02 and elapsed < 60.0
     acceptance_report(
@@ -207,16 +231,7 @@ def test_ac6_stochasticity_and_deficits(acceptance_report):
 
 def test_ac7_markov_property(acceptance_report):
     started = perf_counter()
-    cfg = load_config(default_config_path())
-    region = cfg.region()
-    strategy = always_accept_strategy(region)
-    pvalues = {}
-    for name in ("A", "B", "C"):
-        sim = SimConfig(num_runs=1, periods_per_run=100_000, seed=42)
-        runs = simulate_episodes(cfg.scenarios[name], strategy, sim)
-        _, dof, pvalue = markov_order_test(runs, len(region))
-        assert dof > 0
-        pvalues[name] = pvalue
+    pvalues = _markov_pvalues(100_000)
     elapsed = perf_counter() - started
     ok = all(p >= 0.01 for p in pvalues.values())
     shown = ", ".join(f"{name}: p={p:.3f}" for name, p in pvalues.items())
@@ -226,3 +241,56 @@ def test_ac7_markov_property(acceptance_report):
     )
     for name, p in pvalues.items():
         assert p >= 0.01, f"scenario {name} rejected first-order dependence (p={p})"
+
+
+class TestNegativeControls:
+    """AC-2 and AC-7 agree with the chain because slice lifetimes are
+    memoryless: the DP releases each slice with probability
+    ``1 - exp(-1/mu)`` a period, and initial slices get fresh exponential
+    lifetimes. With the simulator's unit lifetimes replaced, at the same
+    mean of 1, by a constant or by Erlang-4 draws, both checks must fail.
+
+    The lifetimes are replaced in each block that ``simulate._draw_blocks``
+    yields, after the block is drawn and before it is folded, so the
+    creations keep their draws. AC-2 runs its bundled protocol; fewer runs
+    let sampling noise alone exceed its tolerance. AC-7 runs a tenth of its
+    10^5 periods per scenario, where exponential lifetimes still pass."""
+
+    CONTROL_PERIODS = 10_000
+
+    @staticmethod
+    def _constant(rng, units):
+        units.fill(1.0)
+
+    @staticmethod
+    def _erlang(rng, units):
+        rng.standard_gamma(4.0, out=units)
+        units /= 4.0
+
+    @pytest.fixture(params=["exponential", "constant", "erlang-4"])
+    def lifetimes(self, request, monkeypatch) -> str:
+        """The unit-lifetime law of the test's runs; "exponential" leaves
+        the simulator's own draws in place."""
+        replace = {"constant": self._constant, "erlang-4": self._erlang}.get(request.param)
+        if replace is not None:
+            rng = np.random.default_rng(2024)
+            draw = simulate._draw_blocks
+
+            def drawn(*args):
+                for block in draw(*args):
+                    replace(rng, block[3])
+                    yield block
+
+            monkeypatch.setattr(simulate, "_draw_blocks", drawn)
+        return request.param
+
+    def test_ac2_gap(self, lifetimes):
+        worst = _figure2_worst_gap(figure2_document(load_config(default_config_path())))
+        assert (worst > 0.02) == (lifetimes != "exponential"), worst
+
+    def test_ac7_markov_property(self, lifetimes):
+        pvalues = _markov_pvalues(self.CONTROL_PERIODS)
+        if lifetimes == "exponential":
+            assert min(pvalues.values()) >= 0.01, pvalues
+        else:
+            assert max(pvalues.values()) < 0.01, pvalues

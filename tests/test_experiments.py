@@ -698,10 +698,12 @@ class TestEmpiricalDocuments:
         # Trace rows are a view over the int64 trajectory arrays. Measured
         # peaks: about 3.5 times the arrays' bytes with the view (most of
         # it the simulator's block of draws, sort keys and step grid, whose
-        # low-rate runs take fewer draws than per-type counts did; 3.54
-        # both with each run's draws in its block's two arrays and in
-        # arrays of its own; 4.5 with blocks of 5 * 2**13 uniforms and
-        # lifetimes), about 13 times with one Python list per boundary.
+        # low-rate runs take fewer draws than per-type counts did; 3.52
+        # both with one in-place sort of packed keys and with argsort; 3.54
+        # in earlier folds both with each run's draws in its block's two
+        # arrays and in arrays of its own; 4.5 with blocks of 5 * 2**13
+        # uniforms and lifetimes), about 13 times with one Python list per
+        # boundary.
         cfg = n3_config(3000, 10)
         empirical_documents(cfg)
         array_bytes = len(cfg.scenarios) * cfg.sim.num_runs * (cfg.sim.periods_per_run + 1) * 8

@@ -73,6 +73,33 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(num_runs=1, periods_per_run=1, seed=2**64)
 
+    # Each of these used to construct, then fail inside numpy with a
+    # TypeError, or, for the bool, simulate seed 1.
+    @pytest.mark.parametrize("args", [
+        (3, 5, 1.5),
+        (3, 5, "7"),
+        (2.5, 5, 1),
+        (3, 5.0, 1),
+        (3, 5, True),
+    ], ids=["float-seed", "str-seed", "float-runs", "float-periods", "bool-seed"])
+    def test_non_integers_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SimConfig(*args)
+
+    def test_bools_rejected_everywhere(self):
+        for args in ((True, 5, 1), (3, True, 1), (3, 5, np.bool_(True))):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SimConfig(*args)
+
+    def test_numpy_integers_accepted_as_ints(self, scenario_c, accept_all):
+        cfg = SimConfig(np.int64(3), np.uint8(5), np.uint64(2**64 - 1))
+        assert (cfg.num_runs, cfg.periods_per_run, cfg.seed) == (3, 5, 2**64 - 1)
+        assert {type(value) for value in (cfg.num_runs, cfg.periods_per_run, cfg.seed)} == {int}
+        np.testing.assert_array_equal(
+            simulate_episodes(scenario_c, accept_all, cfg),
+            simulate_episodes(scenario_c, accept_all, SimConfig(3, 5, 2**64 - 1)),
+        )
+
 
 class TestRunRng:
     def test_same_inputs_same_stream(self):
@@ -608,15 +635,83 @@ class TestBlockFold:
 
     @pytest.mark.parametrize("keys_per_slice", [1, 2, 3, simulate._TIE_SLICE])
     def test_ties_are_found_across_slices(self, monkeypatch, keys_per_slice):
-        # The sorted keys are checked a slice at a time; a tie between the
-        # last key of one slice and the first of the next must count.
+        # The sorted keys are checked a slice at a time; a tie, or a
+        # descent, between the last key of one slice and the first of the
+        # next must count.
         monkeypatch.setattr(simulate, "_TIE_SLICE", keys_per_slice)
         distinct = np.array([4.5, 0.5, 2.5, 1.5, 3.5, 5.5])
-        assert not simulate._has_ties(distinct, np.argsort(distinct))
+        order = np.argsort(distinct)
+        assert simulate._strictly_ascending(distinct, order)
         for rank in range(1, len(distinct)):
             key = distinct.copy()
             key[key == rank + 0.5] = rank - 0.5
-            assert simulate._has_ties(key, np.argsort(key)), rank
+            assert not simulate._strictly_ascending(key, np.argsort(key)), rank
+            swapped = order.copy()
+            swapped[[rank - 1, rank]] = swapped[[rank, rank - 1]]
+            assert not simulate._strictly_ascending(distinct, swapped), rank
+
+    @staticmethod
+    def _count_sorts(monkeypatch) -> dict:
+        """Wrap ``np.argsort`` and ``np.lexsort``, the two fallbacks of the
+        packed order, so that the returned dict counts their calls."""
+        calls = {"argsort": 0, "lexsort": 0}
+
+        def counted(name, sort):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return sort(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counted(name, getattr(np, name)))
+        return calls
+
+    @pytest.mark.parametrize("events", [1, 2, 3, 1000, simulate._TIE_SLICE + 1, 28_000])
+    def test_packed_order_equals_argsort(self, monkeypatch, events):
+        # Keys as a block makes them, group + offset over 140 runs of 100
+        # periods, across the edges of the slices the indices are ORed in.
+        rng = np.random.default_rng(events)
+        key = rng.integers(0, 140 * 100, events) + rng.random(events)
+        expected = np.argsort(key)
+        calls = self._count_sorts(monkeypatch)
+        np.testing.assert_array_equal(simulate._key_order(key), expected)
+        assert calls == {"argsort": 0, "lexsort": 0}
+
+    def test_runs_take_the_packed_order(self, monkeypatch, scenario_a, accept_all):
+        sim = SimConfig(num_runs=300, periods_per_run=100, seed=35)
+        expected = simulate_episodes(scenario_a, accept_all, sim)
+        calls = self._count_sorts(monkeypatch)
+        np.testing.assert_array_equal(simulate_episodes(scenario_a, accept_all, sim), expected)
+        assert calls == {"argsort": 0, "lexsort": 0}
+
+    @pytest.mark.parametrize("ulps", [(5, 3, 2, 0), (7, 0)])
+    def test_shared_high_bits_fall_back_to_argsort(self, monkeypatch, ulps):
+        # Eight keys, so an index takes the low three bits of a key. Keys
+        # 1.0 + k ulp for k < 8 share their high bits; put in reverse order,
+        # the packed sort orders them by index, the reverse of their values.
+        shared = 1.0 + np.array(ulps) * np.spacing(1.0)
+        key = np.concatenate((shared, [3.5, 0.25, 2.0, 0.5, 4.0, 5.0][:8 - len(shared)]))
+        expected = np.argsort(key)
+        calls = self._count_sorts(monkeypatch)
+        np.testing.assert_array_equal(simulate._key_order(key), expected)
+        assert calls == {"argsort": 1, "lexsort": 0}
+        # The same keys in ascending index order need no fallback.
+        forward = np.sort(key)
+        np.testing.assert_array_equal(simulate._key_order(forward), np.arange(8))
+        assert calls == {"argsort": 1, "lexsort": 0}
+
+    def test_zero_key_is_ordered_first(self, monkeypatch):
+        # A key of 0.0 packs into a subnormal double, which the float sort
+        # must still put below every other key.
+        key = np.array([2.5, 0.0, 1e-300, 0.75, 3.0])
+        calls = self._count_sorts(monkeypatch)
+        np.testing.assert_array_equal(simulate._key_order(key), [1, 2, 3, 0, 4])
+        assert calls == {"argsort": 0, "lexsort": 0}
+
+    def test_equal_keys_give_no_order(self, monkeypatch):
+        calls = self._count_sorts(monkeypatch)
+        assert simulate._key_order(np.array([2.5, 0.5, 1.0, 0.5])) is None
+        assert calls == {"argsort": 1, "lexsort": 0}
 
     # Hand-made draws whose keys tie, so the fold falls back to the full
     # (group, offset, column, creation id) order. Mean lifetimes of 1 make
@@ -626,12 +721,12 @@ class TestBlockFold:
     TWO_TYPES = DemandScenario(creation_rates=(1.0, 1.0), mean_lifetimes=(1.0, 1.0))
 
     def _tie_case(self, monkeypatch, scenario, strategy, draws, expected):
-        calls = []
-        lexsort = np.lexsort
-        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        calls = self._count_sorts(monkeypatch)
         periods = len(expected) - 1
         out = _fold_in_blocks(scenario, strategy, periods, [draws], [0, 1])
-        assert calls == [1]
+        # The packed order fails its check, argsort finds the tie, and
+        # lexsort gives the order.
+        assert calls == {"argsort": 1, "lexsort": 1}
         np.testing.assert_array_equal(out[0], _reference_fold(scenario, strategy, periods, draws))
         region = strategy.region
         assert [region.states[i] for i in out[0]] == expected
@@ -663,9 +758,11 @@ class TestBlockFold:
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
         # 1000 runs x 100 periods: about 2.4 times the trajectory array's
-        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (2.42 drawn
-        # into two arrays per block, 2.43 into arrays per run; 3.0 with
-        # 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
+        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (2.41 with
+        # one in-place sort of packed keys whose indices are ORed in 8k at
+        # a time, 2.59 with one arange of every index; 2.42 with argsort,
+        # drawn into two arrays per block, 2.43 into arrays per run; 3.0
+        # with 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
         # stamps and lifetimes of earlier folds), against about 17 times
         # when all 1000 runs are one block.
         cfg = load_config(default_config_path())
