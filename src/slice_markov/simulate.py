@@ -213,8 +213,8 @@ _POISSON_MAX = 9.223372006484771e18
 # tracemalloc, so the cap keeps a run within about 0.8 GB.
 MAX_RUN_DRAWS = 1 << 24
 # Most periods one protocol, or one figure3 sweep over all its pairs, may
-# simulate. figure3 simulates at about 0.21 us per period, and a call's
-# trajectory array takes 8 bytes per boundary, so the cap is about 28 s of
+# simulate. figure3 simulates at about 0.18 us per period, and a call's
+# trajectory array takes 8 bytes per boundary, so the cap is about 24 s of
 # figure3 or a 1.07 GB array.
 MAX_SIMULATED_PERIODS = 1 << 27
 

@@ -73,23 +73,22 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(num_runs=1, periods_per_run=1, seed=2**64)
 
-    # Each of these used to construct, then fail inside numpy with a
-    # TypeError, or, for the bool, simulate seed 1.
+    # The first four used to construct, then fail inside numpy with a
+    # TypeError; a bool seed simulated seed 1.
     @pytest.mark.parametrize("args", [
         (3, 5, 1.5),
         (3, 5, "7"),
         (2.5, 5, 1),
         (3, 5.0, 1),
         (3, 5, True),
-    ], ids=["float-seed", "str-seed", "float-runs", "float-periods", "bool-seed"])
+        (True, 5, 1),
+        (3, True, 1),
+        (3, 5, np.bool_(True)),
+    ], ids=["float-seed", "str-seed", "float-runs", "float-periods", "bool-seed", "bool-runs", "bool-periods",
+            "numpy-bool-seed"])
     def test_non_integers_rejected(self, args):
         with pytest.raises(ValueError, match="must be an integer"):
             SimConfig(*args)
-
-    def test_bools_rejected_everywhere(self):
-        for args in ((True, 5, 1), (3, True, 1), (3, 5, np.bool_(True))):
-            with pytest.raises(ValueError, match="must be an integer"):
-                SimConfig(*args)
 
     def test_numpy_integers_accepted_as_ints(self, scenario_c, accept_all):
         cfg = SimConfig(np.int64(3), np.uint8(5), np.uint64(2**64 - 1))
