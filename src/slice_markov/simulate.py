@@ -370,7 +370,7 @@ def _strictly_ascending(key: np.ndarray, order: np.ndarray) -> bool:
 
 def _key_order(key: np.ndarray) -> np.ndarray | None:
     """The order that sorts ``key``, an array of nonnegative finite
-    doubles, or None when two keys are equal.
+    doubles, strictly, or None when one sort of packed keys cannot find it.
 
     The bit patterns of such doubles, read as int64, order as their values
     do. Each pattern's low ``(len(key) - 1).bit_length()`` bits are replaced
@@ -380,8 +380,8 @@ def _key_order(key: np.ndarray) -> np.ndarray | None:
     nonnegative finite doubles, all distinct, and are sorted as doubles:
     numpy's float64 sort is faster here than its int64 sort and pages in
     less code. That order can be wrong only for keys that share their high
-    bits, and then ``key[order]`` is not strictly ascending: ``np.argsort``
-    is used instead.
+    bits, and then ``key[order]`` is not strictly ascending; nor is it when
+    two keys are equal. Both give None.
     """
     events = len(key)
     low = (1 << (events - 1).bit_length()) - 1
@@ -390,10 +390,6 @@ def _key_order(key: np.ndarray) -> np.ndarray | None:
         packed[first:first + _TIE_SLICE] |= np.arange(first, min(first + _TIE_SLICE, events))
     packed.view(np.float64).sort()
     order = np.bitwise_and(packed, low, out=packed)
-    if _strictly_ascending(key, order):
-        return order
-    del packed, order
-    order = np.argsort(key)
     return order if _strictly_ascending(key, order) else None
 
 
@@ -535,8 +531,9 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     ends = np.bincount(at, minlength=groups).reshape(count, periods).cumsum(axis=1, dtype=np.int32)
 
     # Rounding is monotone, so the float key group + offset orders distinct
-    # keys exactly; equal keys fall back to the full (group, offset, column,
-    # creation id) order, where a release's id is -1.
+    # keys exactly. Where the packed sort cannot order them, the full
+    # (group, offset, column, creation id) order is used, where a release's
+    # id is -1; for distinct keys it is the order that sorts them.
     key = at + times
     order = _key_order(key)
     del key
