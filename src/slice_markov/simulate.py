@@ -18,9 +18,11 @@ A fresh lifetime is drawn for every creation, accepted or not, so the
 period and offset of every potential release are known before any request
 is decided. Runs are therefore folded a block at a time in numpy
 (:func:`_fold_block`): the block's uniforms become periods, offsets and
-types, and its creations, initial releases and potential releases are
+types, and its creations and the potential release of every slice are
 sorted once and scanned with all of its runs in lockstep, one event per
-step; a potential release stays a no-op unless its creation is accepted.
+step. An initial slice is taken as a creation of its run accepted in
+period -1, so one rule releases every slice; a creation's potential
+release stays a no-op unless the creation is accepted.
 A run draws its start and creation total as Python ints, and its uniforms
 and lifetimes straight into its block's two float64 arrays
 (:func:`_draw_blocks`), so that no run has arrays of its own and a block
@@ -50,6 +52,14 @@ from .domain import AdmissibilityRegion, State, Strategy
 from .errors import GuardExceededError
 
 
+def _integer(name: str, value) -> int:
+    """``value``, an integer, Python's or numpy's, as a Python int; a bool,
+    a float or a string is refused with ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Simulation protocol: run count, horizon, seeding, and start policy.
@@ -67,10 +77,7 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("num_runs", "periods_per_run", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.num_runs < 1:
             raise ValueError(f"num_runs must be positive, got {self.num_runs}")
         if self.periods_per_run < 1:
@@ -425,14 +432,17 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     (:func:`_fold_tables`), writing their trajectories to ``out``.
 
     The events of run r in period t form group ``r * periods + t``: its
-    creations, the releases of initial slices whose lifetimes end in t, and
-    the potential release of every creation, that is the release it has if
-    accepted, in the period and at the offset its fresh lifetime gives. All
-    are sorted once, by group, then offset, then column, then creation id,
-    and scanned with every run of the block in lockstep, one event per step.
-    A potential release sits in the step grid as a no-op until its creation
-    is accepted, when the successor differs from the state, and the
-    creation writes the release column into the release's cell.
+    creations, and the potential releases that fall in t. Every slice has
+    one, the release it has if it is active, in the period and at the offset
+    its lifetime gives; an initial slice counts as a creation of its run
+    accepted in period -1. The events, creations in draw order, then the
+    potential releases of the creations and of the initial slices, are
+    sorted once, stably, by group, offset and column, and scanned with every
+    run of the block in lockstep, one event per step. A slice's cell is its
+    release's, or one past the grid if it outlives the horizon. An initial
+    slice's starts switched on; a creation's holds the no-op until the
+    creation is accepted (the successor differs from the state) and writes
+    its release column there.
 
     A run's creations are decoded from its uniforms with IEEE-exact
     operations only: creation i has position ``u = uniforms[w*i]``, where
@@ -463,25 +473,28 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     per_creation = 1 if num_types == 1 else 2
     totals = np.array(totals, dtype=np.intp)
     # Each run's unit lifetimes are its initial ones, then its fresh ones.
+    # The block's are held fresh ones first, in creation order, then the
+    # initial ones, run by run and type by type.
     initial = np.repeat(np.tile((True, False), count), np.column_stack((initial_total, totals)).ravel())
-    initial_units = units[initial]
-    units = units[~initial]
+    units = np.concatenate((units[~initial], units[initial]))
     del initial
 
-    # Creations in draw order, each with its group and type.
-    time = uniforms[::per_creation] * periods
-    period = np.floor(time)
-    stamps = time - period
-    del time
-    group = np.repeat(np.arange(0, groups, periods, dtype=np.int32), totals)
-    group += period.astype(np.int32)
-    if num_types == 1:
-        kind = np.zeros(len(group), dtype=np.int32)
-    else:
-        kind = np.searchsorted(_creation_law(scenario.creation_rates)[1], uniforms[1::2], side="right")
-        kind = kind.astype(np.int32)
+    # Every slice's run, type and period of acceptance: a creation's, in
+    # draw order, then each initial slice's as a creation of its run
+    # accepted in period -1. Creations also get their offsets.
+    run = np.repeat(np.tile(np.arange(count, dtype=np.int32), 2), np.concatenate((totals, initial_total)))
+    stamps = uniforms[::per_creation] * periods
+    creations = len(stamps)
+    period = np.full(len(units), -1.0)
+    np.floor(stamps, out=period[:creations])
+    stamps -= period[:creations]
+    kind = np.zeros(len(units), dtype=np.int32)
+    if num_types > 1:
+        kind[:creations] = np.searchsorted(_creation_law(scenario.creation_rates)[1], uniforms[1::2], side="right")
+    kind[creations:] = np.repeat(np.tile(np.arange(num_types), count), initial_counts.ravel())
     del uniforms
-    creations = len(group)
+    group = run * periods
+    group += period.astype(np.int32)
     # A slice accepted in period t becomes active at boundary t+1 and is
     # released floor(x) periods later at offset x - floor(x), x its
     # lifetime; x is tested against the periods left after t before
@@ -494,63 +507,44 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     released = np.flatnonzero(inside)
     held = np.flatnonzero(~inside)
     del inside
-    # The (run, type) code of each creation whose slice would be held.
-    held_code = group[held] // periods * num_types + kind[held]
+    # The (run, type) code of each slice that would be held.
+    held_code = run[held] * num_types + kind[held]
+    del run
     life = life[released]
-    releases = len(released)
-    # Initial slices, type by type within each run, are released the same
-    # way from boundary 0.
-    initial_kind = np.repeat(np.tile(np.arange(num_types), count), initial_counts.ravel())
-    initial_run = np.repeat(np.arange(count), initial_total)
-    with np.errstate(over="ignore"):
-        initial_life = means[initial_kind] * initial_units
-    del initial_units
-    ending = np.flatnonzero(initial_life < periods)
-    initial_life = initial_life[ending]
-    initial_kind = initial_kind[ending]
-    initial_run = initial_run[ending]
 
-    # Every event's group and offset: creations, potential releases, then
-    # initial releases.
-    events = creations + releases + len(ending)
+    # Every event's group and offset: creations, then the potential release
+    # of every slice.
+    events = creations + len(released)
     times = np.empty(events)
     times[:creations] = stamps
     del stamps
     at = np.empty(events, dtype=np.int32)
-    at[:creations] = group
-    for lives, first, stop, base in (
-        (life, creations, creations + releases, group[released] + 1),
-        (initial_life, creations + releases, events, initial_run * periods),
-    ):
-        whole = np.floor(lives)
-        np.subtract(lives, whole, out=times[first:stop])
-        at[first:stop] = whole
-        at[first:stop] += base
-    del group, life, initial_life, whole, base
+    at[:creations] = group[:creations]
+    whole = np.floor(life)
+    np.subtract(life, whole, out=times[creations:])
+    at[creations:] = whole
+    at[creations:] += group[released] + 1
+    del group, life, whole
     # Each run's events end, period by period, at these counts.
     ends = np.bincount(at, minlength=groups).reshape(count, periods).cumsum(axis=1, dtype=np.int32)
 
     # Rounding is monotone, so the float key group + offset orders distinct
-    # keys exactly. Where the packed sort cannot order them, the full
-    # (group, offset, column, creation id) order is used, where a release's
-    # id is -1; for distinct keys it is the order that sorts them.
+    # keys exactly. Where the packed sort cannot order them, the stable
+    # (group, offset, column) order is used: for distinct keys it is the
+    # order that sorts them, and equal creations keep their draw order.
     key = at + times
     order = _key_order(key)
     del key
     if order is None:
-        ids = np.full(events, -1)
-        ids[:creations] = np.arange(creations)
-        order = np.lexsort((
-            ids, np.concatenate((kind, num_types + kind[released], num_types + initial_kind)), times, at
-        ))
+        order = np.lexsort((np.concatenate((kind[:creations], num_types + kind[released])), times, at))
     del times, at
 
     # Sorted, each run's events are contiguous, and the k-th event of run r
     # goes to cell 1 + k * count + r of the step grid. Cell 0 takes the
     # writes of declined creations, and cells past the grid stand for the
-    # releases that fall beyond the horizon. Cell numbers, and the flat
-    # indices of the boundary states below, are 32-bit where they fit, and
-    # no partial sum exceeds them.
+    # slices that outlive the horizon. Cell numbers, and the flat indices of
+    # the boundary states below, are 32-bit where they fit, and no partial
+    # sum exceeds them.
     sizes = ends[:, -1]
     steps = int(sizes.max())
     cells = 1 + steps * count
@@ -562,17 +556,23 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     cell_of = np.empty(events, dtype=cell_type)
     cell_of[order] = placed
     del order, placed
+    # Each slice's cell: its release's, or one past the grid.
+    slice_cell = np.empty(len(kind), dtype=cell_type)
+    slice_cell[released] = cell_of[creations:]
+    slice_cell[held] = np.arange(cells, cells + len(held), dtype=cell_type)
+    del released
     grid = np.full(cells + len(held), noop, dtype=np.intp)
-    grid[cell_of[:creations]] = kind
-    grid[cell_of[creations + releases:]] = num_types + initial_kind
+    del held
+    grid[cell_of[:creations]] = kind[:creations]
+    # An initial slice's cell starts switched on; a creation's stays a
+    # no-op until the creation is accepted.
+    grid[slice_cell[creations:]] = num_types + kind[creations:]
     del kind
     # Each step writes the column its event switches on into the cell named
-    # here: a creation's release cell, or the scratch cell 0.
+    # here: a creation's slice cell, or the scratch cell 0.
     switch = np.zeros(cells, dtype=np.intp)
-    switch[cell_of[released]] = cell_of[creations:creations + releases]
-    del released
-    switch[cell_of[held]] = np.arange(cells, cells + len(held))
-    del cell_of, held
+    switch[cell_of[:creations]] = slice_cell[:creations]
+    del cell_of, slice_cell
 
     visited = np.empty((steps + 1, count), dtype=np.int32)
     visited[0] = starts * width
@@ -580,12 +580,9 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     del switch
 
     final = visited[steps] // width
-    # Slices outliving the horizon: initial ones, and accepted creations
-    # whose release the grid's tail cells stand for.
-    outliving = initial_counts - np.bincount(
-        initial_run * num_types + initial_kind, minlength=count * num_types
-    ).reshape(count, num_types)
-    outliving += np.bincount(
+    # Slices outliving the horizon are those whose cells past the grid are
+    # switched on: initial ones, and accepted creations.
+    outliving = np.bincount(
         held_code[grid[cells:] != noop], minlength=count * num_types
     ).reshape(count, num_types)
     bad = np.flatnonzero((final == size) | np.any(states[final] != outliving, axis=1))
@@ -694,8 +691,11 @@ def run_episode(
     with no slice to release, or a corrupted table) or a count of slices
     outliving the horizon that disagrees with the final state is a
     bookkeeping bug and aborts. A run refused by the guards of
-    :func:`simulate_episodes` is refused here too, before any draw.
+    :func:`simulate_episodes` is refused here too, before any draw, and so
+    is a ``periods`` that is not a positive integer, with ``ValueError``, as
+    :class:`SimConfig` refuses it.
     """
+    periods = _integer("periods", periods)
     if periods < 1:
         raise ValueError(f"periods must be positive, got {periods}")
     return _fold_runs(scenario, strategy, periods, (rng,), 1, initial_state)[0]
@@ -716,25 +716,31 @@ def simulate_episodes(scenario: DemandScenario, strategy: Strategy, sim: SimConf
                       sim.initial_state)
 
 
-def _check_states(trajectories: np.ndarray, size: int) -> None:
-    """Refuse a state index outside ``[0, size)``, which the pair and triple
-    codes would count as another state."""
+def _checked_states(trajectories: np.ndarray, size: int) -> np.ndarray:
+    """``trajectories`` as int64, the type the pair and triple codes are
+    formed in whatever the input's integer type, since a narrower one would
+    wrap them. A non-integer array, or a state index outside ``[0, size)``,
+    which the codes would count as another state, raises ``ValueError``."""
+    if not np.issubdtype(trajectories.dtype, np.integer):
+        raise ValueError(f"state indices must be integers, got an array of {trajectories.dtype}")
     if trajectories.size and not 0 <= trajectories.min() <= trajectories.max() < size:
         raise ValueError(
             f"state indices must lie in [0, {size}), got {trajectories.min()} to {trajectories.max()}"
         )
+    return trajectories.astype(np.int64, copy=False)
 
 
 def estimate_empirical_matrix(region: AdmissibilityRegion, trajectories: np.ndarray) -> EmpiricalMatrix:
     """Count consecutive boundary pairs across all runs and row-normalize.
-    A state index outside the region raises ``ValueError``."""
+    A non-integer array, or a state index outside the region, raises
+    ``ValueError``."""
     trajectories = np.asarray(trajectories)
     if trajectories.ndim == 1:
         trajectories = trajectories[None, :]
     if trajectories.size == 0 or trajectories.shape[1] < 2:
         raise ValueError("need at least one observed transition")
     size = len(region)
-    _check_states(trajectories, size)
+    trajectories = _checked_states(trajectories, size)
     # One array of pair codes; a ravel of each side and their sum would hold four.
     codes = trajectories[:, :-1] * size
     codes += trajectories[:, 1:]
@@ -790,8 +796,8 @@ def markov_order_test(trajectories: np.ndarray, num_states: int) -> tuple[float,
     row and column totals and n_j the stratum's total. The pooled sum is
     clamped at zero, where an independent table can round below it. Only
     the triples that occur are counted, so the memory taken grows with the
-    trajectories, not with ``num_states**3``. A state index outside
-    ``[0, num_states)`` raises ``ValueError``.
+    trajectories, not with ``num_states**3``. A non-integer array, or a
+    state index outside ``[0, num_states)``, raises ``ValueError``.
 
     The p-value is asymptotic, and unreliable when most expected counts are
     below 5. The simulator's own runs of the 200-state one-type region
@@ -807,7 +813,7 @@ def markov_order_test(trajectories: np.ndarray, num_states: int) -> tuple[float,
         trajectories = trajectories[None, :]
     if trajectories.shape[1] < 3:
         raise ValueError("need trajectories of at least 3 boundaries")
-    _check_states(trajectories, num_states)
+    trajectories = _checked_states(trajectories, num_states)
     prev = trajectories[:, :-2].ravel()
     mid = trajectories[:, 1:-1].ravel()
     nxt = trajectories[:, 2:].ravel()

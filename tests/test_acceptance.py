@@ -254,7 +254,12 @@ class TestNegativeControls:
     yields, after the block is drawn and before it is folded, so the
     creations keep their draws. AC-2 runs its bundled protocol; fewer runs
     let sampling noise alone exceed its tolerance. AC-7 runs a tenth of its
-    10^5 periods per scenario, where exponential lifetimes still pass."""
+    10^5 periods per scenario, where exponential lifetimes still pass.
+
+    AC-2 also rests on the paper's order of events within a period, where
+    releases fall at uniform offsets among the creations. With every release
+    moved before, or after, every creation of its period, AC-2 must fail.
+    The chain stays first-order, so AC-7 must not reject it."""
 
     CONTROL_PERIODS = 10_000
 
@@ -296,3 +301,32 @@ class TestNegativeControls:
             assert min(pvalues.values()) >= 0.01, pvalues
         else:
             assert max(pvalues.values()) < 0.01, pvalues
+
+    @pytest.fixture(params=["before", "after"])
+    def releases(self, request, monkeypatch) -> str:
+        """Where a period's releases fall among its creations. Each unit
+        lifetime x of a block that ``simulate._fold_block`` folds is
+        rewritten so that mu * x keeps its whole periods and its fraction f
+        becomes f * 2^-30 (before every creation) or 1 - 2^-30 + f * 2^-30
+        (after them). The bundled scenarios have one type and a mean of 4,
+        so the scaling by mu is exact."""
+        shift = 0.0 if request.param == "before" else 1.0 - 2.0**-30
+        fold = simulate._fold_block
+
+        def folded(scenario, region, tables, periods, block, out):
+            (mean,) = scenario.mean_lifetimes
+            life = block[3] * mean
+            whole = np.floor(life)
+            block[3][:] = (whole + shift + (life - whole) * 2.0**-30) / mean
+            fold(scenario, region, tables, periods, block, out)
+
+        monkeypatch.setattr(simulate, "_fold_block", folded)
+        return request.param
+
+    def test_ac2_gap_under_release_order(self, releases):
+        worst = _figure2_worst_gap(figure2_document(load_config(default_config_path())))
+        assert worst > 0.02, worst
+
+    def test_ac7_keeps_release_order(self, releases):
+        pvalues = _markov_pvalues(self.CONTROL_PERIODS)
+        assert min(pvalues.values()) >= 0.01, pvalues

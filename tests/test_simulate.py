@@ -175,6 +175,18 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="periods must be positive"):
             run_episode(scenario_c, accept_all, 0, run_rng(10, 0), initial_state=(0,))
 
+    # These used to fail inside numpy with a TypeError.
+    @pytest.mark.parametrize("periods", [2.0, True, "5", np.float64(3.0)], ids=["float", "bool", "str", "numpy-float"])
+    def test_non_integer_periods_rejected(self, scenario_c, accept_all, periods):
+        with pytest.raises(ValueError, match="periods must be an integer"):
+            run_episode(scenario_c, accept_all, periods, run_rng(10, 0), initial_state=(0,))
+
+    def test_numpy_integer_periods_accepted(self, scenario_c, accept_all):
+        np.testing.assert_array_equal(
+            run_episode(scenario_c, accept_all, np.int16(5), run_rng(10, 0)),
+            run_episode(scenario_c, accept_all, 5, run_rng(10, 0)),
+        )
+
     def test_period_cap_stops_before_any_draw(self, monkeypatch, scenario_c, accept_all):
         # One run of 10 periods passes a cap of 10 and is refused by a cap
         # of 9 before a draw.
@@ -702,8 +714,9 @@ class TestBlockFold:
     def test_equal_keys_give_no_order(self):
         assert simulate._key_order(np.array([2.5, 0.5, 1.0, 0.5])) is None
 
-    # Hand-made draws whose keys tie, so the fold falls back to the full
-    # (group, offset, column, creation id) order. Mean lifetimes of 1 make
+    # Hand-made draws whose keys tie, so the fold falls back to the stable
+    # (group, offset, column) order, in which equal creations keep their
+    # draw order. Mean lifetimes of 1 make
     # each unit lifetime a lifetime in periods, and over two periods a
     # position of 0.25 puts a creation at offset 0.5 of period 0.
     ONE_TYPE = DemandScenario(creation_rates=(1.0,), mean_lifetimes=(1.0,))
@@ -742,13 +755,30 @@ class TestBlockFold:
         self._tie_case(monkeypatch, self.TWO_TYPES, always_accept_strategy(two), draws,
                        [(1, 1), (0, 0), (0, 0)])
 
+    def test_lifetimes_at_the_horizon(self):
+        # Over 3 periods from s=[2], an initial lifetime of exactly 3.0
+        # outlives the horizon and one an ulp shorter is released in period
+        # 2; so, for the two creations of period 0, are a lifetime of
+        # exactly 2.0 and one an ulp shorter, counted from boundary 1.
+        four = enumerate_region(ResourceModel(resource_pool=(1.0,), cost_matrix=((0.25,),)))
+        draws = (
+            four.index_of[(2,)],
+            np.array([0.1, 0.2]),
+            np.array([3.0, np.nextafter(3.0, 0.0), 2.0, np.nextafter(2.0, 0.0)]),
+        )
+        strategy = always_accept_strategy(four)
+        out = _fold_in_blocks(self.ONE_TYPE, strategy, 3, [draws], [0, 1])
+        np.testing.assert_array_equal(out[0], _reference_fold(self.ONE_TYPE, strategy, 3, draws))
+        assert [four.states[i] for i in out[0]] == [(2,), (4,), (4,), (2,)]
+
     def test_working_set_is_bounded(self):
         # The fold's sort keys, step grid and states are held for one block
         # at a time. Measured peaks on the bundled baseline's scenario A at
         # 1000 runs x 100 periods: about 2.4 times the trajectory array's
-        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (2.41 with
-        # one in-place sort of packed keys whose indices are ORed in 8k at
-        # a time, 2.59 with one arange of every index; 2.42 with argsort,
+        # bytes with blocks of 7 * 2**12 uniforms and lifetimes (2.40 with
+        # initial and fresh lifetimes on one path; 2.41 with one in-place
+        # sort of packed keys whose indices are ORed in 8k at a time, 2.59
+        # with one arange of every index; 2.42 with argsort,
         # drawn into two arrays per block, 2.43 into arrays per run; 3.0
         # with 5 * 2**13; 2.4 with the 5 * 2**13 draws of per-type counts,
         # stamps and lifetimes of earlier folds), against about 17 times
@@ -1041,6 +1071,24 @@ class TestEstimateEmpiricalMatrix:
         with pytest.raises(ValueError, match=r"state indices must lie in \[0, 4\)"):
             estimate_empirical_matrix(region, np.array(runs))
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_pair_codes_do_not_wrap(self, dtype):
+        # Pair codes state * 200 + next of the 200-state region reach
+        # 39,999, past int16's range.
+        wide = enumerate_region(ResourceModel(resource_pool=(199.0,), cost_matrix=((1.0,),)))
+        assert len(wide) == 200
+        runs = np.random.default_rng(12).integers(150, 200, size=(3, 40))
+        expected = np.zeros((200, 200), dtype=np.int64)
+        np.add.at(expected, (runs[:, :-1], runs[:, 1:]), 1)
+        np.testing.assert_array_equal(estimate_empirical_matrix(wide, runs.astype(dtype)).counts, expected)
+
+    @pytest.mark.parametrize("runs", [[[0.0, 1.0, 0.0]], [[False, True, False]]], ids=["float", "bool"])
+    def test_non_integer_states_rejected(self, region, runs):
+        for estimate in (lambda: estimate_empirical_matrix(region, np.array(runs)),
+                         lambda: markov_order_test(np.array(runs), 4)):
+            with pytest.raises(ValueError, match="state indices must be integers"):
+                estimate()
+
 
 # ---------------------------------------------------------------------------
 # Error metric
@@ -1213,6 +1261,13 @@ class TestMarkovOrderTest:
         assert dof == ref_dof
         assert statistic == pytest.approx(ref_statistic, rel=1e-12)
         assert pvalue == pytest.approx(ref_pvalue, rel=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
+    def test_triple_codes_do_not_wrap(self, dtype):
+        # Triple codes (mid * 2000 + prev) * 2000 + next of states 1100 to
+        # 1499 of 2,000 reach 6e9, past int32's range.
+        runs = np.random.default_rng(13).integers(1100, 1500, size=(4, 500))
+        assert markov_order_test(runs.astype(dtype), 2000) == markov_order_test(runs, 2000)
 
     def test_independent_stratum_reads_zero(self):
         # Stratum 0 holds the table [[2, 1], [2, 1]], whose closed form
