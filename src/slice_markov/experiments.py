@@ -477,7 +477,7 @@ def figure2_document(cfg: ExperimentConfig) -> dict:
     deficit matrix would leak probability mass, so the renormalize flag only
     governs matrix outputs and error sweeps. A table of more than
     ``MAX_FIGURE2_ROWS`` rows is refused before the build and the
-    simulation, after the simulation's guards on one run.
+    simulation, after the simulation's period and draw caps.
     """
     region = cfg.region()
     strategy, label = resolve_strategy(cfg, region)
@@ -486,8 +486,9 @@ def figure2_document(cfg: ExperimentConfig) -> dict:
     if proto.initial_state not in region.index_of:
         raise ConfigError(f"figure2 initial state {list(proto.initial_state)} lies outside the region")
     start = region.index_of[proto.initial_state]
-    # A run past numpy's Poisson limit or the draw cap is refused as such
-    # first; simulate_episodes checks it again.
+    # Runs past the period cap or the draw cap are refused as such first, in
+    # simulate_episodes' order; it checks them again.
+    check_simulated_periods(proto.episodes * proto.periods, f"{proto.episodes} runs of {proto.periods} periods")
     _draw_args(scenario, region, proto.periods)
     table_rows = (proto.periods + 1) * len(region)
     if table_rows > MAX_FIGURE2_ROWS:

@@ -205,15 +205,11 @@ def _run_rngs(seed: int, runs: int):
 # working set (sort keys, step grid, states after each step) grows with the
 # block; its per-step cost is paid once for every run of the block. 28,672
 # draws hold about 140 of figure3's 100-period runs of scenario A, and keep
-# the fold's working set within 2.41 times the trajectory array of 1000 such
+# the fold's working set within 2.35 times the trajectory array of 1000 such
 # runs, at tracemalloc's peak.
 _BLOCK_DRAWS = 7 << 12
-# Event indices ORed into the sort keys at a time, and sorted keys gathered
-# at a time by the ascending test.
+# Event indices ORed into the sort keys at a time.
 _TIE_SLICE = 1 << 13
-# numpy's largest Poisson mean, int64 max - 10 * sqrt(int64 max). A literal:
-# the first np.iinfo call of a process costs about 0.13 MB of resident memory.
-_POISSON_MAX = 9.223372006484771e18
 # Most draws a run may expect: its uniforms, its lifetimes and the largest
 # initial state's. A block holds at least one run, and a long run of the
 # baseline's scenario A peaks at about 50 bytes per expected draw under
@@ -248,17 +244,16 @@ def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: i
     """The arguments of :func:`_draw_blocks` after the generators and their
     count, and before the start: ``(mean, width, slices)``.
 
-    A mean of creations per run at or above numpy's Poisson limit (about
-    9.2e18), or one whose expected draws per run, ``mean * (width + 1)``
-    plus the most slices a state holds, exceed ``MAX_RUN_DRAWS``, is
-    refused with :class:`~slice_markov.errors.GuardExceededError`.
+    A mean of creations per run whose expected draws per run, ``mean *
+    (width + 1)`` plus the most slices a state holds, exceed
+    ``MAX_RUN_DRAWS`` is refused with
+    :class:`~slice_markov.errors.GuardExceededError`; so is an infinite
+    mean, and one at numpy's Poisson limit (about 9.2e18), which expects at
+    least twice that many draws. ``periods`` must be within
+    ``MAX_SIMULATED_PERIODS`` (:func:`check_simulated_periods`), since a
+    larger int may not convert to a float.
     """
     mean = periods * _creation_law(scenario.creation_rates)[0]
-    if not mean < _POISSON_MAX:
-        raise GuardExceededError(
-            f"{periods} periods at a total creation rate of {mean / periods:g} expect {mean:g} "
-            f"creations per run, at or above numpy's Poisson limit of {_POISSON_MAX:g}"
-        )
     width = 1 if scenario.num_types == 1 else 2
     slices = [sum(state) for state in region.states]
     draws = mean * (width + 1) + max(slices)
@@ -363,21 +358,10 @@ def _fold_tables(strategy: Strategy) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return (successor * width).ravel(), release.ravel(), states
 
 
-def _strictly_ascending(key: np.ndarray, order: np.ndarray) -> bool:
-    """Whether ``key[order]`` is strictly ascending. The sorted keys are
-    gathered ``_TIE_SLICE`` at a time, so that a block holds its keys
-    once."""
-    for first in range(0, len(order), _TIE_SLICE):
-        ranked = key[order[first:first + _TIE_SLICE + 1]]
-        if np.any(ranked[1:] <= ranked[:-1]):
-            return False
-        del ranked
-    return True
-
-
 def _key_order(key: np.ndarray) -> np.ndarray | None:
     """The order that sorts ``key``, an array of nonnegative finite
-    doubles, strictly, or None when one sort of packed keys cannot find it.
+    doubles, strictly, or None when one sort of packed keys cannot prove
+    it. ``key`` is overwritten.
 
     The bit patterns of such doubles, read as int64, order as their values
     do. Each pattern's low ``(len(key) - 1).bit_length()`` bits are replaced
@@ -386,18 +370,21 @@ def _key_order(key: np.ndarray) -> np.ndarray | None:
     The new patterns keep their key's sign and exponent, so they are again
     nonnegative finite doubles, all distinct, and are sorted as doubles:
     numpy's float64 sort is faster here than its int64 sort and pages in
-    less code. That order can be wrong only for keys that share their high
-    bits, and then ``key[order]`` is not strictly ascending; nor is it when
-    two keys are equal. Both give None.
+    less code. Where no two neighbours in that order share their high bits,
+    the high bits ascend strictly, and so do the keys they were cut from.
+    Neighbours that share them, equal keys among them, may be misordered,
+    and give None.
     """
     events = len(key)
     low = (1 << (events - 1).bit_length()) - 1
-    packed = key.view(np.int64) & ~low
+    packed = key.view(np.int64)
+    packed &= ~low
     for first in range(0, events, _TIE_SLICE):
         packed[first:first + _TIE_SLICE] |= np.arange(first, min(first + _TIE_SLICE, events))
-    packed.view(np.float64).sort()
-    order = np.bitwise_and(packed, low, out=packed)
-    return order if _strictly_ascending(key, order) else None
+    key.sort()
+    if np.any((packed[1:] ^ packed[:-1]) <= low):
+        return None
+    return np.bitwise_and(packed, low, out=packed)
 
 
 def _lockstep(successor: np.ndarray, release: np.ndarray, grid: np.ndarray, switch: np.ndarray,
@@ -529,7 +516,7 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     ends = np.bincount(at, minlength=groups).reshape(count, periods).cumsum(axis=1, dtype=np.int32)
 
     # Rounding is monotone, so the float key group + offset orders distinct
-    # keys exactly. Where the packed sort cannot order them, the stable
+    # keys exactly. Where the packed sort cannot prove its order, the stable
     # (group, offset, column) order is used: for distinct keys it is the
     # order that sorts them, and equal creations keep their draw order.
     key = at + times
@@ -616,13 +603,13 @@ def _fold_runs(scenario: DemandScenario, strategy: Strategy, periods: int, rngs,
     block at a time; returns their trajectories, an array of shape
     (runs, periods+1).
 
-    Runs refused by :func:`_draw_args`, or of more than
-    ``MAX_SIMULATED_PERIODS`` periods in all, are refused in that order,
-    before the start lookup, the tables or any draw.
+    Runs of more than ``MAX_SIMULATED_PERIODS`` periods in all, or refused
+    by :func:`_draw_args`, are refused in that order, before the start
+    lookup, the tables or any draw.
     """
     region = strategy.region
-    args = _draw_args(scenario, region, periods)
     check_simulated_periods(runs * periods, f"{runs} runs of {periods} periods")
+    args = _draw_args(scenario, region, periods)
     start = None if initial_state is None else _start_index(region, initial_state)
     tables = _fold_tables(strategy)
     out = np.empty((runs, periods + 1), dtype=np.int64)
@@ -706,10 +693,9 @@ def simulate_episodes(scenario: DemandScenario, strategy: Strategy, sim: SimConf
     shape (num_runs, periods+1).
 
     Run r always uses the substream (seed, r), so the result does not depend
-    on how the runs are split into blocks. A protocol whose mean count of
-    creations per run reaches numpy's Poisson limit, whose runs expect more
-    than ``MAX_RUN_DRAWS`` draws, or whose runs hold more than
-    ``MAX_SIMULATED_PERIODS`` periods in all, is refused before any draw,
+    on how the runs are split into blocks. A protocol whose runs hold more
+    than ``MAX_SIMULATED_PERIODS`` periods in all, or whose runs expect more
+    than ``MAX_RUN_DRAWS`` draws, is refused in that order before any draw,
     with :class:`~slice_markov.errors.GuardExceededError`.
     """
     return _fold_runs(scenario, strategy, sim.periods_per_run, _run_rngs(sim.seed, sim.num_runs), sim.num_runs,

@@ -495,38 +495,43 @@ class TestExitCodes:
             np.testing.assert_array_equal(states[run], np.minimum(np.cumsum([0, *counts]), 3))
 
     @pytest.mark.parametrize("command, edit", [
-        ("simulate", lambda body: body["scenarios"]["A"].update(creation_rates=[1e19])),
-        # figure2 builds a renormalized matrix first, which no row keeps
-        # mass for at rate 1e19; 10**19 periods at rate 1.0 pass the limit.
-        ("figure2", lambda body: body["figure2"].update(scenario="A", periods=10**19)),
-        ("figure3", lambda body: body.update(renormalize=False)
-         or body["scenarios"]["C"].update(creation_rates=[1e19])),
-    ])
-    def test_poisson_limit_is_a_guard(self, tmp_path, caplog, command, edit):
-        # A run's creation total is one Poisson draw at periods x the total
-        # rate; at or above numpy's limit of about 9.2e18 the protocol is
-        # refused before any draw, where numpy raised a ValueError.
-        body = config_dict(str(tmp_path / "out"))
-        edit(body)
-        path = write_config(tmp_path, body)
-        assert main([command, "--config", path, "--quiet"]) == 4
-        assert "Poisson limit" in caplog.text
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("command, edit", [
         ("simulate", lambda body: body["scenarios"]["A"].update(creation_rates=[1e12])),
         ("figure3", lambda body: body.update(renormalize=False)
          or body["scenarios"]["C"].update(creation_rates=[1e12])),
+        # At rate 1e19, 10 periods expect creations past numpy's Poisson
+        # limit of about 9.2e18, and twice that many draws.
+        pytest.param("simulate", lambda body: body["scenarios"]["A"].update(creation_rates=[1e19]),
+                     id="simulate-poisson-limit"),
+        pytest.param("figure3", lambda body: body.update(renormalize=False)
+                     or body["scenarios"]["C"].update(creation_rates=[1e19]), id="figure3-poisson-limit"),
     ])
     def test_draw_cap_is_a_guard(self, tmp_path, caplog, command, edit):
-        # 10 periods at rate 1e12 expect about 2e13 draws a run, far below
-        # the Poisson limit: refused before any draw, where numpy failed
-        # to allocate the run's uniforms.
+        # 10 periods at rate 1e12 expect about 2e13 draws a run: refused
+        # before any draw, where numpy failed to allocate the run's
+        # uniforms. At rate 1e19 numpy's Poisson sampler refused the mean.
         body = config_dict(str(tmp_path / "out"))
         edit(body)
         path = write_config(tmp_path, body)
         assert main([command, "--config", path, "--quiet"]) == 4
         assert f"cap of {slice_markov.simulate.MAX_RUN_DRAWS} draws per run" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, edit", [
+        pytest.param("simulate", lambda body: body["sim"].update(periods_per_run=10**400), id="simulate"),
+        pytest.param("figure2", lambda body: body["figure2"].update(scenario="A", periods=10**400), id="figure2"),
+        # Past numpy's Poisson limit at rate 1.0, and far past the cap.
+        pytest.param("figure2", lambda body: body["figure2"].update(scenario="A", periods=10**19),
+                     id="figure2-poisson-limit"),
+    ])
+    def test_period_cap_is_a_guard(self, tmp_path, caplog, command, edit):
+        # A period count is checked against the period cap before the draw
+        # cap turns it into a float, which 10**400 overflows.
+        body = config_dict(str(tmp_path / "out"))
+        edit(body)
+        path = write_config(tmp_path, body)
+        assert main([command, "--config", path, "--quiet"]) == 4
+        assert f"cap of {slice_markov.simulate.MAX_SIMULATED_PERIODS} simulated periods" in caplog.text
+        assert "Traceback" not in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_out_naming_a_regular_file_is_an_output_error(self, workspace, tmp_path, caplog):
