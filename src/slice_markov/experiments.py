@@ -488,7 +488,7 @@ def figure2_document(cfg: ExperimentConfig) -> dict:
     start = region.index_of[proto.initial_state]
     # Runs past the period cap or the draw cap are refused as such first, in
     # simulate_episodes' order; it checks them again.
-    check_simulated_periods(proto.episodes * proto.periods, f"{proto.episodes} runs of {proto.periods} periods")
+    check_simulated_periods((proto.episodes, "runs"), (proto.periods, "periods"))
     _draw_args(scenario, region, proto.periods)
     table_rows = (proto.periods + 1) * len(region)
     if table_rows > MAX_FIGURE2_ROWS:
@@ -543,8 +543,7 @@ def figure3_document(cfg: ExperimentConfig) -> dict:
     # Counted, not enumerated: listing 2**20 strategies alone takes seconds.
     pairs = len(proto.scenarios) * 2 ** region.creation_mask.bit_count()
     check_simulated_periods(
-        pairs * proto.num_runs * proto.periods_per_run,
-        f"{pairs} (scenario, strategy) pairs of {proto.num_runs} runs of {proto.periods_per_run} periods",
+        (pairs, "(scenario, strategy) pairs"), (proto.num_runs, "runs"), (proto.periods_per_run, "periods")
     )
     strategies = enumerate_valid_strategies(cfg.model, region)
     rows = []

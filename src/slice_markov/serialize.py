@@ -62,22 +62,25 @@ class TraceRows(list):
                 yield [run, period, state, labels[state]]
 
 
-# Trace rows written at a time; also the longest horizon whose period
-# strings are made once per table.
+# Trace rows written at a time; also the most (period, state) texts made
+# once per table, and the longest horizon whose period strings are.
 _TRACE_SLICE = 1 << 14
 
 
 def _write_trace_rows(out, rows: TraceRows) -> None:
-    """Write trace rows ``_TRACE_SLICE`` at a time, run after run.
+    """Write trace rows at most ``_TRACE_SLICE`` at a time, run after run.
 
-    A row is three strings: its run, its period as ``,period,`` and the
-    state's ``index,label`` suffix, which csv.writer encodes once per state
-    so that quoting matches a per-row ``writerow``. numpy gathers the three
-    strings of every row of a slice, and one ``join`` makes the slice's
-    text. Beyond the trajectories this holds one suffix per state, the
-    period strings of a horizon up to ``_TRACE_SLICE`` boundaries (a longer
-    one makes them slice by slice) and the pieces of one slice, whatever
-    the horizon or the region size.
+    csv.writer encodes each state's ``index,label`` suffix once, so that
+    quoting matches a per-row ``writerow``. When the horizon's boundaries
+    times the states are at most ``_TRACE_SLICE``, each (period, state)
+    pair gets one text, ``,period,`` and the suffix, and a row is two
+    strings: its run's and its cell's; a slice holds whole runs. Otherwise
+    a row is three strings: its run, its period as ``,period,`` and the
+    suffix. numpy gathers the strings of every row of a slice, and one
+    ``join`` makes the slice's text. Beyond the trajectories this holds one
+    suffix per state, at most ``_TRACE_SLICE`` cell or period strings (a
+    longer horizon makes its period strings slice by slice) and the pieces
+    of one slice, whatever the horizon or the region size.
     """
     encoded = io.StringIO()
     writer = csv.writer(encoded, lineterminator="\n")
@@ -88,15 +91,37 @@ def _write_trace_rows(out, rows: TraceRows) -> None:
         writer.writerow([state, label])
         suffixes[state] = encoded.getvalue()
     trajectories = rows.trajectories
-    width = trajectories.shape[1]
+    runs, width = trajectories.shape
+    size = len(suffixes)
+    if width * size <= _TRACE_SLICE:
+        cells = _cell_texts(width, suffixes)
+        offsets = np.arange(0, width * size, size)
+        step = _TRACE_SLICE // width
+        for first in range(0, runs, step):
+            states = trajectories[first:first + step]
+            pieces = np.empty((len(states), width, 2), dtype=object)
+            pieces[:, :, 0] = _run_names(first, first + len(states))[:, None]
+            pieces[:, :, 1] = cells[states + offsets]
+            out.write("".join(pieces.ravel().tolist()))
+        return
     heads = _period_heads(range(width)) if width <= _TRACE_SLICE else None
     for first in range(0, trajectories.size, _TRACE_SLICE):
         run, period = np.divmod(np.arange(first, min(first + _TRACE_SLICE, trajectories.size)), width)
         pieces = np.empty((len(run), 3), dtype=object)
-        pieces[:, 0] = np.array([str(r) for r in range(run[0], run[-1] + 1)], dtype=object)[run - run[0]]
+        pieces[:, 0] = _run_names(run[0], run[-1] + 1)[run - run[0]]
         pieces[:, 1] = _period_heads(period.tolist()) if heads is None else heads[period]
         pieces[:, 2] = suffixes[trajectories[run, period]]
         out.write("".join(pieces.ravel().tolist()))
+
+
+def _cell_texts(width: int, suffixes: np.ndarray) -> np.ndarray:
+    """The text of every (period, state) cell of a horizon of ``width``
+    boundaries, ``,period,`` then the state's suffix, period after period."""
+    return np.add.outer(_period_heads(range(width)), suffixes).ravel()
+
+
+def _run_names(first: int, end: int) -> np.ndarray:
+    return np.array([str(run) for run in range(first, end)], dtype=object)
 
 
 def _period_heads(periods) -> np.ndarray:

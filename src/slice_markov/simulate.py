@@ -42,6 +42,7 @@ draw order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -225,12 +226,21 @@ MAX_SIMULATED_PERIODS = 1 << 27
 def _creation_law(rates) -> tuple[float, np.ndarray]:
     """The total creation rate and the edges that mark a creation's type.
 
-    A uniform mark u gives type ``searchsorted(edges, u, side="right")``,
-    where the edges are the cumulative rates over their sum, so that type n
-    has probability rate_n / total up to rounding.
+    A uniform mark u gives as its type the number of edges at or below it
+    (:func:`_add_mark_types`), where the edges are the cumulative rates over
+    their sum, so that type n has probability rate_n / total up to rounding.
     """
     cumulative = np.cumsum(rates, dtype=float)
     return float(cumulative[-1]), cumulative[:-1] / cumulative[-1]
+
+
+def _add_mark_types(marks: np.ndarray, edges: np.ndarray, out: np.ndarray) -> None:
+    """Add each mark's type to ``out``: the number of ``edges`` at or below
+    the mark, one IEEE-exact comparison per edge. For the sorted edges of
+    :func:`_creation_law` it equals ``searchsorted(edges, marks,
+    side="right")``, without its binary search."""
+    for edge in edges:
+        out += marks >= edge
 
 
 def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
@@ -265,13 +275,28 @@ def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: i
     return mean, width, slices
 
 
-def check_simulated_periods(periods: int, what: str) -> None:
+def check_simulated_periods(*counts: tuple[int, str]) -> None:
     """Refuse, with :class:`~slice_markov.errors.GuardExceededError`, a
-    simulation of more than ``MAX_SIMULATED_PERIODS`` periods in all."""
+    simulation of more than ``MAX_SIMULATED_PERIODS`` periods in all: the
+    product of ``counts``, each a count and its noun, outermost first, such
+    as ``(runs, "runs"), (periods, "periods")``."""
+    periods = math.prod(count for count, _ in counts)
     if periods > MAX_SIMULATED_PERIODS:
+        what = " of ".join(f"{_count_text(count)} {noun}" for count, noun in counts)
         raise GuardExceededError(
-            f"{what} simulate {periods} periods, above the cap of {MAX_SIMULATED_PERIODS} simulated periods"
+            f"{what} simulate {_count_text(periods)} periods, above the cap of {MAX_SIMULATED_PERIODS} simulated periods"
         )
+
+
+def _count_text(count: int) -> str:
+    """``count`` in full up to 10**15, and above in three significant digits
+    and a power of ten, such as ``1.00e+400``, so that a message stays short
+    and an int too long for ``str`` still prints."""
+    if count <= 10**15:
+        return str(count)
+    from decimal import Decimal
+
+    return f"{Decimal(count):.2e}"
 
 
 def _draw_blocks(rngs, runs: int, mean: float, width: int, slices: list, start: int | None):
@@ -434,8 +459,9 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     A run's creations are decoded from its uniforms with IEEE-exact
     operations only: creation i has position ``u = uniforms[w*i]``, where
     ``w`` is the uniforms per creation, period ``floor(periods*u)`` and
-    offset ``periods*u - period``; with several types its type is its mark
-    ``uniforms[w*i + 1]`` against the edges of :func:`_creation_law`. Its
+    offset ``periods*u - period``; with several types its type is the
+    number of edges of :func:`_creation_law` at or below its mark
+    ``uniforms[w*i + 1]``, one comparison per edge. Its
     fresh unit lifetime is the i-th after the run's initial ones. The
     uniforms and lifetimes of the block's runs follow one another in its two
     arrays.
@@ -477,7 +503,7 @@ def _fold_block(scenario: DemandScenario, region: AdmissibilityRegion, tables: t
     stamps -= period[:creations]
     kind = np.zeros(len(units), dtype=np.int32)
     if num_types > 1:
-        kind[:creations] = np.searchsorted(_creation_law(scenario.creation_rates)[1], uniforms[1::2], side="right")
+        _add_mark_types(uniforms[1::2], _creation_law(scenario.creation_rates)[1], kind[:creations])
     kind[creations:] = np.repeat(np.tile(np.arange(num_types), count), initial_counts.ravel())
     del uniforms
     group = run * periods
@@ -608,7 +634,7 @@ def _fold_runs(scenario: DemandScenario, strategy: Strategy, periods: int, rngs,
     lookup, the tables or any draw.
     """
     region = strategy.region
-    check_simulated_periods(runs * periods, f"{runs} runs of {periods} periods")
+    check_simulated_periods((runs, "runs"), (periods, "periods"))
     args = _draw_args(scenario, region, periods)
     start = None if initial_state is None else _start_index(region, initial_state)
     tables = _fold_tables(strategy)

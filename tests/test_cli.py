@@ -522,15 +522,22 @@ class TestExitCodes:
         # Past numpy's Poisson limit at rate 1.0, and far past the cap.
         pytest.param("figure2", lambda body: body["figure2"].update(scenario="A", periods=10**19),
                      id="figure2-poisson-limit"),
+        pytest.param("figure3", lambda body: body["figure3"].update(periods_per_run=10**400), id="figure3"),
+        # A product of 8,001 digits, past the longest int that str() prints.
+        pytest.param("simulate", lambda body: body["sim"].update(num_runs=10**4000, periods_per_run=10**4000),
+                     id="simulate-8001-digits"),
     ])
     def test_period_cap_is_a_guard(self, tmp_path, caplog, command, edit):
         # A period count is checked against the period cap before the draw
-        # cap turns it into a float, which 10**400 overflows.
+        # cap turns it into a float, which 10**400 overflows. Counts above
+        # 10**15 are logged in short form, so the line stays short.
         body = config_dict(str(tmp_path / "out"))
         edit(body)
         path = write_config(tmp_path, body)
         assert main([command, "--config", path, "--quiet"]) == 4
         assert f"cap of {slice_markov.simulate.MAX_SIMULATED_PERIODS} simulated periods" in caplog.text
+        (record,) = caplog.records
+        assert len(f"{record.levelname} {record.getMessage()}".encode()) < 200
         assert "Traceback" not in caplog.text
         assert not (tmp_path / "out").exists()
 

@@ -736,27 +736,50 @@ class TestTraceWriter:
 
     # Slices of 5 and 7 rows cut runs of every width here, 11 and 13 hold
     # whole runs of some widths, and widths above the slice take the path
-    # that makes period strings slice by slice.
-    @pytest.mark.parametrize("rows_per_slice", [5, 7, 11, 13, serialize._TRACE_SLICE])
+    # that makes period strings slice by slice. "at" and "past" put the
+    # slice at the boundaries times the states and one below, so that the
+    # rows are just within and just past the bound on (period, state) texts.
+    @pytest.mark.parametrize("rows_per_slice", [5, 7, 11, 13, "at", "past", serialize._TRACE_SLICE])
     @pytest.mark.parametrize("runs, width", [(1, 1), (3, 2), (4, 11), (2, 30), (9, 6)])
     def test_equals_per_row_writer(self, monkeypatch, rows_per_slice, runs, width):
+        cells = width * len(self.LABELS)
+        rows_per_slice = {"at": cells, "past": cells - 1}.get(rows_per_slice, rows_per_slice)
         monkeypatch.setattr(serialize, "_TRACE_SLICE", rows_per_slice)
+        tables = self._count_cell_tables(monkeypatch)
         rng = np.random.default_rng(runs * 100 + width)
         trajectories = rng.integers(0, len(self.LABELS), (runs, width))
         out = io.StringIO()
         _write_trace_rows(out, TraceRows(trajectories, self.LABELS))
         assert out.getvalue() == self._per_row(trajectories, self.LABELS)
+        assert len(tables) == (cells <= rows_per_slice)
 
-    def test_default_slice_boundary(self):
+    @staticmethod
+    def _count_cell_tables(monkeypatch) -> list:
+        """A list that gets one entry each time the writer makes its
+        (period, state) texts."""
+        made = []
+        cell_texts = serialize._cell_texts
+        monkeypatch.setattr(serialize, "_cell_texts", lambda *args: made.append(True) or cell_texts(*args))
+        return made
+
+    def test_default_slice_boundary(self, monkeypatch):
         # 1,500 runs of 11 boundaries cross the default slice once, one
         # run straddling it; a 20,000-boundary run is longer than a slice.
+        # On eight states, 2,048 boundaries make exactly a slice of
+        # (period, state) texts and 2,049 one more, which the row path
+        # writes, cutting runs.
         rng = np.random.default_rng(5)
         assert 1500 * 11 > serialize._TRACE_SLICE and serialize._TRACE_SLICE % 11
-        for shape in ((1500, 11), (2, 20_000)):
-            trajectories = rng.integers(0, len(self.LABELS), shape)
+        eight = [*self.LABELS, "eighth"]
+        assert 2048 * len(eight) == serialize._TRACE_SLICE
+        for labels, shape in ((self.LABELS, (1500, 11)), (self.LABELS, (2, 20_000)),
+                              (eight, (9, 2048)), (eight, (9, 2049))):
+            tables = self._count_cell_tables(monkeypatch)
+            trajectories = rng.integers(0, len(labels), shape)
             out = io.StringIO()
-            _write_trace_rows(out, TraceRows(trajectories, self.LABELS))
-            assert out.getvalue() == self._per_row(trajectories, self.LABELS)
+            _write_trace_rows(out, TraceRows(trajectories, labels))
+            assert out.getvalue() == self._per_row(trajectories, labels)
+            assert len(tables) == (shape[1] * len(labels) <= serialize._TRACE_SLICE)
 
 
 class TestLabelledRowWriter:

@@ -39,6 +39,7 @@ from slice_markov import (
 )
 from slice_markov import simulate
 from slice_markov.simulate import (
+    _add_mark_types,
     _creation_law,
     _draw_args,
     _draw_blocks,
@@ -855,6 +856,55 @@ def test_no_transcendental_ufunc_reads_a_variate(monkeypatch, region, scenario_a
     np.testing.assert_array_equal(
         run_episode(scenario, strategy, 30, run_rng(8, 0)), expected[0]
     )
+
+
+class TestMarkTypes:
+    """A creation's type is the number of :func:`_creation_law` edges at or
+    below its mark, one comparison per edge; it must equal the binary
+    search ``searchsorted(edges, marks, side="right")`` on every mark,
+    those exactly at an edge, 0.0 and the largest double below 1 included.
+    The fold passes a strided view of the uniforms and adds into a prefix
+    of the type array, so the test does too."""
+
+    @staticmethod
+    def _types(edges, marks) -> np.ndarray:
+        uniforms = np.full(2 * len(marks), -1.0)
+        uniforms[1::2] = marks
+        kind = np.zeros(len(marks) + 3, dtype=np.int32)
+        _add_mark_types(uniforms[1::2], edges, kind[:len(marks)])
+        assert not kind[len(marks):].any()
+        return kind[:len(marks)]
+
+    @pytest.mark.parametrize(
+        "rates",
+        [(0.6, 0.4, 0.3), (1.0, 0.8, 0.5), (0.8, 0.8), (11.0, 0.4), tuple(0.1 * n for n in range(1, 9)),
+         (1.0, 1e-300, 1.0)],
+    )
+    def test_equals_searchsorted(self, rates):
+        _, edges = _creation_law(rates)
+        marks = np.concatenate((
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(len(rates)).random(1000),
+        ))
+        np.testing.assert_array_equal(self._types(edges, marks), np.searchsorted(edges, marks, side="right"))
+
+    def test_equal_edges(self):
+        # 1 + 1e-300 rounds to 1, so the middle type's two edges are equal
+        # and no mark gives it: a mark at the edge is counted past both.
+        _, edges = _creation_law((1.0, 1e-300, 1.0))
+        assert edges.tolist() == [0.5, 0.5]
+        marks = np.array([0.0, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)])
+        assert self._types(edges, marks).tolist() == [0, 0, 2, 2, 2]
+
+    @given(
+        rates=st.lists(st.floats(min_value=1e-300, max_value=1e10), min_size=2, max_size=8),
+        marks=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True), max_size=20),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_equals_searchsorted_on_any_rates(self, rates, marks):
+        _, edges = _creation_law(rates)
+        marks = np.concatenate((edges, marks))
+        np.testing.assert_array_equal(self._types(edges, marks), np.searchsorted(edges, marks, side="right"))
 
 
 class TestCreationLaw:
