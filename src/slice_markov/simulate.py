@@ -294,6 +294,7 @@ def _count_text(count: int) -> str:
     and an int too long for ``str`` still prints."""
     if count <= 10**15:
         return str(count)
+    # Only a refused simulation gets here, so other commands do not import it.
     from decimal import Decimal
 
     return f"{Decimal(count):.2e}"
