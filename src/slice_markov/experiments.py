@@ -12,12 +12,21 @@ output file is traceable to the exact inputs that produced it.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import time
 from dataclasses import dataclass
 from importlib import resources
+
+try:
+    # CPython's own SHA-256 (``_sha2`` from 3.12, ``_sha256`` before), the
+    # same digest as hashlib's without loading OpenSSL's libcrypto.
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -105,7 +114,7 @@ class ExperimentConfig:
         where results land must not change what they contain."""
         hashed = {k: v for k, v in self.effective.items() if k != "output"}
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return sha256(canonical.encode()).hexdigest()
 
 
 def _section(raw, where: str, required=(), overrides=None, **defaults) -> dict:

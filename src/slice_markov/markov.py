@@ -499,19 +499,18 @@ def _closed_classes(probs: np.ndarray) -> list[np.ndarray]:
     """Closed communicating classes as index arrays, in ascending order of
     their first state.
 
-    Reachability is the transitive closure of ``(P > 0) | I``, found by
-    squaring it until it stops changing: about log2(n) matrix products, in
-    floating point, where sums of zeros and ones are exact. A state lies in
-    a closed class when every state it reaches reaches it back; its class is
-    then the set it reaches, and it is the class's first state when it
-    reaches no state before it.
+    Reachability is the transitive closure of ``(P > 0) | I``, found in
+    place by Warshall's algorithm: after step ``k``, every state that
+    reaches ``k`` also reaches what ``k`` reaches. Step ``k`` leaves row and
+    column ``k`` unchanged, so one vectorized update per state is exact; it
+    takes ``n`` boolean passes over the matrix and no matrix product. A
+    state lies in a closed class when every state it reaches reaches it
+    back; its class is then the set it reaches, and it is the class's first
+    state when it reaches no state before it.
     """
     reach = (probs > 0) | np.eye(len(probs), dtype=bool)
-    while True:
-        closure = (reach.astype(float) @ reach.astype(float)) > 0
-        if np.array_equal(closure, reach):
-            break
-        reach = closure
+    for k in range(len(reach)):
+        reach |= reach[:, k, None] & reach[k]
     closed = ~np.any(reach & ~reach.T, axis=1)
     return [np.flatnonzero(reach[i]) for i in np.flatnonzero(closed) if reach[i].argmax() == i]
 

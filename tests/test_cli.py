@@ -604,6 +604,39 @@ def test_import_loads_no_scipy():
     assert result.stdout.strip() == "[]"
 
 
+def test_model_commands_load_no_openssl(tmp_path):
+    # region, strategies and matrix hash a config of about 1 KB and solve
+    # small chains, so they must not load _hashlib and OpenSSL's libcrypto
+    # behind it. numpy 1.24 loads _hashlib with numpy itself (numpy.random
+    # imports secrets, which imports hmac), so only what the package adds
+    # counts.
+    src = os.path.dirname(os.path.dirname(slice_markov.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = resources.files("slice_markov") / "configs" / "baseline.json"
+    code = (
+        "import contextlib, io, sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "from slice_markov import *\n"
+        "from slice_markov.cli import main\n"
+        "for command in ('region', 'strategies', 'matrix'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        assert main([command, '--config', {str(config)!r}, '--out', {str(tmp_path)!r},"
+        " '--quiet']) == 0\n"
+        "model = ResourceModel((1.0,), ((0.3,),))\n"
+        "region = enumerate_region(model)\n"
+        "matrix = build_transition_matrix(model, region, DemandScenario((0.5,), (4.0,)),"
+        " always_accept_strategy(region), 2)\n"
+        "assert abs(stationary_distribution(matrix).sum() - 1.0) < 1e-12\n"
+        "print(sorted((set(sys.modules) - before) & {'_hashlib'}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
+    assert len(list(tmp_path.glob("matrix_*.csv"))) == 12
+
+
 @pytest.mark.parametrize("workload, counts", [
     # q=1..4 for two scenarios.
     pytest.param("matrix-n3", {"markov.builds": 8}, id="matrix-n3"),

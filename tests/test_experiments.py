@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import ast
 import copy
 import csv
 import hashlib
 import io
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slice_markov import (
     ConfigError,
@@ -26,6 +31,7 @@ from slice_markov import (
     parse_config,
     resolve_strategy,
 )
+from slice_markov import experiments
 from slice_markov.cli import main
 from slice_markov.experiments import (
     empirical_documents,
@@ -309,6 +315,60 @@ class TestConfigHash:
         raw["model"]["resource_pool"] = [1]
         raw["scenarios"]["A"]["creation_rates"] = [1]
         assert parse_config(raw).config_hash() == BASELINE_HASH
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**63 - 1),
+        pool=st.floats(min_value=0.3, max_value=3.0),
+        cost=st.floats(min_value=0.3, max_value=1.0),
+        rate=st.floats(min_value=0.01, max_value=5.0),
+        lifetime=st.floats(min_value=0.1, max_value=1e4),
+        depths=st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4, unique=True),
+        runs=st.integers(min_value=1, max_value=10**6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_hash_is_sha256_of_canonical_inputs(self, seed, pool, cost, rate, lifetime, depths, runs):
+        # The digest is SHA-256 whichever module supplies it: the same bits
+        # as hashlib's, over the canonical JSON of every section but output.
+        raw = baseline_raw()
+        raw["model"] = {"resource_pool": [pool], "cost_matrix": [[cost]]}
+        raw["scenarios"]["A"] = {"creation_rates": [rate], "mean_lifetimes": [lifetime]}
+        raw["truncation"] = depths
+        raw["sim"].update(seed=seed, num_runs=runs)
+        cfg = parse_config(raw)
+        hashed = {k: v for k, v in cfg.effective.items() if k != "output"}
+        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
+        assert cfg.config_hash() == hashlib.sha256(canonical).hexdigest()
+
+    def test_bundled_hash_is_sha256_of_canonical_inputs(self, raw):
+        cfg = parse_config(raw)
+        hashed = {k: v for k, v in cfg.effective.items() if k != "output"}
+        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
+        assert hashlib.sha256(canonical).hexdigest() == cfg.config_hash() == BASELINE_HASH
+
+    @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
+                             ids=["as-built", "no-sha2", "no-builtin"])
+    def test_sha256_import_chain(self, blocked):
+        # The import chain that supplies config_hash's sha256, run on its own
+        # in a fresh interpreter with some of its modules made unimportable:
+        # _sha2 from 3.12, _sha256 on 3.10 and 3.11, hashlib when neither
+        # builtin module imports.
+        tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+        (chain,) = [node for node in tree.body if isinstance(node, ast.Try)]
+        code = (
+            f"import sys\nfor name in {blocked!r}:\n    sys.modules[name] = None\n"
+            f"{ast.unparse(chain)}\n"
+            "import hashlib\n"
+            "same = sha256(b'slice').hexdigest() == hashlib.sha256(b'slice').hexdigest()\n"
+            "print(sha256 is hashlib.sha256 or sha256.__module__, same)"
+        )
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        new = sys.version_info >= (3, 12)
+        expected = {
+            (): "_sha2" if new else "_sha256",
+            ("_sha2",): True if new else "_sha256",
+            ("_sha2", "_sha256"): True,
+        }[blocked]
+        assert result.stdout.split() == [str(expected), "True"]
 
 
 class TestGoldenOutputs:

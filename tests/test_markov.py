@@ -583,6 +583,49 @@ class TestTransitionMatrixContainer:
 # ---------------------------------------------------------------------------
 
 
+def squaring_closed_classes(probs: np.ndarray) -> list[list[int]]:
+    """Closed classes by the former closure: square ``(P > 0) | I`` as float
+    matrices until it stops changing, then apply the same closed-class rule."""
+    reach = (probs > 0) | np.eye(len(probs), dtype=bool)
+    while True:
+        closure = (reach.astype(float) @ reach.astype(float)) > 0
+        if np.array_equal(closure, reach):
+            break
+        reach = closure
+    closed = ~np.any(reach & ~reach.T, axis=1)
+    return [np.flatnonzero(reach[i]).tolist() for i in np.flatnonzero(closed) if reach[i].argmax() == i]
+
+
+@st.composite
+def planted_chains(draw):
+    """A random nonzero pattern on at most 40 states with planted closed
+    classes (singletons among them are absorbing states) and transient
+    states, under a random relabelling. Returns the probabilities and the
+    planted classes, sorted by first state."""
+    size = draw(st.integers(min_value=1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    order = rng.permutation(size)
+    num_closed = draw(st.integers(min_value=1, max_value=size))
+    cuts = np.sort(rng.choice(np.arange(1, num_closed), size=min(num_closed - 1, 4), replace=False))
+    classes = np.split(order[:num_closed], cuts)
+    transient = order[num_closed:]
+    density = draw(st.floats(min_value=0.0, max_value=0.5))
+    pattern = np.zeros((size, size), dtype=bool)
+    for members in classes:
+        # A cycle through the class keeps it strongly connected.
+        pattern[members, np.roll(members, 1)] = True
+        pattern[np.ix_(members, members)] |= rng.random((len(members), len(members))) < density
+    for state in transient:
+        # One edge into a closed class, which never leads back, keeps the
+        # state transient whatever else it reaches.
+        pattern[state, rng.choice(order[:num_closed])] = True
+        pattern[state, transient] |= rng.random(len(transient)) < density
+    probs = pattern * rng.uniform(0.01, 1.0, (size, size))
+    probs /= probs.sum(axis=1, keepdims=True)
+    planted = sorted(sorted(members.tolist()) for members in classes)
+    return probs, planted
+
+
 class TestStationaryDistribution:
     def test_decline_all_concentrates_at_empty(self, model, region, scenario_c, decline_all):
         matrix = build_transition_matrix(
@@ -661,6 +704,30 @@ class TestStationaryDistribution:
                     if all(i in reach[j] for j in reach[i]) and min(reach[i]) == i
                 )
                 assert [cls.tolist() for cls in _closed_classes(probs)] == expected
+
+    @given(chain=planted_chains())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_classes_match_squaring(self, chain):
+        # Warshall's closure against the squaring closure it replaced: the
+        # same classes in the same first-state order, and the same message
+        # when there is more than one.
+        probs, planted = chain
+        found = [cls.tolist() for cls in _closed_classes(probs)]
+        assert found == squaring_closed_classes(probs) == planted
+        region = enumerate_region(ResourceModel((len(probs) - 1.0,), ((1.0,),)))
+        matrix = TransitionMatrix(
+            probs=probs, region=region, renormalized=True, row_deficits=np.zeros(len(probs))
+        )
+        if len(planted) > 1:
+            labels = [[f"s=[{i}]" for i in cls] for cls in planted]
+            with pytest.raises(ReducibleChainError) as excinfo:
+                stationary_distribution(matrix)
+            assert str(excinfo.value) == f"chain has {len(planted)} closed communicating classes: {labels}"
+            assert excinfo.value.classes == labels
+        else:
+            pi = stationary_distribution(matrix)
+            assert np.all(np.delete(pi, planted[0]) == 0.0)
+            assert pi.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_raw_matrix_rejected(self, model, region, scenario_c, accept_all):
         raw = build_transition_matrix(
