@@ -339,12 +339,6 @@ class TestConfigHash:
         canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
         assert cfg.config_hash() == hashlib.sha256(canonical).hexdigest()
 
-    def test_bundled_hash_is_sha256_of_canonical_inputs(self, raw):
-        cfg = parse_config(raw)
-        hashed = {k: v for k, v in cfg.effective.items() if k != "output"}
-        canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":")).encode()
-        assert hashlib.sha256(canonical).hexdigest() == cfg.config_hash() == BASELINE_HASH
-
     @pytest.mark.parametrize("blocked", [(), ("_sha2",), ("_sha2", "_sha256")],
                              ids=["as-built", "no-sha2", "no-builtin"])
     def test_sha256_import_chain(self, blocked):
