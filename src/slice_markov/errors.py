@@ -5,8 +5,8 @@ class SliceMarkovError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ConfigError(SliceMarkovError):
-    """Malformed or inconsistent experiment configuration."""
+class ConfigError(SliceMarkovError, ValueError):
+    """Malformed or inconsistent experiment configuration; also a ValueError."""
 
 
 class DegenerateModelError(SliceMarkovError):

@@ -47,7 +47,7 @@ from .markov import build_transition_matrix, truncation_tail_bound
 from .serialize import TraceRows
 from .simulate import (
     SimConfig,
-    _draw_args,
+    check_protocol,
     check_simulated_periods,
     estimate_empirical_matrix,
     rmse,
@@ -302,8 +302,8 @@ def parse_config(
     output = doc["output"] = _section(
         doc["output"], "output", (), {"dir": out_override, "format": format_override}, dir="out", format="csv"
     )
-    if not isinstance(output["dir"], str) or not output["dir"]:
-        raise ConfigError(f"output.dir must be a nonempty string, got {output['dir']!r}")
+    if not isinstance(output["dir"], str) or not output["dir"] or "\0" in output["dir"]:
+        raise ConfigError(f"output.dir must be a nonempty string without NUL, got {output['dir']!r}")
     if output["format"] not in OUTPUT_FORMATS:
         raise ConfigError(f"output.format must be one of {OUTPUT_FORMATS}, got {output['format']!r}")
 
@@ -328,7 +328,9 @@ def load_config(path: str, **overrides) -> ExperimentConfig:
             raw = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read configuration {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # Besides JSONDecodeError: bytes that are not UTF-8, an integer past
+        # CPython's int-string limit, and nesting past the recursion limit.
         raise ConfigError(f"configuration {path!r} is not valid JSON: {exc}") from exc
     return parse_config(raw, **overrides)
 
@@ -402,6 +404,17 @@ def strategies_document(cfg: ExperimentConfig) -> dict:
     )
 
 
+def _matrices(cfg: ExperimentConfig, region: AdmissibilityRegion, scenario: DemandScenario, strategy: Strategy,
+              depths) -> dict:
+    """The analytical matrix of ``strategy`` at each of ``depths``, by
+    depth. Deepest first, so the strategy's ordering table is built once and
+    every shallower depth is read from it."""
+    return {
+        q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
+        for q in sorted(depths, reverse=True)
+    }
+
+
 def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
     """One analytical matrix per (scenario, truncation depth) with the
     configured strategy."""
@@ -410,12 +423,7 @@ def matrix_documents(cfg: ExperimentConfig) -> list[dict]:
     labels = [state_label(s) for s in region.states]
     docs = []
     for name, scenario in cfg.scenarios.items():
-        # Deepest first, so the strategy's ordering table is built once and
-        # every shallower depth is read from it.
-        matrices = {
-            q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
-            for q in sorted(cfg.truncation, reverse=True)
-        }
+        matrices = _matrices(cfg, region, scenario, strategy, cfg.truncation)
         for q in cfg.truncation:
             matrix = matrices[q]
             docs.append(_document(
@@ -439,8 +447,6 @@ def empirical_documents(cfg: ExperimentConfig, include_traces: bool = False) -> 
     """Simulate the configured protocol once per scenario; empirical
     matrices, plus raw trajectories when asked for."""
     region = cfg.region()
-    if cfg.sim.initial_state is not None and cfg.sim.initial_state not in region.index_of:
-        raise ConfigError(f"sim initial state {list(cfg.sim.initial_state)} lies outside the region")
     strategy, label = resolve_strategy(cfg, region)
     labels = [state_label(s) for s in region.states]
     docs = []
@@ -486,19 +492,13 @@ def figure2_document(cfg: ExperimentConfig) -> dict:
     deficit matrix would leak probability mass, so the renormalize flag only
     governs matrix outputs and error sweeps. A table of more than
     ``MAX_FIGURE2_ROWS`` rows is refused before the build and the
-    simulation, after the simulation's period and draw caps.
+    simulation, after the simulation's own checks (:func:`check_protocol`).
     """
     region = cfg.region()
     strategy, label = resolve_strategy(cfg, region)
     proto = cfg.figure2
     scenario = cfg.scenarios[proto.scenario]
-    if proto.initial_state not in region.index_of:
-        raise ConfigError(f"figure2 initial state {list(proto.initial_state)} lies outside the region")
-    start = region.index_of[proto.initial_state]
-    # Runs past the period cap or the draw cap are refused as such first, in
-    # simulate_episodes' order; it checks them again.
-    check_simulated_periods((proto.episodes, "runs"), (proto.periods, "periods"))
-    _draw_args(scenario, region, proto.periods)
+    start = check_protocol(scenario, region, proto.episodes, proto.periods, proto.initial_state)[-1]
     table_rows = (proto.periods + 1) * len(region)
     if table_rows > MAX_FIGURE2_ROWS:
         raise GuardExceededError(
@@ -563,12 +563,8 @@ def figure3_document(cfg: ExperimentConfig) -> dict:
         started = time.perf_counter()
         for di, strategy in enumerate(strategies):
             # Builds draw no randomness; making them first lets a depth over
-            # the bag cap fail before any simulation runs, and deepest first
-            # builds the strategy's ordering table once.
-            matrices = {
-                q: build_transition_matrix(cfg.model, region, scenario, strategy, q, renormalize=cfg.renormalize)
-                for q in sorted(proto.q_plus_max, reverse=True)
-            }
+            # the bag cap fail before any simulation runs.
+            matrices = _matrices(cfg, region, scenario, strategy, proto.q_plus_max)
             seed = _child_seed(cfg.sim.seed, si, di)
             sim = SimConfig(proto.num_runs, proto.periods_per_run, seed, None)
             trajectories = simulate_episodes(scenario, strategy, sim)

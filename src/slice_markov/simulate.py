@@ -50,7 +50,7 @@ import numpy as np
 
 from .arrivals import DemandScenario
 from .domain import AdmissibilityRegion, State, Strategy
-from .errors import GuardExceededError
+from .errors import ConfigError, GuardExceededError
 
 
 def _integer(name: str, value) -> int:
@@ -217,9 +217,10 @@ _TIE_SLICE = 1 << 13
 # tracemalloc, so the cap keeps a run within about 0.8 GB.
 MAX_RUN_DRAWS = 1 << 24
 # Most periods one protocol, or one figure3 sweep over all its pairs, may
-# simulate. figure3 simulates at about 0.18 us per period, and a call's
-# trajectory array takes 8 bytes per boundary, so the cap is about 24 s of
-# figure3 or a 1.07 GB array.
+# simulate. figure3 simulates at about 0.18 us per period, so the cap is
+# about 24 s of figure3. A call's trajectory array holds runs x (periods + 1)
+# int64 values, so at one period a run it holds 2**28 of them (2.1 GB), and
+# estimate_empirical_matrix adds 1.07 GB of pair codes.
 MAX_SIMULATED_PERIODS = 1 << 27
 
 
@@ -243,26 +244,24 @@ def _add_mark_types(marks: np.ndarray, edges: np.ndarray, out: np.ndarray) -> No
         out += marks >= edge
 
 
-def _start_index(region: AdmissibilityRegion, initial_state: State) -> int:
-    index = region.index_of.get(tuple(initial_state))
-    if index is None:
-        raise ValueError(f"initial state {tuple(initial_state)} not in region")
-    return index
+def check_protocol(scenario: DemandScenario, region: AdmissibilityRegion, runs: int, periods: int,
+                   initial_state: State | None = None) -> tuple:
+    """Check a protocol of ``runs`` runs of ``periods`` periods before any
+    draw; returns the arguments of :func:`_draw_blocks` after the generators
+    and their count: ``(mean, width, slices, start)``, where ``start`` is
+    the initial state's index, or None for a drawn start.
 
-
-def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: int) -> tuple:
-    """The arguments of :func:`_draw_blocks` after the generators and their
-    count, and before the start: ``(mean, width, slices)``.
-
-    A mean of creations per run whose expected draws per run, ``mean *
-    (width + 1)`` plus the most slices a state holds, exceed
-    ``MAX_RUN_DRAWS`` is refused with
-    :class:`~slice_markov.errors.GuardExceededError`; so is an infinite
-    mean, and one at numpy's Poisson limit (about 9.2e18), which expects at
-    least twice that many draws. ``periods`` must be within
-    ``MAX_SIMULATED_PERIODS`` (:func:`check_simulated_periods`), since a
-    larger int may not convert to a float.
+    It refuses, in this order and with
+    :class:`~slice_markov.errors.GuardExceededError`, more than
+    ``MAX_SIMULATED_PERIODS`` periods in all (a larger count may not convert
+    to a float), then runs that expect more than ``MAX_RUN_DRAWS`` draws:
+    ``mean * (width + 1)`` plus the most slices a state holds. That also
+    refuses an infinite mean, and one at numpy's Poisson limit (about
+    9.2e18), which expects at least twice that many draws. Last, an
+    ``initial_state`` outside ``region`` raises
+    :class:`~slice_markov.errors.ConfigError`, a ``ValueError``.
     """
+    check_simulated_periods((runs, "runs"), (periods, "periods"))
     mean = periods * _creation_law(scenario.creation_rates)[0]
     width = 1 if scenario.num_types == 1 else 2
     slices = [sum(state) for state in region.states]
@@ -272,7 +271,10 @@ def _draw_args(scenario: DemandScenario, region: AdmissibilityRegion, periods: i
             f"{periods} periods at a total creation rate of {mean / periods:g} expect {draws:g} "
             f"draws per run, above the cap of {MAX_RUN_DRAWS} draws per run"
         )
-    return mean, width, slices
+    start = None if initial_state is None else region.index_of.get(tuple(initial_state))
+    if initial_state is not None and start is None:
+        raise ConfigError(f"initial state {list(initial_state)} lies outside the region")
+    return mean, width, slices, start
 
 
 def check_simulated_periods(*counts: tuple[int, str]) -> None:
@@ -630,18 +632,15 @@ def _fold_runs(scenario: DemandScenario, strategy: Strategy, periods: int, rngs,
     block at a time; returns their trajectories, an array of shape
     (runs, periods+1).
 
-    Runs of more than ``MAX_SIMULATED_PERIODS`` periods in all, or refused
-    by :func:`_draw_args`, are refused in that order, before the start
-    lookup, the tables or any draw.
+    A protocol that :func:`check_protocol` refuses is refused before the
+    tables or any draw.
     """
     region = strategy.region
-    check_simulated_periods((runs, "runs"), (periods, "periods"))
-    args = _draw_args(scenario, region, periods)
-    start = None if initial_state is None else _start_index(region, initial_state)
+    args = check_protocol(scenario, region, runs, periods, initial_state)
     tables = _fold_tables(strategy)
     out = np.empty((runs, periods + 1), dtype=np.int64)
     done = 0
-    for block in _draw_blocks(rngs, runs, *args, start):
+    for block in _draw_blocks(rngs, runs, *args):
         end = done + len(block[0])
         _fold_block(scenario, region, tables, periods, block, out[done:end])
         done = end
@@ -704,10 +703,9 @@ def run_episode(
     accepted when the index changes. A ``-1`` met in the table (a release
     with no slice to release, or a corrupted table) or a count of slices
     outliving the horizon that disagrees with the final state is a
-    bookkeeping bug and aborts. A run refused by the guards of
-    :func:`simulate_episodes` is refused here too, before any draw, and so
-    is a ``periods`` that is not a positive integer, with ``ValueError``, as
-    :class:`SimConfig` refuses it.
+    bookkeeping bug and aborts. A run that :func:`check_protocol` refuses
+    is refused before any draw, and so is a ``periods`` that is not a
+    positive integer, with ``ValueError``, as :class:`SimConfig` refuses it.
     """
     periods = _integer("periods", periods)
     if periods < 1:
@@ -720,10 +718,8 @@ def simulate_episodes(scenario: DemandScenario, strategy: Strategy, sim: SimConf
     shape (num_runs, periods+1).
 
     Run r always uses the substream (seed, r), so the result does not depend
-    on how the runs are split into blocks. A protocol whose runs hold more
-    than ``MAX_SIMULATED_PERIODS`` periods in all, or whose runs expect more
-    than ``MAX_RUN_DRAWS`` draws, is refused in that order before any draw,
-    with :class:`~slice_markov.errors.GuardExceededError`.
+    on how the runs are split into blocks. A protocol that
+    :func:`check_protocol` refuses is refused before any draw.
     """
     return _fold_runs(scenario, strategy, sim.periods_per_run, _run_rngs(sim.seed, sim.num_runs), sim.num_runs,
                       sim.initial_state)

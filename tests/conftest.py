@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from operator import itemgetter
+
+import numpy as np
 import pytest
 
 from slice_markov import (
@@ -9,6 +12,7 @@ from slice_markov import (
     DemandScenario,
     ResourceModel,
     always_accept_strategy,
+    apply_request,
     decline_all_strategy,
     enumerate_region,
     enumerate_valid_strategies,
@@ -85,3 +89,45 @@ def accept_all(region):
 @pytest.fixture(scope="session")
 def decline_all(region):
     return decline_all_strategy(region)
+
+
+def _reference_episode(region, scenario, strategy, periods, rng, decide=None) -> np.ndarray:
+    """Per-event simulator: scalar draws every period, each request decided
+    and applied with ``apply_request``. A request is decided by
+    ``strategy.decide(kind, state)``, or by ``decide(kind, state, last,
+    before)`` when given, where ``last`` is the state at the period's start
+    and ``before`` the state at the boundary before it (the start itself in
+    the first period)."""
+    if decide is None:
+        def decide(kind, state, last, before):
+            return strategy.decide(kind, state)
+
+    state = region.states[int(rng.integers(len(region)))]
+    means = scenario.mean_lifetimes
+    lifetimes = [
+        [float(rng.exponential(means[n])) for _ in range(state[n])]
+        for n in range(scenario.num_types)
+    ]
+    boundaries = [state, state]
+    for _ in range(periods):
+        events = []
+        for n, rate in enumerate(scenario.creation_rates):
+            events.extend((stamp, n + 1) for stamp in rng.random(rng.poisson(rate)))
+        for n, per_type in enumerate(lifetimes):
+            events.extend((remaining, -(n + 1)) for remaining in per_type if remaining < 1.0)
+        events.sort(key=itemgetter(0))
+        survivors = [[r - 1.0 for r in per_type if r >= 1.0] for per_type in lifetimes]
+        for _, kind in events:
+            if decide(kind, state, boundaries[-1], boundaries[-2]):
+                state = apply_request(state, kind, True)
+                if kind > 0:
+                    survivors[kind - 1].append(float(rng.exponential(means[kind - 1])))
+        lifetimes = survivors
+        boundaries.append(state)
+    return np.array([region.index_of[s] for s in boundaries[1:]])
+
+
+@pytest.fixture(scope="session")
+def reference_episode():
+    """The per-event reference simulator, :func:`_reference_episode`."""
+    return _reference_episode

@@ -28,6 +28,7 @@ from slice_markov import (
     load_config,
     markov_order_test,
     occupancy_mean,
+    run_rng,
     simulate_episodes,
     stationary_distribution,
     truncation_tail_bound,
@@ -259,7 +260,13 @@ class TestNegativeControls:
     AC-2 also rests on the paper's order of events within a period, where
     releases fall at uniform offsets among the creations. With every release
     moved before, or after, every creation of its period, AC-2 must fail.
-    The chain stays first-order, so AC-7 must not reject it."""
+    The chain stays first-order, so AC-7 must not reject it.
+
+    AC-7 itself must see memory. In the per-event reference simulator, a
+    creation that is accepted only if the state at its period's start is not
+    below the state at the boundary before it makes the next boundary
+    depend on the one two back, and AC-7 must reject it. The same simulator
+    with the memoryless rule must pass."""
 
     CONTROL_PERIODS = 10_000
 
@@ -301,6 +308,25 @@ class TestNegativeControls:
             assert min(pvalues.values()) >= 0.01, pvalues
         else:
             assert max(pvalues.values()) < 0.01, pvalues
+
+    @pytest.mark.parametrize("rule", ["memoryless", "memory"])
+    def test_ac7_memory_control(self, reference_episode, rule):
+        cfg = load_config(default_config_path())
+        region = cfg.region()
+        strategy = always_accept_strategy(region)
+
+        def remembers(kind, state, last, before):
+            return strategy.decide(kind, state) and (kind < 0 or last >= before)
+
+        pvalues = {}
+        for name in ("A", "B", "C"):
+            trajectory = reference_episode(region, cfg.scenarios[name], strategy, self.CONTROL_PERIODS,
+                                           run_rng(42, 0), remembers if rule == "memory" else None)
+            pvalues[name] = markov_order_test(trajectory[None, :], len(region))[2]
+        if rule == "memory":
+            assert max(pvalues.values()) < 0.01, pvalues
+        else:
+            assert min(pvalues.values()) >= 0.01, pvalues
 
     @pytest.fixture(params=["before", "after"])
     def releases(self, request, monkeypatch) -> str:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import slice_markov
-from slice_markov import ConfigError, parse_config
+from slice_markov import ConfigError, load_config, parse_config
 from slice_markov.cli import main
 from slice_markov.experiments import empirical_documents, matrix_documents
 
@@ -407,18 +407,20 @@ class TestExitCodes:
         ("matrix", lambda body: body.update(renormalize=1)),
         ("figure3", lambda body: body["figure3"].update(scenarios=[])),
         ("region", lambda body: body["output"].update(dir="")),
+        ("region", lambda body: body["output"].update(dir=body["output"]["dir"] + "\0")),
         ("matrix", lambda body: body.update(truncation=[2, 1, 2])),
         ("figure3", lambda body: body["figure3"].update(q_plus_max=[2, 2])),
         ("figure3", lambda body: body["figure3"].update(scenarios=["C", "A", "C"])),
     ], ids=["figure2-scenario-array", "figure3-scenario-object", "slash-in-name", "start-outside-region",
             "number-for-array", "string-for-number", "overflowing-number", "strategy-true",
             "strategy-float", "empty-truncation", "negative-pool", "no-scenarios", "renormalize-int",
-            "figure3-no-scenarios", "empty-output-dir", "repeated-truncation", "repeated-figure3-depth",
+            "figure3-no-scenarios", "empty-output-dir", "nul-in-output-dir", "repeated-truncation", "repeated-figure3-depth",
             "repeated-figure3-scenario"])
     def test_outside_input_is_a_configuration_error(self, tmp_path, command, edit):
         # The first four used to escape as a TypeError, FileNotFoundError or
-        # ValueError traceback instead of a configuration error. The last
-        # three were accepted: a repeated depth merged two summary rows'
+        # ValueError traceback instead of a configuration error, and so did
+        # a NUL in output.dir, when the directory was made. The last three
+        # were accepted: a repeated depth merged two summary rows'
         # errors and wrote the row twice, a repeated scenario or truncation
         # duplicated output.
         body = config_dict(str(tmp_path / "out"))
@@ -429,6 +431,67 @@ class TestExitCodes:
                 empirical_documents(cfg)
         path = write_config(tmp_path, body)
         assert main([command, "--config", path, "--quiet"]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "figure2"])
+    def test_protocol_refusals_in_order(self, tmp_path, caplog, command):
+        # One configuration breaks the period cap, the draw cap and the start
+        # rule. They are reported in that order, each once the ones before it
+        # are mended, and nothing is written.
+        body = config_dict(str(tmp_path / "out"))
+        body["scenarios"] = {"C": {"creation_rates": [1e12], "mean_lifetimes": [4.0]}}
+        body["sim"].update(num_runs=2**27, initial_state=[9])
+        body["figure2"].update(episodes=2**27, initial_state=[9])
+
+        def refused(code, message):
+            caplog.clear()
+            assert main([command, "--config", write_config(tmp_path, body), "--quiet"]) == code
+            assert message in caplog.text
+            assert not (tmp_path / "out").exists()
+
+        refused(4, "simulated periods")
+        body["sim"]["num_runs"] = body["figure2"]["episodes"] = 15
+        refused(4, "draws per run")
+        body["scenarios"]["C"]["creation_rates"] = [0.5]
+        refused(2, "initial state [9] lies outside the region")
+
+    def test_outside_start_has_one_message(self, tmp_path, caplog):
+        # simulate, figure2 and run_episode share the start lookup. Its
+        # ConfigError is also a ValueError, so callers of run_episode that
+        # catch a ValueError keep catching it.
+        assert issubclass(ConfigError, ValueError)
+        body = config_dict(str(tmp_path / "out"))
+        body["sim"]["initial_state"] = body["figure2"]["initial_state"] = [9]
+        path = write_config(tmp_path, body)
+        messages = []
+        for command in ("simulate", "figure2"):
+            caplog.clear()
+            assert main([command, "--config", path, "--quiet"]) == 2
+            (record,) = caplog.records
+            messages.append(record.getMessage())
+        region = slice_markov.enumerate_region(slice_markov.ResourceModel((1.0,), ((0.3,),)))
+        scenario = slice_markov.DemandScenario((0.5,), (4.0,))
+        with pytest.raises(ConfigError) as raised:
+            slice_markov.run_episode(scenario, slice_markov.always_accept_strategy(region), 5,
+                                     slice_markov.run_rng(0, 0), initial_state=(9,))
+        messages.append(f"configuration error: {raised.value}")
+        assert messages == ["configuration error: initial state [9] lies outside the region"] * 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [
+        json.dumps(config_dict("out")).replace('"A"', '"\u00ff"').encode("latin-1"),
+        json.dumps(config_dict("out")).replace('"seed": 42', '"seed": ' + "9" * 4301).encode(),
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not-utf-8", "past-int-digit-limit", "nested-100000-deep"])
+    def test_unreadable_file_is_a_configuration_error(self, tmp_path, caplog, text):
+        # Each escaped load_config as a UnicodeDecodeError, ValueError or
+        # RecursionError traceback with exit 1.
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            load_config(str(path))
+        assert main(["region", "--config", str(path), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+        assert "Traceback" not in caplog.text
         assert not (tmp_path / "out").exists()
 
     def test_zero_kept_mass_is_a_configuration_error(self, tmp_path):

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -24,7 +23,6 @@ from slice_markov import (
     SimConfig,
     Strategy,
     always_accept_strategy,
-    apply_request,
     build_transition_matrix,
     default_config_path,
     enumerate_region,
@@ -41,12 +39,12 @@ from slice_markov import simulate
 from slice_markov.simulate import (
     _add_mark_types,
     _creation_law,
-    _draw_args,
     _draw_blocks,
     _fold_block,
     _fold_tables,
     _run_rngs,
     _seed_words,
+    check_protocol,
 )
 
 
@@ -350,7 +348,7 @@ class TestCreationDraws:
         # One type takes one uniform a creation; three types take two, and
         # their marks split [0, 1) at the cumulative rates over their sum.
         scenario = DemandScenario(creation_rates=(0.5,), mean_lifetimes=(4.0,))
-        assert _draw_args(scenario, region, 100) == (50.0, 1, [0, 1, 2, 3])
+        assert check_protocol(scenario, region, 1, 100) == (50.0, 1, [0, 1, 2, 3], None)
         total, edges = _creation_law((0.6, 0.4, 0.3))
         assert total == 0.6 + 0.4 + 0.3
         np.testing.assert_array_equal(edges, [0.6 / total, (0.6 + 0.4) / total])
@@ -365,12 +363,12 @@ class TestCreationDraws:
         at_cap = (simulate.MAX_RUN_DRAWS - 3) / (width + 1)
         lifetimes = (4.0,) * len(shares)
         under = DemandScenario(tuple(at_cap * (1 - 1e-12) * share for share in shares), lifetimes)
-        mean, drawn_width, _ = _draw_args(under, region, 1)
+        mean, drawn_width, _, _ = check_protocol(under, region, 1, 1)
         assert drawn_width == width
         assert mean == pytest.approx(at_cap, rel=1e-9)
         over = DemandScenario(tuple(at_cap * (1 + 1e-12) * share for share in shares), lifetimes)
         with pytest.raises(GuardExceededError, match=f"cap of {simulate.MAX_RUN_DRAWS} draws per run"):
-            _draw_args(over, region, 1)
+            check_protocol(over, region, 1, 1)
 
     @pytest.mark.parametrize("rates", [(0.5,), (0.6, 0.4, 0.3), tuple(0.1 * n for n in range(1, 9))])
     @pytest.mark.parametrize("fixed_start", [False, True])
@@ -567,9 +565,8 @@ class TestBlockFold:
     def test_equals_reference_fold(self, case):
         scenario, strategy, periods, start, runs, seed, cuts, budget = case
         region = strategy.region
-        index = None if start is None else region.index_of[start]
-        args = _draw_args(scenario, region, periods)
-        draws = [_run_draws(run_rng(seed, r), *args, index) for r in range(runs)]
+        args = check_protocol(scenario, region, runs, periods, start)
+        draws = [_run_draws(run_rng(seed, r), *args) for r in range(runs)]
         expected = np.array([_reference_fold(scenario, strategy, periods, d) for d in draws])
         sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=seed, initial_state=start)
         np.testing.assert_array_equal(simulate_episodes(scenario, strategy, sim), expected)
@@ -625,9 +622,9 @@ class TestBlockFold:
             # bases' lengths; one type takes one uniform a creation.
             sparse = DemandScenario(creation_rates=(0.05,), mean_lifetimes=(4.0,))
             protocol = SimConfig(num_runs=450, periods_per_run=10, seed=34)
-            args = _draw_args(sparse, accept_all.region, 10)
+            args = check_protocol(sparse, accept_all.region, 450, 10)
             reference = [
-                _reference_fold(sparse, accept_all, 10, _run_draws(run_rng(34, r), *args, None)) for r in range(450)
+                _reference_fold(sparse, accept_all, 10, _run_draws(run_rng(34, r), *args)) for r in range(450)
             ]
             np.testing.assert_array_equal(runs(budget, sparse, protocol), reference)
             slices = args[2]
@@ -1021,34 +1018,6 @@ class TestAgainstExactBuilderRows:
         assert _max_z_against_exact(exact.probs, est, [0]) <= 4.0
 
 
-def _reference_episode(region, scenario, strategy, periods, rng) -> np.ndarray:
-    """Per-event simulator: scalar draws every period, each request decided
-    with ``Strategy.decide`` and applied with ``apply_request``."""
-    state = region.states[int(rng.integers(len(region)))]
-    means = scenario.mean_lifetimes
-    lifetimes = [
-        [float(rng.exponential(means[n])) for _ in range(state[n])]
-        for n in range(scenario.num_types)
-    ]
-    trajectory = [region.index_of[state]]
-    for _ in range(periods):
-        events = []
-        for n, rate in enumerate(scenario.creation_rates):
-            events.extend((stamp, n + 1) for stamp in rng.random(rng.poisson(rate)))
-        for n, per_type in enumerate(lifetimes):
-            events.extend((remaining, -(n + 1)) for remaining in per_type if remaining < 1.0)
-        events.sort(key=itemgetter(0))
-        survivors = [[r - 1.0 for r in per_type if r >= 1.0] for per_type in lifetimes]
-        for _, kind in events:
-            if strategy.decide(kind, state):
-                state = apply_request(state, kind, True)
-                if kind > 0:
-                    survivors[kind - 1].append(float(rng.exponential(means[kind - 1])))
-        lifetimes = survivors
-        trajectory.append(region.index_of[state])
-    return np.array(trajectory)
-
-
 def _max_two_sample_z(a: EmpiricalMatrix, b: EmpiricalMatrix, min_visits: int = 100):
     """Largest pooled two-proportion |z| over entries of rows visited at
     least ``min_visits`` times on both sides, and how many entries had a
@@ -1072,7 +1041,7 @@ class TestAgainstReferenceSimulator:
     MODEL = ResourceModel(resource_pool=(1.0,), cost_matrix=((0.3, 0.5),))
     SCENARIO = DemandScenario(creation_rates=(0.8, 0.5), mean_lifetimes=(2.0, 0.7))
 
-    def _compare(self, strategy):
+    def _compare(self, strategy, reference_episode):
         region = enumerate_region(self.MODEL)
         runs, periods = 2000, 100
         sim = SimConfig(num_runs=runs, periods_per_run=periods, seed=30)
@@ -1082,7 +1051,7 @@ class TestAgainstReferenceSimulator:
         reference = estimate_empirical_matrix(
             region,
             np.array([
-                _reference_episode(region, self.SCENARIO, strategy, periods, run_rng(31, r))
+                reference_episode(region, self.SCENARIO, strategy, periods, run_rng(31, r))
                 for r in range(runs)
             ]),
         )
@@ -1090,14 +1059,14 @@ class TestAgainstReferenceSimulator:
         assert compared >= 20
         assert worst <= 4.0
 
-    def test_always_accept(self):
+    def test_always_accept(self, reference_episode):
         region = enumerate_region(self.MODEL)
-        self._compare(always_accept_strategy(region))
+        self._compare(always_accept_strategy(region), reference_episode)
 
-    def test_enumerated_strategy(self):
+    def test_enumerated_strategy(self, reference_episode):
         # D101 declines type-2 creations everywhere but s=[1,0].
         region = enumerate_region(self.MODEL)
-        self._compare(enumerate_valid_strategies(self.MODEL, region)[101])
+        self._compare(enumerate_valid_strategies(self.MODEL, region)[101], reference_episode)
 
 
 # ---------------------------------------------------------------------------
